@@ -1,0 +1,480 @@
+"""Constructors for Latin squares with prescribed inner distance.
+
+The workhorse is `algorithm1`, a doubly-periodic fill
+    m[i][j] = 1 + (i-1)r + (j-1)c + alpha*floor((i-1)/R) + beta*floor((j-1)/C)  (mod n)
+whose vertical/horizontal increments r, c set the distance classes and
+whose offsets alpha, beta repair collisions whenever r or c shares a
+factor with n.  Everything else in the module is a parameter selector on
+top of it, except `algorithm2`, which needs a four-case row-offset rule to
+reach the maximum distance on (even, even) block shapes.
+
+All constructors re-validate their output before returning; a validation
+failure is an internal bug, not a caller error.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import gcd
+
+import numpy as np
+
+from .errors import NonexistenceError, ParameterError
+from .grid import (SquareGrid, SudokuShape, validate_latin,
+                   validate_pandiagonal, validate_sudoku)
+from .modmath import mod1n
+
+__all__ = [
+    "BoundsEntry",
+    "RowOffsetRule",
+    "ShiftParams",
+    "algorithm1",
+    "algorithm2",
+    "known_bounds",
+    "max_distance_square",
+    "pandiagonal_bounds",
+    "pandiagonal_max",
+    "plain_bounds",
+    "predicted_inner_distance",
+    "row_offset",
+    "shift_by_k",
+    "sudoku_2b",
+    "sudoku_a_odd_b",
+    "sudoku_bounds",
+    "sudoku_odd_a_even_b",
+    "sudoku_square",
+]
+
+
+@dataclass(frozen=True)
+class ShiftParams:
+    """Parameter bundle for `algorithm1`.
+
+    r and c are the vertical and horizontal increments, 1 <= r, c <= n-1
+    after reduction mod n; alpha and beta are the offsets applied when
+    crossing a period boundary (every R rows / C columns, where
+    R = n/gcd(n, r) and C = n/gcd(n, c)).
+
+    Negative values are accepted and reduced into [1, n]; the coprimality
+    requirements gcd(alpha, r) = gcd(beta, c) = 1 are checked against the
+    absolute value of the offsets as given, since e.g. alpha = -1 is
+    coprime to everything while its reduced form n-1 need not be.
+    """
+
+    n: int
+    r: int
+    c: int
+    alpha: int
+    beta: int
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ParameterError(f"order must be at least 2, got {self.n}")
+        r = self.r % self.n
+        c = self.c % self.n
+        if r == 0 or c == 0:
+            raise ParameterError(f"increments must not be divisible by n={self.n}")
+        if gcd(abs(self.alpha), r) != 1:
+            raise ParameterError(f"gcd(|alpha|={abs(self.alpha)}, r={r}) must be 1")
+        if gcd(abs(self.beta), c) != 1:
+            raise ParameterError(f"gcd(|beta|={abs(self.beta)}, c={c}) must be 1")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "alpha", mod1n(self.alpha, self.n))
+        object.__setattr__(self, "beta", mod1n(self.beta, self.n))
+
+    @property
+    def R(self) -> int:
+        return self.n // gcd(self.n, self.r)
+
+    @property
+    def C(self) -> int:
+        return self.n // gcd(self.n, self.c)
+
+
+def _require_latin(grid: SquareGrid) -> SquareGrid:
+    if not validate_latin(grid).verdict:
+        raise RuntimeError("constructor produced a non-Latin grid (internal bug)")
+    return grid
+
+
+def _require_sudoku(grid: SquareGrid, shape: SudokuShape) -> SquareGrid:
+    if not validate_sudoku(grid, shape).verdict:
+        raise RuntimeError(
+            f"constructor produced an invalid ({shape.a}, {shape.b}) block grid (internal bug)")
+    return grid
+
+
+def algorithm1(params: ShiftParams) -> SquareGrid:
+    """Fill an n x n grid with the doubly-periodic shift pattern.
+
+    The output is always Latin: within a period the increment walks a
+    fixed coset, and the offsets are coprime to the increments, so no row
+    or column can repeat a symbol.
+    """
+    n, r, c = params.n, params.r, params.c
+    i = np.arange(n).reshape(-1, 1)
+    j = np.arange(n).reshape(1, -1)
+    vals = i * r + j * c + params.alpha * (i // params.R) + params.beta * (j // params.C)
+    return _require_latin(SquareGrid(vals % n + 1))
+
+
+def _half_range(t: int, n: int) -> int:
+    t %= n
+    return min(t, n - t)
+
+
+def predicted_inner_distance(params: ShiftParams) -> int:
+    """Inner distance of `algorithm1(params)` without building the grid.
+
+    The realized adjacent differences are r and c inside a period, and
+    r+alpha / c+beta across period boundaries.  A boundary class only
+    exists when the period is shorter than the grid (R < n resp. C < n);
+    with a full-length period the offset is never applied and must not
+    enter the minimum.
+    """
+    n = params.n
+    classes = [_half_range(params.r, n), _half_range(params.c, n)]
+    if params.R < n:
+        classes.append(_half_range(params.r + params.alpha, n))
+    if params.C < n:
+        classes.append(_half_range(params.c + params.beta, n))
+    return min(classes)
+
+
+def shift_by_k(n: int, k: int) -> SquareGrid:
+    """Top row 1..n, each following row rotated right by k; needs gcd(k, n) = 1.
+
+    k = 1 gives the circulant square, k = -1 the back circulant.
+    """
+    if n < 1:
+        raise ParameterError(f"order must be positive, got {n}")
+    if gcd(k, n) != 1:
+        raise ParameterError(f"shift {k} is not coprime to {n}")
+    if n == 1:
+        return SquareGrid([[1]])
+    i = np.arange(n).reshape(-1, 1)
+    j = np.arange(n).reshape(1, -1)
+    return _require_latin(SquareGrid((j - i * k) % n + 1))
+
+
+def max_distance_square(n: int) -> SquareGrid:
+    """A Latin square of order n with the largest possible inner distance.
+
+    The maximum is floor((n-1)/2) for n >= 3 (adding more than half the
+    order is the same as subtracting less); for n = 2 both squares of that
+    order have distance 1.
+    """
+    if n < 2:
+        raise ParameterError("no inner distance is defined below order 2")
+    if n == 2:
+        return shift_by_k(2, 1)
+    if n % 2:
+        h = (n - 1) // 2
+        return algorithm1(ShiftParams(n, h, h, n, n))
+    h = (n - 2) // 2
+    return algorithm1(ShiftParams(n, h, h, 1, 1))
+
+
+def pandiagonal_max(n: int) -> SquareGrid:
+    """A pandiagonal Latin square of order n with inner distance (n-3)/2.
+
+    Pandiagonal squares exist iff n is coprime to 6 (n = 1, 5 mod 6), and
+    (n-3)/2 is the largest inner distance the diagonal constraints allow:
+    at distance (n-1)/2 the increments satisfy |r| = |c|, which forces a
+    constant diagonal.
+    """
+    if n < 1:
+        raise ParameterError(f"order must be positive, got {n}")
+    if n % 6 not in (1, 5):
+        raise NonexistenceError(
+            f"no pandiagonal Latin square of order {n} exists (order must be 1 or 5 mod 6)")
+    if n == 1:
+        raise ParameterError("no inner distance is defined below order 2")
+    params = ShiftParams(n, r=mod1n(-(n - 3) // 2, n), c=(n - 1) // 2, alpha=n, beta=n)
+    grid = algorithm1(params)
+    if not validate_pandiagonal(grid).verdict:
+        raise RuntimeError("pandiagonal constructor produced a bad grid (internal bug)")
+    return grid
+
+
+def sudoku_2b(b: int) -> SquareGrid:
+    """A (2, b)-Sudoku Latin square with inner distance b - 1 (the maximum)."""
+    if b < 2:
+        raise ParameterError(f"block width must be at least 2, got {b}")
+    n = 2 * b
+    beta = 1 if b % 2 else n
+    grid = algorithm1(ShiftParams(n, r=b, c=b - 1, alpha=1, beta=beta))
+    return _require_sudoku(grid, SudokuShape(2, b))
+
+
+def sudoku_a_odd_b(a: int, b: int) -> SquareGrid:
+    """An (a, b)-Sudoku Latin square with inner distance (n-a)/2 for odd b >= a.
+
+    The horizontal increment (n-a)/2 shares exactly the factor a with n,
+    so the stack offset fires every b columns, right on the block seams.
+    The vertical increment is the largest value under n/2 coprime to n,
+    which depends on a mod 4.  Callers with a > b should transpose the
+    (b, a) square instead.
+    """
+    if b % 2 == 0:
+        raise ParameterError(f"block width must be odd, got {b}")
+    if a > b:
+        raise ParameterError(f"needs a <= b, got ({a}, {b}); build ({b}, {a}) and transpose")
+    if a < 1:
+        raise ParameterError(f"block height must be positive, got {a}")
+    if a == 1:
+        return max_distance_square(b)
+    if a == 2:
+        return sudoku_2b(b)
+    n = a * b
+    if a == b:
+        # square blocks: the mirrored parameter set (both increments negated,
+        # axes swapped) realizes the same distances; R == a keeps the vertical
+        # offsets on the block seams.
+        params = ShiftParams(n, r=mod1n(-(n - a) // 2, n), c=mod1n(-(n - 1) // 2, n),
+                             alpha=-1, beta=n)
+    else:
+        if a % 2:
+            r = (n - 1) // 2
+        elif a % 4 == 0:
+            r = (n - 2) // 2
+        else:
+            r = (n - 4) // 2
+        params = ShiftParams(n, r=r, c=(n - a) // 2, alpha=n, beta=1)
+    return _require_sudoku(algorithm1(params), SudokuShape(a, b))
+
+
+# row-offset rule for the (even, even) fill ---------------------------------
+
+
+def row_offset(k: int, x: int) -> int:
+    """Extra vertical offset added when entering row k, for block height 2x.
+
+    Exactly one case applies to every k >= 1:
+      0   for the first row and all even rows,
+      -x  for the first row of every later band (k = 1 mod 2x, k > 1),
+      +1  for the remaining odd rows in even bands,
+      -1  for the remaining odd rows in odd bands.
+    """
+    if x < 2:
+        raise ParameterError(f"half-height must be at least 2, got {x}")
+    if k < 1:
+        raise ParameterError(f"row index must be positive, got {k}")
+    a = 2 * x
+    if k == 1 or k % 2 == 0:
+        return 0
+    if k % a == 1:
+        return -x
+    m = k % (2 * a)
+    if 1 < m < a:
+        return 1
+    # remaining odd rows necessarily fall in an odd band
+    assert a + 1 < m < 2 * a, (k, x)
+    return -1
+
+
+@dataclass(frozen=True)
+class RowOffsetRule:
+    """The four-way row classification behind `algorithm2`, for height a = 2x.
+
+    The rule is periodic with period 2a (two bands); calling the rule
+    gives the offset for a row index.
+    """
+
+    x: int
+
+    def __post_init__(self):
+        if self.x < 2:
+            raise ParameterError(f"half-height must be at least 2, got {self.x}")
+
+    @property
+    def a(self) -> int:
+        return 2 * self.x
+
+    @property
+    def period(self) -> int:
+        return 4 * self.x
+
+    def __call__(self, k: int) -> int:
+        return row_offset(k, self.x)
+
+
+def algorithm2(x: int, y: int) -> SquareGrid:
+    """A (2x, 2y)-Sudoku Latin square with inner distance 2xy - x = (n-a)/2.
+
+    The plain shift fill cannot reach (n-a)/2 here: the horizontal
+    increment shares only a/2 with n, so its offsets fire every two stacks
+    instead of every stack, and the vertical direction needs the four-case
+    row offsets to keep blocks collision-free.
+    """
+    if x < 2:
+        raise ParameterError(f"half-height must be at least 2, got {x} (height 2 has its own rule)")
+    if y < x:
+        raise ParameterError(f"needs x <= y, got ({x}, {y}); build ({y}, {x}) and transpose")
+    a, b = 2 * x, 2 * y
+    n = a * b
+    offsets = np.cumsum([row_offset(k, x) for k in range(1, n + 1)])
+    i = np.arange(n).reshape(-1, 1)
+    j = np.arange(n).reshape(1, -1)
+    vals = j * (2 * x * y - x) + j // (4 * y) + i * (2 * x * y) + offsets.reshape(-1, 1)
+    return _require_sudoku(SquareGrid(vals % n + 1), SudokuShape(a, b))
+
+
+def sudoku_odd_a_even_b(a: int, b: int) -> SquareGrid:
+    """An (a, b)-Sudoku Latin square for odd a >= 3 and even b >= a.
+
+    Reaches inner distance (n - min(2a, b))/2 when b = 0 mod 4 and
+    (n - min(4a, b))/2 when b = 2 mod 4.  Whichever of the two increments
+    is smaller rides on the block seams; the parameter roles swap when b
+    is small relative to a.
+    """
+    if a % 2 == 0 or a < 3:
+        raise ParameterError(f"block height must be odd and at least 3, got {a}")
+    if b % 2:
+        raise ParameterError(f"block width must be even, got {b}")
+    if a > b:
+        raise ParameterError(f"needs a <= b, got ({a}, {b}); build ({b}, {a}) and transpose")
+    n = a * b
+    if b % 4 == 0:
+        if b >= 2 * a:
+            params = ShiftParams(n, r=(n - 2) // 2, c=(n - 2 * a) // 2, alpha=n, beta=1)
+        else:
+            params = ShiftParams(n, r=(n - b) // 2, c=(n - 2) // 2, alpha=1, beta=n)
+    else:
+        if b >= 4 * a:
+            params = ShiftParams(n, r=(n - 4) // 2, c=(n - 4 * a) // 2, alpha=n, beta=1)
+        else:
+            params = ShiftParams(n, r=(n - b) // 2, c=(n - 4) // 2, alpha=1, beta=n)
+    return _require_sudoku(algorithm1(params), SudokuShape(a, b))
+
+
+def sudoku_square(a: int, b: int) -> SquareGrid:
+    """Best known (a, b)-Sudoku construction for any shape, dispatching by parity."""
+    if a < 1 or b < 1:
+        raise ParameterError(f"block shape must be positive, got ({a}, {b})")
+    if a > b:
+        from .transform import transpose
+        return _require_sudoku(transpose(sudoku_square(b, a)), SudokuShape(a, b))
+    if a == 1:
+        return max_distance_square(b) if b >= 2 else SquareGrid([[1]])
+    if a == 2:
+        return sudoku_2b(b)
+    if b % 2:
+        return sudoku_a_odd_b(a, b)
+    if a % 2:
+        return sudoku_odd_a_even_b(a, b)
+    return algorithm2(a // 2, b // 2)
+
+
+# bounds table ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BoundsEntry:
+    """Best proven bounds on the maximum inner distance of one square class.
+
+    exact means lower == upper is proven; existence is False only for
+    pandiagonal orders divisible by 2 or 3, where the class is empty.
+    provenance names the rules that produced the bounds.
+    """
+
+    kind: str
+    n: int
+    a: int | None
+    b: int | None
+    lower: int
+    upper: int
+    exact: bool
+    existence: bool
+    provenance: tuple[str, ...]
+
+    def __post_init__(self):
+        if self.existence and self.lower > self.upper:
+            raise RuntimeError(f"inconsistent bounds {self.lower} > {self.upper} (internal bug)")
+
+    def as_json_dict(self) -> dict:
+        return {
+            "kind": self.kind, "a": self.a, "b": self.b, "n": self.n,
+            "lower": self.lower, "upper": self.upper, "exact": self.exact,
+            "existence": self.existence, "provenance": list(self.provenance),
+        }
+
+
+def plain_bounds(n: int) -> BoundsEntry:
+    """Exact maximum inner distance over all Latin squares of order n."""
+    if n < 2:
+        raise ParameterError("no inner distance is defined below order 2")
+    if n == 2:
+        return BoundsEntry("plain", n, None, None, 1, 1, True, True, ("order-two-census",))
+    value = (n - 1) // 2
+    return BoundsEntry("plain", n, None, None, value, value, True, True,
+                       ("half-range-cap", "max-distance-shift-fill"))
+
+
+def pandiagonal_bounds(n: int) -> BoundsEntry:
+    """Existence and exact maximum for pandiagonal Latin squares of order n."""
+    if n < 2:
+        raise ParameterError("no inner distance is defined below order 2")
+    if n % 6 not in (1, 5):
+        return BoundsEntry("pandiagonal", n, None, None, 0, 0, False, False,
+                           ("divisibility-existence",))
+    value = (n - 3) // 2
+    return BoundsEntry("pandiagonal", n, None, None, value, value, True, True,
+                       ("diagonal-increment-cap", "pandiagonal-shift-fill"))
+
+
+def sudoku_bounds(a: int, b: int) -> BoundsEntry:
+    """Best proven bounds for (a, b)-Sudoku Latin squares.
+
+    Shapes are normalized to a <= b (transposing swaps the shape and
+    preserves all distances), so (a, b) and (b, a) return the same entry.
+    """
+    if a < 1 or b < 1:
+        raise ParameterError(f"block shape must be positive, got ({a}, {b})")
+    a, b = min(a, b), max(a, b)
+    n = a * b
+    if n < 2:
+        raise ParameterError("no inner distance is defined below order 2")
+    if a == 1:
+        base = plain_bounds(b)
+        return BoundsEntry("sudoku", n, a, b, base.lower, base.upper, True, True,
+                           ("single-row-blocks",) + base.provenance)
+    if a == 2:
+        return BoundsEntry("sudoku", n, a, b, b - 1, b - 1, True, True,
+                           ("two-row-block-formula",))
+
+    if a % 2 and b % 2 and a >= 5:
+        upper, upper_prov = (n - 5) // 2, "odd-blocks-interior-cap"
+    else:
+        upper, upper_prov = (n - 3) // 2, "block-interior-cap"
+
+    if b % 2:
+        lower, lower_prov = (n - a) // 2, "odd-width-shift-fill"
+    elif a % 2 == 0:
+        lower, lower_prov = (n - a) // 2, "even-even-row-offset-fill"
+    elif b % 4 == 0:
+        lower, lower_prov = (n - min(2 * a, b)) // 2, "width-div4-shift-fill"
+    else:
+        lower, lower_prov = (n - min(4 * a, b)) // 2, "width-2mod4-shift-fill"
+
+    return BoundsEntry("sudoku", n, a, b, lower, upper, lower == upper, True,
+                       (lower_prov, upper_prov))
+
+
+def known_bounds(kind: str, *, n: int | None = None,
+                 a: int | None = None, b: int | None = None) -> BoundsEntry:
+    """Dispatch to the bounds table by class kind: plain, pandiagonal, or sudoku."""
+    if kind == "plain":
+        if n is None:
+            raise ParameterError("plain bounds need an order n")
+        return plain_bounds(n)
+    if kind == "pandiagonal":
+        if n is None:
+            raise ParameterError("pandiagonal bounds need an order n")
+        return pandiagonal_bounds(n)
+    if kind == "sudoku":
+        if a is None or b is None:
+            raise ParameterError("sudoku bounds need a block shape (a, b)")
+        return sudoku_bounds(a, b)
+    raise ParameterError(f"unknown kind {kind!r}")

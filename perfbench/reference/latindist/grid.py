@@ -1,0 +1,278 @@
+"""Grid representation, band/stack/block indexing, and the three validators.
+
+Cells are addressed 1-based: (i, j) is row i from the top, column j from
+the left, matching the usual combinatorial convention.  A grid of order n
+holds symbols from {1, ..., n} only; partial grids are not representable.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+from .errors import GridFormatError, ParameterError
+
+__all__ = [
+    "BlockAddress",
+    "SquareGrid",
+    "SudokuShape",
+    "ValidationReport",
+    "Violation",
+    "block_of",
+    "format_grid_text",
+    "grid_from_json",
+    "grid_to_json",
+    "parse_grid_json",
+    "parse_grid_text",
+    "validate_latin",
+    "validate_pandiagonal",
+    "validate_sudoku",
+]
+
+
+@dataclass(frozen=True, eq=False)
+class SquareGrid:
+    """Immutable n x n array of symbols in [1, n].
+
+    The backing numpy array is made read-only on construction, so grids
+    can be shared freely (e.g. with a multi-worker search) without copies.
+    """
+
+    cells: np.ndarray
+
+    def __init__(self, cells):
+        arr = np.asarray(cells)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+            raise GridFormatError(f"grid must be a non-empty square array, got shape {arr.shape}")
+        if not np.issubdtype(arr.dtype, np.integer):
+            if not np.all(arr == arr.astype(np.int64, copy=False)):
+                raise GridFormatError("grid entries must be integers")
+        arr = arr.astype(np.int64)
+        n = arr.shape[0]
+        if arr.min() < 1 or arr.max() > n:
+            raise GridFormatError(f"symbols must lie in [1, {n}]")
+        arr.setflags(write=False)
+        object.__setattr__(self, "cells", arr)
+
+    @property
+    def n(self) -> int:
+        return self.cells.shape[0]
+
+    def at(self, i: int, j: int) -> int:
+        """Symbol in cell (i, j), 1-based."""
+        n = self.n
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ParameterError(f"cell ({i}, {j}) outside 1..{n}")
+        return int(self.cells[i - 1, j - 1])
+
+    def rows(self) -> list[list[int]]:
+        return self.cells.tolist()
+
+    def row_tuples(self) -> tuple[tuple[int, ...], ...]:
+        """Hash/sort-friendly view: a tuple of row tuples."""
+        return tuple(tuple(int(v) for v in row) for row in self.cells)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SquareGrid):
+            return NotImplemented
+        return self.cells.shape == other.cells.shape and bool(np.array_equal(self.cells, other.cells))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.cells.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"SquareGrid(n={self.n})"
+
+
+@dataclass(frozen=True)
+class SudokuShape:
+    """Block shape (a, b): blocks are a rows tall and b columns wide.
+
+    An order-(a*b) grid tiles into b bands of a consecutive rows and
+    a stacks of b consecutive columns; a band/stack intersection is a block.
+    """
+
+    a: int
+    b: int
+
+    def __post_init__(self):
+        if self.a < 1 or self.b < 1:
+            raise ParameterError(f"block shape must be positive, got ({self.a}, {self.b})")
+
+    @property
+    def n(self) -> int:
+        return self.a * self.b
+
+    @property
+    def band_count(self) -> int:
+        return self.b
+
+    @property
+    def stack_count(self) -> int:
+        return self.a
+
+
+class BlockAddress(NamedTuple):
+    band: int
+    stack: int
+
+
+class Violation(NamedTuple):
+    """One duplicated symbol in one unit.
+
+    kind is 'row', 'column', 'forward-diagonal', 'back-diagonal', or
+    'block'.  where is the 1-based row/column index, the 0-based diagonal
+    residue ((i-j) mod n forward, (i+j) mod n back, both on 0-based
+    coordinates), or a BlockAddress.
+    """
+
+    kind: str
+    where: object
+    symbol: int
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    verdict: bool
+    violations: tuple[Violation, ...]
+
+    def as_json_dict(self) -> dict:
+        return {
+            "verdict": self.verdict,
+            "violations": [
+                {"kind": v.kind, "where": list(v.where) if isinstance(v.where, tuple) else v.where,
+                 "symbol": v.symbol}
+                for v in self.violations
+            ],
+        }
+
+
+def _report(violations: list[Violation]) -> ValidationReport:
+    return ValidationReport(verdict=not violations, violations=tuple(violations))
+
+
+def _duplicates(values: np.ndarray, n: int) -> list[int]:
+    counts = np.bincount(values, minlength=n + 1)
+    return [int(s) for s in np.nonzero(counts[1:] >= 2)[0] + 1]
+
+
+def block_of(i: int, j: int, shape: SudokuShape) -> BlockAddress:
+    """Band/stack address of cell (i, j): (floor((i-1)/a), floor((j-1)/b))."""
+    n = shape.n
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ParameterError(f"cell ({i}, {j}) outside 1..{n}")
+    return BlockAddress((i - 1) // shape.a, (j - 1) // shape.b)
+
+
+def validate_latin(grid: SquareGrid) -> ValidationReport:
+    """Check that every row and every column is a permutation of {1..n}."""
+    n = grid.n
+    violations: list[Violation] = []
+    for i in range(n):
+        for s in _duplicates(grid.cells[i], n):
+            violations.append(Violation("row", i + 1, s))
+    for j in range(n):
+        for s in _duplicates(grid.cells[:, j], n):
+            violations.append(Violation("column", j + 1, s))
+    return _report(violations)
+
+
+def validate_pandiagonal(grid: SquareGrid) -> ValidationReport:
+    """Latin plus all n forward and all n back wrapped diagonals Latin.
+
+    Forward diagonals are the classes (i - j) mod n, back diagonals the
+    classes (i + j) mod n; both wrap around the grid edges.
+    """
+    n = grid.n
+    violations = list(validate_latin(grid).violations)
+    idx = np.arange(n)
+    for d in range(n):
+        fwd = grid.cells[idx, (idx - d) % n]
+        for s in _duplicates(fwd, n):
+            violations.append(Violation("forward-diagonal", d, s))
+        back = grid.cells[idx, (d - idx) % n]
+        for s in _duplicates(back, n):
+            violations.append(Violation("back-diagonal", d, s))
+    return _report(violations)
+
+
+def validate_sudoku(grid: SquareGrid, shape: SudokuShape) -> ValidationReport:
+    """Latin plus every a x b block a permutation of {1..n}."""
+    n = grid.n
+    if shape.n != n:
+        raise ParameterError(f"shape ({shape.a}, {shape.b}) does not tile an order-{n} grid")
+    violations = list(validate_latin(grid).violations)
+    for band in range(shape.band_count):
+        for stack in range(shape.stack_count):
+            block = grid.cells[band * shape.a:(band + 1) * shape.a,
+                               stack * shape.b:(stack + 1) * shape.b]
+            for s in _duplicates(block.ravel(), n):
+                violations.append(Violation("block", BlockAddress(band, stack), s))
+    return _report(violations)
+
+
+# ---------------------------------------------------------------------------
+# shared text / JSON formats
+
+
+def format_grid_text(grid: SquareGrid) -> str:
+    """n lines of n space-separated integers, no alignment padding."""
+    return "\n".join(" ".join(str(int(v)) for v in row) for row in grid.cells) + "\n"
+
+
+def parse_grid_text(text: str) -> SquareGrid:
+    """Parse the text format; blank lines and '#' comment lines are ignored."""
+    rows = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            rows.append([int(tok) for tok in line.split()])
+        except ValueError as exc:
+            raise GridFormatError(f"bad token in line {line!r}") from exc
+    if not rows:
+        raise GridFormatError("no grid rows found")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows) or len(rows) != width:
+        raise GridFormatError(f"expected a square grid, got {len(rows)} rows of widths "
+                              f"{sorted({len(r) for r in rows})}")
+    return SquareGrid(rows)
+
+
+def grid_to_json(grid: SquareGrid, shape: SudokuShape | None = None) -> dict:
+    doc: dict = {"order": grid.n, "cells": grid.rows()}
+    if shape is not None:
+        doc["shape"] = {"a": shape.a, "b": shape.b}
+    return doc
+
+
+def grid_from_json(doc: dict) -> tuple[SquareGrid, SudokuShape | None]:
+    try:
+        order = doc["order"]
+        cells = doc["cells"]
+    except (TypeError, KeyError) as exc:
+        raise GridFormatError("JSON grid needs 'order' and 'cells' fields") from exc
+    grid = SquareGrid(cells)
+    if grid.n != order:
+        raise GridFormatError(f"declared order {order} but cells are {grid.n}x{grid.n}")
+    shape = None
+    if "shape" in doc and doc["shape"] is not None:
+        try:
+            shape = SudokuShape(int(doc["shape"]["a"]), int(doc["shape"]["b"]))
+        except (TypeError, KeyError) as exc:
+            raise GridFormatError("JSON shape needs 'a' and 'b' fields") from exc
+        if shape.n != grid.n:
+            raise GridFormatError(f"shape ({shape.a}, {shape.b}) does not tile order {grid.n}")
+    return grid, shape
+
+
+def parse_grid_json(text: str) -> tuple[SquareGrid, SudokuShape | None]:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GridFormatError(f"invalid JSON: {exc}") from exc
+    return grid_from_json(doc)
