@@ -8,10 +8,17 @@ already-placed neighbours (left and up).  At distances near n/2 each
 symbol admits at most a handful of neighbours, so the tree collapses and
 even order-9 runs finish in milliseconds.
 
-The tree is partitioned into one task per valid first row.  The node
-budget is divided evenly across tasks, and witnesses are sorted after the
-fact, so count, witness list, and the complete flag are identical for any
-worker count.
+One non-recursive walk over the cell index does all of it.  With one
+worker a query is a single walk from the empty grid under the query's node
+budget: witnesses come out in lexicographic order, and exists mode stops at
+the first.  With more workers (count and enumerate only) the same walk,
+cut after row 1, lists the first rows; they are cut into about 4 * workers
+contiguous slices, a worker completes each slice row by row under the
+budget left over, and the parent adds up the nodes and stops once the sum
+passes the budget.  The tree is the same either way, so a complete query
+gives the same count, witness list and node count for any worker count,
+and complete itself agrees for any worker count.  The count, witnesses
+and node count of an incomplete query are partial and may differ.
 """
 
 from __future__ import annotations
@@ -46,6 +53,12 @@ class SearchQuery:
     symmetry='fix_first_cell' the corner cell is pinned to symbol 1 and
     the reported count covers only that slice of the space (callers
     multiply back out where that is sound).
+
+    node_budget caps the placements the search may make; it is complete
+    iff its tree fits in it.  With workers > 1 the reported nodes are
+    summed over the slices the parent read; slices still running when it
+    stops finish first, each within the budget, so the work spent is at
+    most about (workers + 1) * node_budget.
     """
 
     n: int | None = None
@@ -96,10 +109,12 @@ class SearchQuery:
 class SearchResult:
     """Outcome of one search.
 
-    complete means the answer is definitive for the queried mode; a result
-    truncated by the node budget always comes back with complete=False,
-    never silently.  In exists mode the count is min(total, 1) because the
-    search stops at the first witness.
+    complete means the answer is definitive for the queried mode: the tree
+    up to the answer fit in the node budget, whatever the worker count.  A
+    result truncated by the budget always comes back with complete=False,
+    never silently, and its count and witnesses are partial.  In exists
+    mode the count is min(total, 1) because the search stops at the first
+    witness.
     """
 
     count: int
@@ -109,154 +124,128 @@ class SearchResult:
 
 
 class _Context:
-    """Immutable per-search tables shared by every task."""
+    """Immutable per-search tables shared by every walk.
 
-    __slots__ = ("n", "full", "adm", "constraint", "a", "b")
+    cells[k] is (u1, u2, u3, u4, left, up, allowed) for cell k in row-major
+    order.  u1..u4 are the four units whose symbols must differ: its row,
+    its column, and its block or two wrapped diagonals.  Plain cells list
+    their row and column twice and sudoku cells their block twice; placing
+    ORs a bit into each unit and removing clears it, so a repeated unit is
+    harmless.  left and up index the neighbours, or the spare cell n*n,
+    which always holds the symbol 0 that admits every symbol.  allowed is
+    the full symbol mask, or symbol 1 alone for a pinned corner.
+    """
 
-    def __init__(self, n: int, d: int, constraint: str, a: int, b: int):
+    __slots__ = ("n", "adm", "cells")
+
+    def __init__(self, n: int, d: int, constraint: str, a: int, b: int, fix_first: bool):
+        full = (1 << n) - 1
         self.n = n
-        self.full = (1 << n) - 1
-        self.constraint = constraint
-        self.a = a
-        self.b = b
-        self.adm = [0] * (n + 1)
+        self.adm = [full] * (n + 1)
         for u in range(1, n + 1):
             mask = 0
             for v in range(1, n + 1):
                 if min((u - v) % n, (v - u) % n) >= d:
                     mask |= 1 << (v - 1)
             self.adm[u] = mask
+        spare = n * n
+        cells = []
+        for k in range(n * n):
+            r, c = divmod(k, n)
+            row, col = r, n + c
+            if constraint == "sudoku":
+                extra = 2 * n + (r // a) * a + c // b
+                units = (row, col, extra, extra)
+            elif constraint == "pandiagonal":
+                units = (row, col, 2 * n + (r - c) % n, 3 * n + (r + c) % n)
+            else:
+                units = (row, col, row, col)
+            cells.append((*units, k - 1 if c else spare, k - n if r else spare,
+                          1 if k == 0 and fix_first else full))
+        self.cells = cells
 
 
-def _enumerate_first_rows(ctx: _Context, fix_first: bool, budget: int):
-    """All admissible assignments of row 1, in lexicographic order.
+def _walk(ctx: _Context, prefix: tuple[int, ...], stop: int, budget: int,
+          collect: bool, stop_first: bool):
+    """Depth-first fill of cells len(prefix) .. stop-1 after a fixed prefix.
 
-    Within a single row the block constraint is subsumed by the row
-    constraint and no two cells share a wrapped diagonal, so only the row
-    mask and the left-neighbour distance filter apply here.
+    The only code that places symbols.  Cells are filled in row-major
+    order and candidates are tried in increasing symbol order, so leaves
+    (grids cut after cell stop-1) come in lexicographic order.  Each cell's
+    untried candidates are kept on an explicit stack, so the depth is not
+    bounded by the interpreter's recursion limit.  Every placement counts
+    as one node; the walk gives up when the count passes budget.
+
+    Returns (count, nodes, complete, leaves) where leaves holds the
+    row-major cell tuples when collect is set.
     """
-    n, full, adm = ctx.n, ctx.full, ctx.adm
-    rows: list[tuple[int, ...]] = []
-    row = [0] * n
-    nodes = 0
-    budget_hit = False
-
-    def rec(c: int, used: int) -> bool:
-        nonlocal nodes, budget_hit
-        if c == n:
-            rows.append(tuple(row))
-            return False
-        cand = full & ~used
-        if c == 0 and fix_first:
-            cand &= 1
-        if c:
-            cand &= adm[row[c - 1]]
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            nodes += 1
-            if nodes > budget:
-                budget_hit = True
-                return True
-            row[c] = bit.bit_length()
-            if rec(c + 1, used | bit):
-                return True
-        return False
-
-    rec(0, 0)
-    return rows, nodes, budget_hit
-
-
-def _run_task(ctx: _Context, first_row: tuple[int, ...], budget: int,
-              collect: bool, stop_first: bool):
-    """Complete all grids extending one fixed first row.
-
-    Returns (count, nodes, budget_hit, witnesses-as-row-tuples).
-    """
-    n, full, adm = ctx.n, ctx.full, ctx.adm
-    total = n * n
-    sudoku = ctx.constraint == "sudoku"
-    pandiagonal = ctx.constraint == "pandiagonal"
-    a, b = ctx.a, ctx.b
-
-    grid = [0] * total
-    row_used = [0] * n
-    col_used = [0] * n
-    blk_used = [0] * n if sudoku else []
-    fd_used = [0] * n
-    bd_used = [0] * n
-    for c, sym in enumerate(first_row):
-        bit = 1 << (sym - 1)
-        grid[c] = sym
-        row_used[0] |= bit
-        col_used[c] |= bit
-        if sudoku:
-            blk_used[c // b] |= bit
-        elif pandiagonal:
-            fd_used[-c % n] |= bit
-            bd_used[c] |= bit
-
+    adm, cells = ctx.adm, ctx.cells
+    start = len(prefix)
+    grid = list(prefix) + [0] * (ctx.n * ctx.n + 1 - start)
+    used = [0] * (4 * ctx.n)
+    for k, sym in enumerate(prefix):
+        for u in cells[k][:4]:
+            used[u] |= 1 << (sym - 1)
     count = 0
     nodes = 0
-    budget_hit = False
-    witnesses: list[tuple[tuple[int, ...], ...]] = []
-
-    def rec(k: int) -> bool:
-        nonlocal count, nodes, budget_hit
-        if k == total:
+    leaves: list[tuple[int, ...]] = []
+    untried = [0] * stop
+    k = start
+    while k >= start:
+        u1, u2, u3, u4, left, up, allowed = cells[k]
+        sym = grid[k]
+        if sym:
+            # back at a placed cell: lift its symbol, go on with the rest
+            keep = ~(1 << (sym - 1))
+            used[u1] &= keep
+            used[u2] &= keep
+            used[u3] &= keep
+            used[u4] &= keep
+            cand = untried[k]
+        else:
+            cand = (allowed & adm[grid[left]] & adm[grid[up]]
+                    & ~(used[u1] | used[u2] | used[u3] | used[u4]))
+        if not cand:
+            grid[k] = 0
+            k -= 1
+            continue
+        bit = cand & -cand
+        untried[k] = cand ^ bit
+        nodes += 1
+        if nodes > budget:
+            return count, nodes, False, leaves
+        grid[k] = bit.bit_length()
+        used[u1] |= bit
+        used[u2] |= bit
+        used[u3] |= bit
+        used[u4] |= bit
+        k += 1
+        if k == stop:
             count += 1
             if collect:
-                witnesses.append(tuple(tuple(grid[r * n:(r + 1) * n]) for r in range(n)))
-            return stop_first
-        r, c = divmod(k, n)
-        cand = full & ~(row_used[r] | col_used[c])
-        if sudoku:
-            blk = (r // a) * a + c // b
-            cand &= ~blk_used[blk]
-        elif pandiagonal:
-            fd = (r - c) % n
-            bd = (r + c) % n
-            cand &= ~(fd_used[fd] | bd_used[bd])
-        if c:
-            cand &= adm[grid[k - 1]]
-        if r:
-            cand &= adm[grid[k - n]]
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            nodes += 1
-            if nodes > budget:
-                budget_hit = True
-                return True
-            grid[k] = bit.bit_length()
-            row_used[r] |= bit
-            col_used[c] |= bit
-            if sudoku:
-                blk_used[blk] |= bit
-            elif pandiagonal:
-                fd_used[fd] |= bit
-                bd_used[bd] |= bit
-            stop = rec(k + 1)
-            row_used[r] ^= bit
-            col_used[c] ^= bit
-            if sudoku:
-                blk_used[blk] ^= bit
-            elif pandiagonal:
-                fd_used[fd] ^= bit
-                bd_used[bd] ^= bit
-            if stop:
-                return True
-        return False
-
-    rec(n)
-    return count, nodes, budget_hit, witnesses
+                leaves.append(tuple(grid[:stop]))
+            if stop_first:
+                break
+            k -= 1
+    return count, nodes, True, leaves
 
 
 def _task_entry(args):
-    """Picklable worker entry: rebuilds the context and runs one task."""
-    n, d, constraint, a, b, first_row, budget, collect = args
-    ctx = _Context(n, d, constraint, a, b)
-    return _run_task(ctx, first_row, budget, collect, stop_first=False)
+    """Picklable worker entry: completes a slice of first rows in turn.
+
+    The rows share budget: each gets only what the rows before it left.
+    """
+    ctx_args, first_rows, budget, collect = args
+    ctx = _Context(*ctx_args)
+    count, nodes, leaves = 0, 0, []
+    for row in first_rows:
+        r_count, r_nodes, complete, r_leaves = _walk(ctx, row, ctx.n * ctx.n, budget - nodes,
+                                                     collect=collect, stop_first=False)
+        count, nodes = count + r_count, nodes + r_nodes
+        leaves += r_leaves
+        if not complete:
+            return count, nodes, False, leaves
+    return count, nodes, True, leaves
 
 
 def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
@@ -272,60 +261,35 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
         raise ParameterError(f"workers must be positive, got {workers}")
     n = query.n
     a, b = (query.shape.a, query.shape.b) if query.shape else (0, 0)
-    ctx = _Context(n, query.min_distance, query.constraint, a, b)
-    collect = query.mode == "enumerate"
-    stop_first = query.mode == "exists"
+    ctx_args = (n, query.min_distance, query.constraint, a, b,
+                query.symmetry == "fix_first_cell")
+    ctx = _Context(*ctx_args)
+    collect = query.mode != "count"
+    budget = query.node_budget
 
-    first_rows, root_nodes, root_hit = _enumerate_first_rows(
-        ctx, query.symmetry == "fix_first_cell", query.node_budget)
-    if root_hit:
-        return SearchResult(count=0, witnesses=(), nodes_expanded=root_nodes, complete=False)
-    if not first_rows:
-        return SearchResult(count=0, witnesses=(), nodes_expanded=root_nodes, complete=True)
-
-    task_budget = (query.node_budget - root_nodes) // len(first_rows)
-    if task_budget < 1:
-        return SearchResult(count=0, witnesses=(), nodes_expanded=root_nodes, complete=False)
-
-    count = 0
-    nodes = root_nodes
-    complete = True
-    raw_witnesses: list[tuple[tuple[int, ...], ...]] = []
-
-    if stop_first:
-        # existence probes walk tasks in lexicographic order and stop at the
-        # first witness, so the answer is deterministic for any worker count
-        for first_row in first_rows:
-            t_count, t_nodes, t_hit, t_wit = _run_task(
-                ctx, first_row, task_budget, collect=True, stop_first=True)
-            nodes += t_nodes
-            if t_hit:
-                return SearchResult(count=0, witnesses=(), nodes_expanded=nodes, complete=False)
-            if t_count:
-                witness = (SquareGrid([list(r) for r in t_wit[0]]),)
-                return SearchResult(count=1, witnesses=witness, nodes_expanded=nodes, complete=True)
-        return SearchResult(count=0, witnesses=(), nodes_expanded=nodes, complete=True)
-
-    if workers == 1:
-        outcomes = (_run_task(ctx, fr, task_budget, collect, False) for fr in first_rows)
-        for t_count, t_nodes, t_hit, t_wit in outcomes:
-            count += t_count
-            nodes += t_nodes
-            complete = complete and not t_hit
-            raw_witnesses.extend(t_wit)
+    if workers == 1 or query.mode == "exists":
+        count, nodes, complete, leaves = _walk(ctx, (), n * n, budget, collect=collect,
+                                               stop_first=query.mode == "exists")
     else:
-        args = [(n, query.min_distance, query.constraint, a, b, fr, task_budget, collect)
-                for fr in first_rows]
-        chunk = max(1, len(args) // (workers * 4))
+        # one task per slice of first rows; each may spend what the listing left over
+        _, nodes, complete, first_rows = _walk(ctx, (), n, budget, collect=True,
+                                               stop_first=False)
+        count, leaves = 0, []
+        size = max(1, -(-len(first_rows) // (workers * 4)))
+        args = [(ctx_args, first_rows[i:i + size], budget - nodes, collect)
+                for i in range(0, len(first_rows), size)] if complete else []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for t_count, t_nodes, t_hit, t_wit in pool.map(_task_entry, args, chunksize=chunk):
-                count += t_count
+            outcomes = pool.map(_task_entry, args)
+            for t_count, t_nodes, t_complete, t_leaves in outcomes:
                 nodes += t_nodes
-                complete = complete and not t_hit
-                raw_witnesses.extend(t_wit)
+                if not t_complete or nodes > budget:
+                    complete = False
+                    pool.shutdown(cancel_futures=True)
+                    break
+                count += t_count
+                leaves += t_leaves
 
-    raw_witnesses.sort()
-    witnesses = tuple(SquareGrid([list(r) for r in w]) for w in raw_witnesses)
+    witnesses = tuple(SquareGrid([w[i:i + n] for i in range(0, n * n, n)]) for w in leaves)
     return SearchResult(count=count, witnesses=witnesses, nodes_expanded=nodes, complete=complete)
 
 
@@ -337,7 +301,8 @@ def max_distance_via_search(kind: str, size, *, node_budget: int = DEFAULT_NODE_
     verifies the bound and finds the maximum.  size is an order for plain
     and pandiagonal kinds, or an (a, b) shape for sudoku.  If a probe hits
     the node budget the answer is unknown and a SearchIncompleteError with
-    the open bracket is raised instead of a guess.
+    the open bracket, from the known lower bound to the starved distance, is
+    raised instead of a guess.
     """
     if kind == "sudoku":
         shape = size if isinstance(size, SudokuShape) else SudokuShape(*size)
@@ -358,7 +323,7 @@ def max_distance_via_search(kind: str, size, *, node_budget: int = DEFAULT_NODE_
         if not result.complete:
             raise SearchIncompleteError(
                 f"node budget exhausted probing distance {d}; "
-                f"maximum lies in [1, {d}]", lower=1, upper=d)
+                f"maximum lies in [{entry.lower}, {d}]", lower=entry.lower, upper=d)
         if result.count:
             return d
     return 0

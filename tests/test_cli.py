@@ -143,6 +143,12 @@ def test_search_subcommand(capsys):
     assert json.loads(out)["count"] == 0
 
 
+def test_search_exists_beyond_the_recursion_limit(capsys):
+    code, out, err = run_cli(capsys, ["search", "--n", "33", "--min-dist", "16",
+                                      "--mode", "exists"])
+    assert code == 0 and json.loads(out)["count"] == 1 and err == ""
+
+
 def test_search_enumerate_and_witness_file(capsys, tmp_path):
     wpath = tmp_path / "witnesses.txt"
     code, out, _ = run_cli(capsys, ["search", "--n", "4", "--kind", "plain",

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import pytest
 
 from latindist import (NonexistenceError, ParameterError,
@@ -5,6 +8,7 @@ from latindist import (NonexistenceError, ParameterError,
                        inner_distance, max_distance_via_search, run_search,
                        validate_latin, validate_pandiagonal, validate_sudoku)
 
+from latindist.search import _task_entry
 from oracle import count_by_filter
 
 
@@ -97,6 +101,34 @@ def test_exists_mode_returns_first_witness():
     assert result.complete and result.count == 0 and not result.witnesses
 
 
+def test_exists_mode_answers_beyond_the_recursion_limit():
+    # the walk is n^2 - n cells deep below the first row
+    for n, d in [(33, 16), (41, 20)]:
+        result = run_search(SearchQuery(n=n, min_distance=d, mode="exists"))
+        assert result.complete and result.count == 1, n
+        assert validate_latin(result.witnesses[0]).verdict
+        assert inner_distance(result.witnesses[0]).inner_distance >= d
+
+
+def test_exists_mode_spends_the_whole_budget_on_one_walk():
+    shape = SudokuShape(3, 4)
+    result = run_search(SearchQuery(constraint="sudoku", shape=shape, min_distance=4,
+                                    mode="exists", node_budget=10**6))
+    assert result.complete and result.count == 1
+    assert validate_sudoku(result.witnesses[0], shape).verdict
+
+
+def test_complete_queries_expand_the_same_tree():
+    # node counts of the seed engine
+    cases = [(SearchQuery(n=6, min_distance=2), 24_636),
+             (SearchQuery(n=8, min_distance=3), 196_096),
+             (SearchQuery(constraint="sudoku", shape=SudokuShape(3, 3), min_distance=3), 231_165),
+             (SearchQuery(n=13, constraint="pandiagonal", min_distance=5), 356_993)]
+    for query, nodes in cases:
+        result = run_search(query)
+        assert result.complete and result.nodes_expanded == nodes, query
+
+
 def test_fixing_the_corner_counts_one_symbol_slice():
     for n in (5, 7):
         d = (n - 1) // 2
@@ -121,6 +153,25 @@ def test_results_identical_for_any_worker_count():
             assert other.complete == reference.complete
             assert other.nodes_expanded == reference.nodes_expanded
 
+    # complete iff the whole tree fits in the budget (plain 6 d=2: 24 636 nodes), any workers
+    for query, complete in [(SearchQuery(n=6, min_distance=1, node_budget=5000), False),
+                            (SearchQuery(n=6, min_distance=2, node_budget=24_636), True),
+                            (SearchQuery(n=6, min_distance=2, node_budget=24_635), False)]:
+        for workers in (1, 2):
+            assert run_search(query, workers=workers).complete == complete, (query, workers)
+
+
+def test_parallel_budget_bounds_the_work_done():
+    # plain 6 d=1 has 720 first rows; a task walks its rows under one shared budget
+    ctx_args = (6, 1, "plain", 0, 0, False)
+    rows = list(itertools.permutations(range(1, 7)))
+    count, nodes, complete, _ = _task_entry((ctx_args, rows, 5000, False))
+    assert (nodes, complete) == (5001, False)
+    # so a starved parallel query stops within a few budgets of work, not one per row
+    start = time.perf_counter()
+    result = run_search(SearchQuery(n=6, min_distance=1, node_budget=100_000), workers=2)
+    assert not result.complete and result.nodes_expanded == 100_001
+    assert time.perf_counter() - start < 10
 
 def test_budget_exhaustion_is_reported_not_silent():
     starved = run_search(SearchQuery(n=6, min_distance=1, node_budget=50))
@@ -143,5 +194,8 @@ def test_max_distance_via_search():
 def test_max_distance_via_search_reports_open_bracket_on_starvation():
     with pytest.raises(SearchIncompleteError) as info:
         max_distance_via_search("plain", 7, node_budget=20)
-    assert info.value.lower == 1
+    assert info.value.lower == 3
     assert info.value.upper <= 3
+    with pytest.raises(SearchIncompleteError) as info:
+        max_distance_via_search("sudoku", (3, 6), node_budget=1000)
+    assert (info.value.lower, info.value.upper) == (6, 7)
