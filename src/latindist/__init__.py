@@ -8,12 +8,11 @@ to a canonical circulant form, and exhaustively counts or enumerates
 squares above a distance floor.
 """
 
-from .construct import (BoundsEntry, RowOffsetRule, ShiftParams, algorithm1,
-                        algorithm2, known_bounds, max_distance_square,
-                        pandiagonal_bounds, pandiagonal_max, plain_bounds,
-                        predicted_inner_distance, row_offset, shift_by_k,
-                        sudoku_2b, sudoku_a_odd_b, sudoku_bounds,
-                        sudoku_odd_a_even_b, sudoku_square)
+from .construct import (BoundsEntry, ShiftParams, algorithm1, algorithm2,
+                        known_bounds, max_distance_square, pandiagonal_bounds,
+                        pandiagonal_max, plain_bounds, predicted_inner_distance,
+                        row_offset, shift_by_k, sudoku_2b, sudoku_a_odd_b,
+                        sudoku_bounds, sudoku_odd_a_even_b, sudoku_square)
 from .errors import (GridFormatError, NonexistenceError, NotReducibleError,
                      ParameterError, SearchIncompleteError,
                      UndefinedDistanceError)
@@ -22,7 +21,7 @@ from .grid import (BlockAddress, SquareGrid, SudokuShape, ValidationReport,
                    grid_to_json, parse_grid_json, parse_grid_text,
                    validate_latin, validate_pandiagonal, validate_sudoku)
 from .metrics import DistanceReport, adjacent_distance, inner_distance
-from .modmath import gcd, mod1n, residue_orbit
+from .modmath import mod1n, residue_orbit
 from .search import (DEFAULT_NODE_BUDGET, SearchQuery, SearchResult,
                      max_distance_via_search, run_search)
 from .transform import (GridPermutation, apply_permutation, is_back_circulant,
@@ -40,7 +39,6 @@ __all__ = [
     "NonexistenceError",
     "NotReducibleError",
     "ParameterError",
-    "RowOffsetRule",
     "SearchIncompleteError",
     "SearchQuery",
     "SearchResult",
@@ -56,7 +54,6 @@ __all__ = [
     "apply_permutation",
     "block_of",
     "format_grid_text",
-    "gcd",
     "grid_from_json",
     "grid_to_json",
     "inner_distance",

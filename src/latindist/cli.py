@@ -179,7 +179,8 @@ def _cmd_dist(args) -> int:
         lines = [f"inner distance: {report.inner_distance}"]
         census = ", ".join(f"{d}x{c}" for d, c in report.realized_classes)
         lines.append(f"distance classes (value x pairs): {census}")
-        pair_text = "; ".join(f"({p[0]},{p[1]})-({q[0]},{q[1]})" for p, q in report.argmin_pairs)
+        pairs = report.argmin_pairs.tolist()
+        pair_text = "; ".join(f"({p[0]},{p[1]})-({q[0]},{q[1]})" for p, q in pairs)
         lines.append(f"minimum achieved at: {pair_text}")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

@@ -26,7 +26,6 @@ from .modmath import mod1n
 
 __all__ = [
     "BoundsEntry",
-    "RowOffsetRule",
     "ShiftParams",
     "algorithm1",
     "algorithm2",
@@ -272,32 +271,6 @@ def row_offset(k: int, x: int) -> int:
     # remaining odd rows necessarily fall in an odd band
     assert a + 1 < m < 2 * a, (k, x)
     return -1
-
-
-@dataclass(frozen=True)
-class RowOffsetRule:
-    """The four-way row classification behind `algorithm2`, for height a = 2x.
-
-    The rule is periodic with period 2a (two bands); calling the rule
-    gives the offset for a row index.
-    """
-
-    x: int
-
-    def __post_init__(self):
-        if self.x < 2:
-            raise ParameterError(f"half-height must be at least 2, got {self.x}")
-
-    @property
-    def a(self) -> int:
-        return 2 * self.x
-
-    @property
-    def period(self) -> int:
-        return 4 * self.x
-
-    def __call__(self, k: int) -> int:
-        return row_offset(k, self.x)
 
 
 def algorithm2(x: int, y: int) -> SquareGrid:

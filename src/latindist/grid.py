@@ -8,6 +8,7 @@ holds symbols from {1, ..., n} only; partial grids are not representable.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -150,13 +151,36 @@ class ValidationReport:
         }
 
 
-def _report(violations: list[Violation]) -> ValidationReport:
-    return ValidationReport(verdict=not violations, violations=tuple(violations))
+def _duplicated(cells: np.ndarray, labels: list[np.ndarray],
+                units: int) -> tuple[list[int], list[int]]:
+    """The (unit, symbol) pairs in which a symbol occurs more than once.
+
+    Each label array, broadcast to the grid's shape, gives the unit in
+    range(units) that every cell belongs to; one cell may lie in one unit
+    per label array.  Pairs come back sorted by unit, then symbol.
+    """
+    n = cells.shape[0]
+    symbols = cells - 1
+    keys = np.concatenate([(label * n + symbols).ravel() for label in labels])
+    hits = np.flatnonzero(np.bincount(keys, minlength=units * n) > 1)
+    return (hits // n).tolist(), (hits % n + 1).tolist()
 
 
-def _duplicates(values: np.ndarray, n: int) -> list[int]:
-    counts = np.bincount(values, minlength=n + 1)
-    return [int(s) for s in np.nonzero(counts[1:] >= 2)[0] + 1]
+def _latin_labels(n: int) -> list[np.ndarray]:
+    """Rows are units 0..n-1 and columns units n..2n-1."""
+    idx = np.arange(n)
+    return [idx.reshape(-1, 1), n + idx]
+
+
+def _latin_unit(u: int, n: int) -> tuple[str, int]:
+    return ("row", u + 1) if u < n else ("column", u - n + 1)
+
+
+def _report(units: list[int], symbols: list[int],
+            name: Callable[[int], tuple[str, object]]) -> ValidationReport:
+    """Violations of the duplicated (unit, symbol) pairs; name(u) gives unit u's kind and where."""
+    violations = tuple(Violation(*name(u), s) for u, s in zip(units, symbols))
+    return ValidationReport(verdict=not violations, violations=violations)
 
 
 def block_of(i: int, j: int, shape: SudokuShape) -> BlockAddress:
@@ -170,48 +194,52 @@ def block_of(i: int, j: int, shape: SudokuShape) -> BlockAddress:
 def validate_latin(grid: SquareGrid) -> ValidationReport:
     """Check that every row and every column is a permutation of {1..n}."""
     n = grid.n
-    violations: list[Violation] = []
-    for i in range(n):
-        for s in _duplicates(grid.cells[i], n):
-            violations.append(Violation("row", i + 1, s))
-    for j in range(n):
-        for s in _duplicates(grid.cells[:, j], n):
-            violations.append(Violation("column", j + 1, s))
-    return _report(violations)
+    units, symbols = _duplicated(grid.cells, _latin_labels(n), 2 * n)
+    return _report(units, symbols, lambda u: _latin_unit(u, n))
 
 
 def validate_pandiagonal(grid: SquareGrid) -> ValidationReport:
     """Latin plus all n forward and all n back wrapped diagonals Latin.
 
     Forward diagonals are the classes (i - j) mod n, back diagonals the
-    classes (i + j) mod n; both wrap around the grid edges.
+    classes (i + j) mod n; both wrap around the grid edges.  Violations
+    list rows, then columns, then forward diagonal d and back diagonal d
+    for d = 0..n-1.
     """
     n = grid.n
-    violations = list(validate_latin(grid).violations)
-    idx = np.arange(n)
-    for d in range(n):
-        fwd = grid.cells[idx, (idx - d) % n]
-        for s in _duplicates(fwd, n):
-            violations.append(Violation("forward-diagonal", d, s))
-        back = grid.cells[idx, (d - idx) % n]
-        for s in _duplicates(back, n):
-            violations.append(Violation("back-diagonal", d, s))
-    return _report(violations)
+    r = np.arange(n).reshape(-1, 1)
+    c = np.arange(n)
+    forward = 2 * n + 2 * ((r - c) % n)
+    back = 2 * n + 2 * ((r + c) % n) + 1
+    units, symbols = _duplicated(grid.cells, _latin_labels(n) + [forward, back], 4 * n)
+
+    def name(u: int) -> tuple[str, int]:
+        if u < 2 * n:
+            return _latin_unit(u, n)
+        d, is_back = divmod(u - 2 * n, 2)
+        return ("back-diagonal" if is_back else "forward-diagonal", d)
+
+    return _report(units, symbols, name)
 
 
 def validate_sudoku(grid: SquareGrid, shape: SudokuShape) -> ValidationReport:
-    """Latin plus every a x b block a permutation of {1..n}."""
+    """Latin plus every a x b block a permutation of {1..n}.
+
+    Block violations come band-major after the row and column ones.
+    """
     n = grid.n
     if shape.n != n:
         raise ParameterError(f"shape ({shape.a}, {shape.b}) does not tile an order-{n} grid")
-    violations = list(validate_latin(grid).violations)
-    for band in range(shape.band_count):
-        for stack in range(shape.stack_count):
-            block = grid.cells[band * shape.a:(band + 1) * shape.a,
-                               stack * shape.b:(stack + 1) * shape.b]
-            for s in _duplicates(block.ravel(), n):
-                violations.append(Violation("block", BlockAddress(band, stack), s))
-    return _report(violations)
+    idx = np.arange(n)
+    block = 2 * n + (idx // shape.a).reshape(-1, 1) * shape.stack_count + idx // shape.b
+    units, symbols = _duplicated(grid.cells, _latin_labels(n) + [block], 3 * n)
+
+    def name(u: int) -> tuple[str, object]:
+        if u < 2 * n:
+            return _latin_unit(u, n)
+        return ("block", BlockAddress(*divmod(u - 2 * n, shape.stack_count)))
+
+    return _report(units, symbols, name)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ from .grid import SquareGrid
 
 __all__ = ["DistanceReport", "adjacent_distance", "inner_distance"]
 
-CellPair = tuple[tuple[int, int], tuple[int, int]]
-
 
 def adjacent_distance(u: int, v: int, n: int) -> int:
     """Cyclic distance between symbols u and v modulo n.
@@ -35,19 +33,31 @@ def adjacent_distance(u: int, v: int, n: int) -> int:
     return min((u - v) % n, (v - u) % n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceReport:
     """Inner distance together with the full census of adjacent distances.
 
     realized_classes maps each occurring distance value to the number of
     unordered adjacent pairs realizing it; the counts sum to 2n(n-1).
-    argmin_pairs lists the 1-based cell pairs achieving the minimum,
-    horizontal pairs in row-major order first, then vertical.
+    argmin_pairs is a read-only int64 array of shape (k, 2, 2): row m
+    holds the 1-based cells [[i, j], [i', j']] of the m-th pair achieving
+    the minimum, horizontal pairs in row-major order first, then vertical.
+    Reports compare and hash by value.
     """
 
     inner_distance: int
     realized_classes: tuple[tuple[int, int], ...]
-    argmin_pairs: tuple[CellPair, ...]
+    argmin_pairs: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DistanceReport):
+            return NotImplemented
+        return (self.inner_distance == other.inner_distance
+                and self.realized_classes == other.realized_classes
+                and np.array_equal(self.argmin_pairs, other.argmin_pairs))
+
+    def __hash__(self) -> int:
+        return hash((self.inner_distance, self.realized_classes, self.argmin_pairs.tobytes()))
 
     def class_counts(self) -> dict[int, int]:
         return dict(self.realized_classes)
@@ -56,8 +66,24 @@ class DistanceReport:
         return {
             "inner_distance": self.inner_distance,
             "classes": [{"distance": d, "pairs": c} for d, c in self.realized_classes],
-            "argmin_pairs": [[list(p), list(q)] for p, q in self.argmin_pairs],
+            "argmin_pairs": self.argmin_pairs.tolist(),
         }
+
+
+def _cyclic_distance(diff: np.ndarray, n: int) -> np.ndarray:
+    """min((u-v) mod n, (v-u) mod n) for differences u - v in (-n, n)."""
+    dist = np.abs(diff)
+    return np.minimum(dist, n - dist, out=dist)
+
+
+def _fill_pairs(out: np.ndarray, hits: np.ndarray, step: tuple[int, int]) -> None:
+    """Write the 1-based cell pairs at the true cells of hits, in row-major
+    order, into out of shape (k, 2, 2); the second cell lies one step away."""
+    rows, cols = np.nonzero(hits)
+    np.add(rows, 1, out=out[:, 0, 0])
+    np.add(cols, 1, out=out[:, 0, 1])
+    np.add(rows, 1 + step[0], out=out[:, 1, 0])
+    np.add(cols, 1 + step[1], out=out[:, 1, 1])
 
 
 def inner_distance(grid: SquareGrid) -> DistanceReport:
@@ -67,18 +93,18 @@ def inner_distance(grid: SquareGrid) -> DistanceReport:
         raise UndefinedDistanceError(
             "inner distance is undefined for an order-1 grid (no adjacent cells)")
     cells = grid.cells
-    hdiff = cells[:, 1:] - cells[:, :-1]
-    vdiff = cells[1:, :] - cells[:-1, :]
-    hdist = np.minimum(hdiff % n, -hdiff % n)
-    vdist = np.minimum(vdiff % n, -vdiff % n)
+    hdist = _cyclic_distance(cells[:, 1:] - cells[:, :-1], n)
+    vdist = _cyclic_distance(cells[1:, :] - cells[:-1, :], n)
 
-    values, counts = np.unique(np.concatenate([hdist.ravel(), vdist.ravel()]), return_counts=True)
-    classes = tuple((int(v), int(c)) for v, c in zip(values, counts))
-    best = int(values[0])
+    hcounts = np.bincount(hdist.ravel(), minlength=n // 2 + 1)
+    counts = hcounts + np.bincount(vdist.ravel(), minlength=n // 2 + 1)
+    values = np.flatnonzero(counts)
+    classes = tuple(zip(values.tolist(), counts[values].tolist()))
+    best = classes[0][0]
 
-    pairs: list[CellPair] = []
-    for r, c in np.argwhere(hdist == best):
-        pairs.append(((int(r) + 1, int(c) + 1), (int(r) + 1, int(c) + 2)))
-    for r, c in np.argwhere(vdist == best):
-        pairs.append(((int(r) + 1, int(c) + 1), (int(r) + 2, int(c) + 1)))
-    return DistanceReport(inner_distance=best, realized_classes=classes, argmin_pairs=tuple(pairs))
+    pairs = np.empty((classes[0][1], 2, 2), dtype=np.int64)
+    horizontal = int(hcounts[best])
+    _fill_pairs(pairs[:horizontal], hdist == best, (0, 1))
+    _fill_pairs(pairs[horizontal:], vdist == best, (1, 0))
+    pairs.setflags(write=False)
+    return DistanceReport(inner_distance=best, realized_classes=classes, argmin_pairs=pairs)

@@ -5,11 +5,9 @@ usual [0, n-1], so a residue of 0 is reported as n.  Internal code is free
 to work 0-based and convert at the boundary.
 """
 
-from math import gcd
-
 from .errors import ParameterError
 
-__all__ = ["gcd", "mod1n", "residue_orbit"]
+__all__ = ["mod1n", "residue_orbit"]
 
 
 def mod1n(a: int, n: int) -> int:

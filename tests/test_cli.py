@@ -6,7 +6,7 @@ import pytest
 from latindist import format_grid_text, parse_grid_text, shift_by_k
 from latindist.cli import main
 
-from conftest import load_golden
+from conftest import FIXTURE_DIR, load_golden
 
 
 def run_cli(capsys, argv, stdin: str | None = None, monkeypatch=None):
@@ -202,3 +202,49 @@ def test_output_to_file(capsys, tmp_path):
                                     "--out", str(target)])
     assert code == 0 and out == ""
     assert parse_grid_text(target.read_text()) == shift_by_k(5, 1)
+
+
+BACK_CIRCULANT_DIST_TEXT = (
+    "inner distance: 1\ndistance classes (value x pairs): 1x40\n"
+    "minimum achieved at: (1,1)-(1,2); (1,2)-(1,3); (1,3)-(1,4); (1,4)-(1,5); "
+    "(2,1)-(2,2); (2,2)-(2,3); (2,3)-(2,4); (2,4)-(2,5); (3,1)-(3,2); (3,2)-(3,3); "
+    "(3,3)-(3,4); (3,4)-(3,5); (4,1)-(4,2); (4,2)-(4,3); (4,3)-(4,4); (4,4)-(4,5); "
+    "(5,1)-(5,2); (5,2)-(5,3); (5,3)-(5,4); (5,4)-(5,5); (1,1)-(2,1); (1,2)-(2,2); "
+    "(1,3)-(2,3); (1,4)-(2,4); (1,5)-(2,5); (2,1)-(3,1); (2,2)-(3,2); (2,3)-(3,3); "
+    "(2,4)-(3,4); (2,5)-(3,5); (3,1)-(4,1); (3,2)-(4,2); (3,3)-(4,3); (3,4)-(4,4); "
+    "(3,5)-(4,5); (4,1)-(5,1); (4,2)-(5,2); (4,3)-(5,3); (4,4)-(5,4); (4,5)-(5,5)\n"
+)
+
+BACK_CIRCULANT_DIST_JSON = (
+    '{"inner_distance": 1, "classes": [{"distance": 1, "pairs": 40}], "argmin_pairs": '
+    '[[[1, 1], [1, 2]], [[1, 2], [1, 3]], [[1, 3], [1, 4]], [[1, 4], [1, 5]], '
+    '[[2, 1], [2, 2]], [[2, 2], [2, 3]], [[2, 3], [2, 4]], [[2, 4], [2, 5]], '
+    '[[3, 1], [3, 2]], [[3, 2], [3, 3]], [[3, 3], [3, 4]], [[3, 4], [3, 5]], '
+    '[[4, 1], [4, 2]], [[4, 2], [4, 3]], [[4, 3], [4, 4]], [[4, 4], [4, 5]], '
+    '[[5, 1], [5, 2]], [[5, 2], [5, 3]], [[5, 3], [5, 4]], [[5, 4], [5, 5]], '
+    '[[1, 1], [2, 1]], [[1, 2], [2, 2]], [[1, 3], [2, 3]], [[1, 4], [2, 4]], '
+    '[[1, 5], [2, 5]], [[2, 1], [3, 1]], [[2, 2], [3, 2]], [[2, 3], [3, 3]], '
+    '[[2, 4], [3, 4]], [[2, 5], [3, 5]], [[3, 1], [4, 1]], [[3, 2], [4, 2]], '
+    '[[3, 3], [4, 3]], [[3, 4], [4, 4]], [[3, 5], [4, 5]], [[4, 1], [5, 1]], '
+    '[[4, 2], [5, 2]], [[4, 3], [5, 3]], [[4, 4], [5, 4]], [[4, 5], [5, 5]]]}\n'
+)
+
+BACK_CIRCULANT_PANDIAGONAL_CHECK = (
+    '{"verdict": false, "violations": ['
+    '{"kind": "back-diagonal", "where": 0, "symbol": 1}, '
+    '{"kind": "back-diagonal", "where": 1, "symbol": 2}, '
+    '{"kind": "back-diagonal", "where": 2, "symbol": 3}, '
+    '{"kind": "back-diagonal", "where": 3, "symbol": 4}, '
+    '{"kind": "back-diagonal", "where": 4, "symbol": 5}]}\n'
+)
+
+
+@pytest.mark.parametrize("argv, want_code, want_out", [
+    (["dist"], 0, BACK_CIRCULANT_DIST_TEXT),
+    (["dist", "--format", "json"], 0, BACK_CIRCULANT_DIST_JSON),
+    (["check", "--kind", "pandiagonal"], 1, BACK_CIRCULANT_PANDIAGONAL_CHECK),
+])
+def test_outputs_on_the_back_circulant_are_pinned(capsys, argv, want_code, want_out):
+    path = FIXTURE_DIR / "order5_back_circulant.txt"
+    code, out, err = run_cli(capsys, [*argv, str(path)])
+    assert (code, out, err) == (want_code, want_out, "")

@@ -2,8 +2,8 @@ from math import gcd
 
 import pytest
 
-from latindist import (NonexistenceError, ParameterError, RowOffsetRule,
-                       ShiftParams, SudokuShape, algorithm1, algorithm2,
+from latindist import (NonexistenceError, ParameterError, ShiftParams,
+                       SudokuShape, algorithm1, algorithm2,
                        inner_distance, known_bounds, max_distance_square,
                        pandiagonal_max, predicted_inner_distance, row_offset,
                        shift_by_k, sudoku_2b, sudoku_a_odd_b, sudoku_bounds,
@@ -158,6 +158,10 @@ def test_sudoku_a_odd_b_parameter_errors():
 
 def test_row_offset_example():
     assert row_offset(5, 2) == -2
+    with pytest.raises(ParameterError):
+        row_offset(1, 1)  # block height 2 has its own rule
+    with pytest.raises(ParameterError):
+        row_offset(0, 2)
 
 
 def test_row_offset_cases_partition_all_rows():
@@ -176,14 +180,6 @@ def test_row_offset_cases_partition_all_rows():
             else:
                 want = -1
             assert row_offset(k, x) == want, (k, x)
-
-
-def test_row_offset_rule_wrapper():
-    rule = RowOffsetRule(2)
-    assert rule.a == 4 and rule.period == 8
-    assert [rule(k) for k in range(1, 9)] == [0, 0, 1, 0, -2, 0, -1, 0]
-    with pytest.raises(ParameterError):
-        RowOffsetRule(1)
 
 
 def test_algorithm2(golden):

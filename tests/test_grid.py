@@ -9,6 +9,9 @@ from latindist import (BlockAddress, GridFormatError, ParameterError,
                        parse_grid_json, parse_grid_text, transpose,
                        validate_latin, validate_pandiagonal, validate_sudoku)
 
+from oracle import is_latin, is_pandiagonal, is_sudoku
+from conftest import random_grids
+
 
 def test_grid_construction_rejects_malformed_input():
     with pytest.raises(GridFormatError):
@@ -166,3 +169,57 @@ def test_json_parse_errors():
         grid_from_json({"order": 2, "cells": [[1, 2], [2, 1]], "shape": {"a": 2, "b": 2}})
     with pytest.raises(GridFormatError):
         grid_from_json({"cells": [[1]]})
+
+
+def loop_violations(rows, kind: str, shape=None) -> list[Violation]:
+    """Per-unit reference: rows, columns, then forward diagonal d and back
+    diagonal d for d = 0..n-1, or the blocks band-major; each unit's
+    repeated symbols in increasing order."""
+    n = len(rows)
+
+    def repeated(values):
+        return sorted(s for s in set(values) if values.count(s) > 1)
+
+    units = [("row", i + 1, list(rows[i])) for i in range(n)]
+    units += [("column", j + 1, [rows[i][j] for i in range(n)]) for j in range(n)]
+    if kind == "pandiagonal":
+        for d in range(n):
+            units.append(("forward-diagonal", d, [rows[i][(i - d) % n] for i in range(n)]))
+            units.append(("back-diagonal", d, [rows[i][(d - i) % n] for i in range(n)]))
+    elif kind == "sudoku":
+        a, b = shape
+        for band in range(b):
+            for stack in range(a):
+                block = [rows[band * a + i][stack * b + j] for i in range(a) for j in range(b)]
+                units.append(("block", BlockAddress(band, stack), block))
+    return [Violation(k, where, s) for k, where, values in units for s in repeated(values)]
+
+
+def assert_same_violations(report, want: list[Violation]):
+    assert report.violations == tuple(want)
+    assert report.verdict == (not want)
+    for v in report.violations:
+        assert type(v.symbol) is int
+        assert type(v.where) is (BlockAddress if v.kind == "block" else int)
+
+
+def test_validators_match_the_per_unit_loop(golden):
+    # random grids are Sudoku squares only for the shapes (1, n) and (n, 1),
+    # so two golden ones join them
+    squares = [golden(name).rows() for name in ("order9_sudoku_3x3.txt", "order16_sudoku_4x4.txt")]
+    for rows in [*random_grids(seed=23, count=400), *squares]:
+        n = len(rows)
+        g = SquareGrid(rows)
+        latin = validate_latin(g)
+        assert_same_violations(latin, loop_violations(rows, "latin"))
+        assert latin.verdict == is_latin(rows)
+        pandiagonal = validate_pandiagonal(g)
+        assert_same_violations(pandiagonal, loop_violations(rows, "pandiagonal"))
+        assert pandiagonal.verdict == is_pandiagonal(rows)
+        for a in range(1, n + 1):
+            if n % a == 0:
+                shape = (a, n // a)
+                sudoku = validate_sudoku(g, SudokuShape(*shape))
+                assert_same_violations(sudoku, loop_violations(rows, "sudoku", shape))
+                assert sudoku.verdict == is_sudoku(rows, *shape)
+

@@ -1,9 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from latindist import (ParameterError, SquareGrid, UndefinedDistanceError,
-                       adjacent_distance, inner_distance, mod1n, transpose)
+                       adjacent_distance, format_grid_text, inner_distance,
+                       mod1n, parse_grid_text, transpose)
+
+from conftest import random_grids
+from oracle import min_adjacent_distance
 
 
 def test_adjacent_distance_examples():
@@ -52,7 +58,7 @@ def test_report_census_and_argmin(golden):
     n = g.n
     assert sum(c for _, c in report.realized_classes) == 2 * n * (n - 1)
     assert report.inner_distance == min(d for d, _ in report.realized_classes)
-    assert report.argmin_pairs
+    assert len(report.argmin_pairs) > 0
     for (i1, j1), (i2, j2) in report.argmin_pairs:
         assert abs(i1 - i2) + abs(j1 - j2) == 1
         assert adjacent_distance(g.at(i1, j1), g.at(i2, j2), n) == report.inner_distance
@@ -75,3 +81,53 @@ def test_inner_distance_invariant_under_transpose():
         b = inner_distance(transpose(g))
         assert a.inner_distance == b.inner_distance
         assert a.realized_classes == b.realized_classes
+
+
+def loop_report(rows):
+    """Per-pair reference: the inner distance, the sorted class census and
+    the argmin cell pairs, horizontal pairs row-major first, then vertical."""
+    n = len(rows)
+    census: dict[int, int] = {}
+    horizontal, vertical = [], []
+    for i in range(n):
+        for j in range(n):
+            for di, dj, found in ((0, 1, horizontal), (1, 0, vertical)):
+                ii, jj = i + di, j + dj
+                if ii < n and jj < n:
+                    u, v = rows[i][j], rows[ii][jj]
+                    d = min((u - v) % n, (v - u) % n)
+                    census[d] = census.get(d, 0) + 1
+                    found.append((d, [[i + 1, j + 1], [ii + 1, jj + 1]]))
+    best = min(census)
+    return best, tuple(sorted(census.items())), [p for d, p in horizontal + vertical if d == best]
+
+
+def test_report_matches_the_per_pair_loop():
+    for rows in random_grids(seed=11, count=400):
+        report = inner_distance(SquareGrid(rows))
+        best, classes, argmin = loop_report(rows)
+        assert report.inner_distance == best == min_adjacent_distance(rows)
+        assert report.realized_classes == classes
+        assert all(type(v) is int for pair in report.realized_classes for v in pair)
+        pairs = report.argmin_pairs
+        assert pairs.dtype == np.int64 and pairs.shape == (len(argmin), 2, 2)
+        assert not pairs.flags.writeable
+        assert pairs.tolist() == argmin
+        doc = {"inner_distance": best,
+               "classes": [{"distance": d, "pairs": c} for d, c in classes],
+               "argmin_pairs": argmin}
+        assert json.dumps(report.as_json_dict()) == json.dumps(doc)
+
+
+def test_reports_compare_and_hash_by_value(golden):
+    g = golden("order5_shift_by_2.txt")
+    a = inner_distance(g)
+    b = inner_distance(parse_grid_text(format_grid_text(g)))
+    assert a == b and hash(a) == hash(b)
+    # the transpose has the same distance and census but other argmin pairs
+    flipped = inner_distance(transpose(g))
+    assert flipped.realized_classes == a.realized_classes
+    assert len(flipped.argmin_pairs) == len(a.argmin_pairs)
+    other = inner_distance(golden("order9_sudoku_3x3.txt"))
+    assert a != flipped and a != other and a != "not a report"
+    assert len({a, b, flipped, other}) == 3

@@ -3,7 +3,7 @@ from math import gcd as math_gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from latindist import ParameterError, gcd, mod1n, residue_orbit
+from latindist import ParameterError, mod1n, residue_orbit
 
 
 def test_mod1n_examples():
@@ -26,14 +26,6 @@ def test_mod1n_is_a_congruent_representative_in_window(a, n):
     r = mod1n(a, n)
     assert 1 <= r <= n
     assert (a - r) % n == 0
-
-
-def test_gcd_examples():
-    assert gcd(9, 4) == 1
-    assert gcd(16, 6) == 2
-    assert gcd(15, 6) == 3
-    assert gcd(0, 0) == 0
-    assert gcd(-4, 6) == 2
 
 
 def test_residue_orbit_examples():
@@ -59,7 +51,7 @@ def test_half_of_n_minus_a_shares_exactly_a_with_n():
     for a in range(1, 13):
         for b in range(3, 14, 2):
             n = a * b
-            assert gcd(n, (n - a) // 2) == a, (a, b)
+            assert math_gcd(n, (n - a) // 2) == a, (a, b)
 
 
 def test_orbit_period_is_n_over_gcd():
