@@ -5,7 +5,7 @@ commands read a file path or stdin; everything is deterministic, so
 generated output is byte-identical across runs.
 
 Exit codes: 0 success / verified-true, 1 verified-false (failed check or
-irreducible grid), 2 usage or parse error, 3 provable nonexistence.
+irreducible grid), 2 usage, parse or file error, 3 provable nonexistence.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_NONEXISTENT = 3
+MAX_TEXT_PAIRS = 100  # minimal pairs listed by dist in text mode
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--b", type=int)
     search.add_argument("--min-dist", type=int, required=True)
     search.add_argument("--mode", choices=["count", "enumerate", "exists"], default="count")
-    search.add_argument("--symmetry", choices=["none", "fix-first-cell"], default="none")
     search.add_argument("--workers", type=int, default=1)
     search.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     search.add_argument("--witnesses-out", help="write witnesses as a multi-grid text file")
@@ -179,9 +179,12 @@ def _cmd_dist(args) -> int:
         lines = [f"inner distance: {report.inner_distance}"]
         census = ", ".join(f"{d}x{c}" for d, c in report.realized_classes)
         lines.append(f"distance classes (value x pairs): {census}")
-        pairs = report.argmin_pairs.tolist()
+        pairs = report.argmin_pairs[:MAX_TEXT_PAIRS].tolist()
         pair_text = "; ".join(f"({p[0]},{p[1]})-({q[0]},{q[1]})" for p, q in pairs)
         lines.append(f"minimum achieved at: {pair_text}")
+        if len(report.argmin_pairs) > MAX_TEXT_PAIRS:
+            lines.append(f"... and {len(report.argmin_pairs) - MAX_TEXT_PAIRS} more "
+                         "(--format json lists them all)")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -197,17 +200,14 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_search(args) -> int:
     shape = None
-    n = args.n
     if args.kind == "sudoku":
         if args.a is None or args.b is None:
             raise ParameterError("--kind sudoku needs --a and --b")
         shape = SudokuShape(args.a, args.b)
-        n = shape.n if n is None else n
-    elif n is None:
+    elif args.n is None:
         raise ParameterError(f"--kind {args.kind} needs --n")
-    query = SearchQuery(n=n, constraint=args.kind, shape=shape,
+    query = SearchQuery(n=args.n, constraint=args.kind, shape=shape,
                         min_distance=args.min_dist, mode=args.mode,
-                        symmetry=args.symmetry.replace("-", "_"),
                         node_budget=args.budget)
     started = time.perf_counter()
     result = run_search(query, workers=args.workers)
@@ -255,7 +255,8 @@ def main(argv: list[str] | None = None) -> int:
     except NotReducibleError as exc:
         print(f"latindist: {exc}", file=sys.stderr)
         return EXIT_FALSE
-    except (GridFormatError, ParameterError, UndefinedDistanceError) as exc:
+    except (GridFormatError, ParameterError, UndefinedDistanceError,
+            OSError, UnicodeDecodeError) as exc:
         print(f"latindist: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

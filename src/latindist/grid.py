@@ -45,13 +45,15 @@ class SquareGrid:
     cells: np.ndarray
 
     def __init__(self, cells):
-        arr = np.asarray(cells)
+        try:
+            given = np.asarray(cells)
+            arr = given.astype(np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GridFormatError(f"grid must be a square array of integers: {exc}") from exc
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise GridFormatError(f"grid must be a non-empty square array, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(arr == arr.astype(np.int64, copy=False)):
-                raise GridFormatError("grid entries must be integers")
-        arr = arr.astype(np.int64)
+        if not np.issubdtype(given.dtype, np.integer) and not np.array_equal(given, arr):
+            raise GridFormatError("grid entries must be integers")
         n = arr.shape[0]
         if arr.min() < 1 or arr.max() > n:
             raise GridFormatError(f"symbols must lie in [1, {n}]")
@@ -248,7 +250,7 @@ def validate_sudoku(grid: SquareGrid, shape: SudokuShape) -> ValidationReport:
 
 def format_grid_text(grid: SquareGrid) -> str:
     """n lines of n space-separated integers, no alignment padding."""
-    return "\n".join(" ".join(str(int(v)) for v in row) for row in grid.cells) + "\n"
+    return "\n".join(" ".join(map(str, row)) for row in grid.cells.tolist()) + "\n"
 
 
 def parse_grid_text(text: str) -> SquareGrid:
@@ -259,7 +261,7 @@ def parse_grid_text(text: str) -> SquareGrid:
         if not line or line.startswith("#"):
             continue
         try:
-            rows.append([int(tok) for tok in line.split()])
+            rows.append(list(map(int, line.split())))
         except ValueError as exc:
             raise GridFormatError(f"bad token in line {line!r}") from exc
     if not rows:
@@ -291,7 +293,7 @@ def grid_from_json(doc: dict) -> tuple[SquareGrid, SudokuShape | None]:
     if "shape" in doc and doc["shape"] is not None:
         try:
             shape = SudokuShape(int(doc["shape"]["a"]), int(doc["shape"]["b"]))
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, ValueError) as exc:
             raise GridFormatError("JSON shape needs 'a' and 'b' fields") from exc
         if shape.n != grid.n:
             raise GridFormatError(f"shape ({shape.a}, {shape.b}) does not tile order {grid.n}")

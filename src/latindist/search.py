@@ -6,7 +6,9 @@ per-diagonal) occupancy bitmasks, and filters every candidate symbol
 against a precomputed admissibility table dist(u, v) >= d for the two
 already-placed neighbours (left and up).  At distances near n/2 each
 symbol admits at most a handful of neighbours, so the tree collapses and
-even order-9 runs finish in milliseconds.
+even order-9 runs finish in milliseconds.  A symbol shift u -> u + s
+(mod n) keeps every constraint and distance, so the walk pins the corner
+to symbol 1 and run_search adds the other n - 1 shifts back afterwards.
 
 One non-recursive walk over the cell index does all of it.  With one
 worker a query is a single walk from the empty grid under the query's node
@@ -42,23 +44,19 @@ DEFAULT_NODE_BUDGET = 10**9
 
 _CONSTRAINTS = ("plain", "pandiagonal", "sudoku")
 _MODES = ("count", "enumerate", "exists")
-_SYMMETRIES = ("none", "fix_first_cell")
 
 
 @dataclass(frozen=True)
 class SearchQuery:
     """What to enumerate: order/shape, constraint kind, distance floor, mode.
 
-    min_distance may exceed floor(n/2); the count is then simply 0.  With
-    symmetry='fix_first_cell' the corner cell is pinned to symbol 1 and
-    the reported count covers only that slice of the space (callers
-    multiply back out where that is sound).
+    min_distance may exceed floor(n/2); the count is then simply 0.
 
-    node_budget caps the placements the search may make; it is complete
-    iff its tree fits in it.  With workers > 1 the reported nodes are
-    summed over the slices the parent read; slices still running when it
-    stops finish first, each within the budget, so the work spent is at
-    most about (workers + 1) * node_budget.
+    node_budget caps the placements of the walk with the corner pinned;
+    the search is complete iff that tree fits in it.  With workers > 1 the
+    reported nodes are summed over the slices the parent read; slices
+    still running when it stops finish first, each within the budget, so
+    the work spent is at most about (workers + 1) * node_budget.
     """
 
     n: int | None = None
@@ -66,7 +64,6 @@ class SearchQuery:
     shape: SudokuShape | None = None
     min_distance: int = 1
     mode: str = "count"
-    symmetry: str = "none"
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
@@ -74,8 +71,6 @@ class SearchQuery:
             raise ParameterError(f"constraint must be one of {_CONSTRAINTS}, got {self.constraint!r}")
         if self.mode not in _MODES:
             raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.symmetry not in _SYMMETRIES:
-            raise ParameterError(f"symmetry must be one of {_SYMMETRIES}, got {self.symmetry!r}")
         if self.min_distance < 1:
             raise ParameterError(f"min_distance must be at least 1, got {self.min_distance}")
         if self.node_budget < 1:
@@ -99,7 +94,7 @@ class SearchQuery:
     def as_json_dict(self) -> dict:
         doc = {"constraint": self.constraint, "n": self.n,
                "min_distance": self.min_distance, "mode": self.mode,
-               "symmetry": self.symmetry, "node_budget": self.node_budget}
+               "node_budget": self.node_budget}
         if self.shape is not None:
             doc["shape"] = {"a": self.shape.a, "b": self.shape.b}
         return doc
@@ -114,7 +109,7 @@ class SearchResult:
     result truncated by the budget always comes back with complete=False,
     never silently, and its count and witnesses are partial.  In exists
     mode the count is min(total, 1) because the search stops at the first
-    witness.
+    witness, which starts with symbol 1.  nodes_expanded counts the pinned walk.
     """
 
     count: int
@@ -133,12 +128,12 @@ class _Context:
     ORs a bit into each unit and removing clears it, so a repeated unit is
     harmless.  left and up index the neighbours, or the spare cell n*n,
     which always holds the symbol 0 that admits every symbol.  allowed is
-    the full symbol mask, or symbol 1 alone for a pinned corner.
+    symbol 1 alone for the corner cell and the full symbol mask elsewhere.
     """
 
     __slots__ = ("n", "adm", "cells")
 
-    def __init__(self, n: int, d: int, constraint: str, a: int, b: int, fix_first: bool):
+    def __init__(self, n: int, d: int, constraint: str, a: int, b: int):
         full = (1 << n) - 1
         self.n = n
         self.adm = [full] * (n + 1)
@@ -161,7 +156,7 @@ class _Context:
             else:
                 units = (row, col, row, col)
             cells.append((*units, k - 1 if c else spare, k - n if r else spare,
-                          1 if k == 0 and fix_first else full))
+                          full if k else 1))
         self.cells = cells
 
 
@@ -261,8 +256,7 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
         raise ParameterError(f"workers must be positive, got {workers}")
     n = query.n
     a, b = (query.shape.a, query.shape.b) if query.shape else (0, 0)
-    ctx_args = (n, query.min_distance, query.constraint, a, b,
-                query.symmetry == "fix_first_cell")
+    ctx_args = (n, query.min_distance, query.constraint, a, b)
     ctx = _Context(*ctx_args)
     collect = query.mode != "count"
     budget = query.node_budget
@@ -289,6 +283,10 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
                 count += t_count
                 leaves += t_leaves
 
+    if query.mode != "exists":
+        count *= n
+        shifts = [[0] + [(v + s) % n + 1 for v in range(n)] for s in range(n)]
+        leaves = sorted(tuple(map(shift.__getitem__, leaf)) for shift in shifts for leaf in leaves)
     witnesses = tuple(SquareGrid([w[i:i + n] for i in range(0, n * n, n)]) for w in leaves)
     return SearchResult(count=count, witnesses=witnesses, nodes_expanded=nodes, complete=complete)
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from latindist import format_grid_text, parse_grid_text, shift_by_k
+from latindist import format_grid_text, max_distance_square, parse_grid_text, shift_by_k
 from latindist.cli import main
 
 from conftest import FIXTURE_DIR, load_golden
@@ -153,12 +153,11 @@ def test_search_enumerate_and_witness_file(capsys, tmp_path):
     wpath = tmp_path / "witnesses.txt"
     code, out, _ = run_cli(capsys, ["search", "--n", "4", "--kind", "plain",
                                     "--min-dist", "1", "--mode", "enumerate",
-                                    "--symmetry", "fix-first-cell",
                                     "--witnesses-out", str(wpath)])
     doc = json.loads(out)
-    assert code == 0 and doc["count"] == 144 == len(doc["witnesses"])
+    assert code == 0 and doc["count"] == 576 == len(doc["witnesses"])
     blocks = [b for b in wpath.read_text().split("\n\n") if b.strip()]
-    assert len(blocks) == 144
+    assert len(blocks) == 576
     assert parse_grid_text(blocks[0]).at(1, 1) == 1
 
 
@@ -202,6 +201,47 @@ def test_output_to_file(capsys, tmp_path):
                                     "--out", str(target)])
     assert code == 0 and out == ""
     assert parse_grid_text(target.read_text()) == shift_by_k(5, 1)
+
+
+def test_dist_text_lists_at_most_100_pairs(capsys, monkeypatch):
+    # every one of the 2 * 9 * 8 adjacent pairs of the order-9 maximum ties
+    text = format_grid_text(max_distance_square(9))
+    code, out, _ = run_cli(capsys, ["dist"], stdin=text, monkeypatch=monkeypatch)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 4
+    assert lines[2].count("-") == 100
+    assert lines[3] == "... and 44 more (--format json lists them all)"
+    code, out, _ = run_cli(capsys, ["dist", "--format", "json"], stdin=text,
+                           monkeypatch=monkeypatch)
+    assert len(json.loads(out)["argmin_pairs"]) == 144
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{tmp}/nope.txt", "--kind", "latin"],
+    ["dist", "{tmp}/grid.bin"],
+    ["check", "{tmp}/grid.txt", "--kind", "latin", "--out", "{tmp}/missing/out.json"],
+    ["search", "--n", "4", "--min-dist", "2", "--mode", "enumerate", "--witnesses-out", "{tmp}"],
+])
+def test_file_errors_exit_2_without_a_traceback(capsys, tmp_path, argv):
+    (tmp_path / "grid.txt").write_text(format_grid_text(shift_by_k(5, 2)))
+    (tmp_path / "grid.bin").write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_cli(capsys, [arg.format(tmp=tmp_path) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("latindist: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"order": 2, "cells": [[1, 2], [1]]},
+    {"order": 2, "cells": [[1, None], [2, 1]]},
+    {"order": 2, "cells": [["a", "b"], ["b", "a"]]},
+    {"order": 2, "cells": [["1", "2"], ["2", "1"]]},
+    {"order": 4, "cells": shift_by_k(4, 1).rows(), "shape": {"a": "x", "b": 2}},
+])
+def test_malformed_json_grids_exit_2(capsys, monkeypatch, doc):
+    code, out, err = run_cli(capsys, ["check", "--kind", "latin", "--format", "json"],
+                             stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("latindist: ") and err.count("\n") == 1
 
 
 BACK_CIRCULANT_DIST_TEXT = (

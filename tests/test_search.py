@@ -9,12 +9,12 @@ from latindist import (NonexistenceError, ParameterError,
                        validate_latin, validate_pandiagonal, validate_sudoku)
 
 from latindist.search import _task_entry
-from oracle import count_by_filter
+from oracle import (all_latin_squares, count_by_filter, is_pandiagonal, is_sudoku,
+                    min_adjacent_distance)
 
 
-def _count(n, d, constraint="plain", shape=None, **kw):
-    return run_search(SearchQuery(n=n, constraint=constraint, shape=shape,
-                                  min_distance=d, **kw))
+def _count(n, d, constraint="plain", shape=None):
+    return run_search(SearchQuery(n=n, constraint=constraint, shape=shape, min_distance=d))
 
 
 def test_counts_at_the_distance_ceiling():
@@ -119,22 +119,44 @@ def test_exists_mode_spends_the_whole_budget_on_one_walk():
 
 
 def test_complete_queries_expand_the_same_tree():
-    # node counts of the seed engine
+    # node counts of the seed engine, which walked every corner symbol;
+    # the pinned walk is one of n symbol shifts of that tree
     cases = [(SearchQuery(n=6, min_distance=2), 24_636),
              (SearchQuery(n=8, min_distance=3), 196_096),
              (SearchQuery(constraint="sudoku", shape=SudokuShape(3, 3), min_distance=3), 231_165),
              (SearchQuery(n=13, constraint="pandiagonal", min_distance=5), 356_993)]
     for query, nodes in cases:
         result = run_search(query)
-        assert result.complete and result.nodes_expanded == nodes, query
+        assert result.complete and result.nodes_expanded * query.n == nodes, query
 
 
-def test_fixing_the_corner_counts_one_symbol_slice():
-    for n in (5, 7):
-        d = (n - 1) // 2
-        full = _count(n, d).count
-        sliced = _count(n, d, symmetry="fix_first_cell").count
-        assert sliced * n == full, n
+def test_enumeration_matches_the_oracle_in_order():
+    squares = list(all_latin_squares(4))
+    assert len(squares) == 576
+    cases = [(SearchQuery(n=4, min_distance=1, mode="enumerate"), lambda rows: True),
+             (SearchQuery(n=4, min_distance=2, mode="enumerate"),
+              lambda rows: min_adjacent_distance(rows) >= 2),
+             (SearchQuery(constraint="sudoku", shape=SudokuShape(2, 2), min_distance=1,
+                          mode="enumerate"), lambda rows: is_sudoku(rows, 2, 2)),
+             (SearchQuery(n=4, constraint="pandiagonal", min_distance=1, mode="enumerate"),
+              is_pandiagonal)]
+    for query, keep in cases:
+        want = [rows for rows in squares if keep(rows)]
+        result = run_search(query)
+        assert result.complete and result.count == len(want), query
+        assert [w.row_tuples() for w in result.witnesses] == want, query
+
+
+def test_nonexistence_is_proven_on_one_corner_symbol():
+    # the seed engine walked all n corner symbols: 12, 171 and 45 nodes
+    cases = [(SearchQuery(n=6, min_distance=3, mode="exists"), 2),
+             (SearchQuery(constraint="sudoku", shape=SudokuShape(3, 3), min_distance=4,
+                          mode="exists"), 19),
+             (SearchQuery(n=5, constraint="pandiagonal", min_distance=2, mode="exists"), 9)]
+    for query, nodes in cases:
+        result = run_search(query)
+        assert result.complete and result.count == 0 and not result.witnesses, query
+        assert result.nodes_expanded == nodes, query
 
 
 def test_results_identical_for_any_worker_count():
@@ -153,18 +175,19 @@ def test_results_identical_for_any_worker_count():
             assert other.complete == reference.complete
             assert other.nodes_expanded == reference.nodes_expanded
 
-    # complete iff the whole tree fits in the budget (plain 6 d=2: 24 636 nodes), any workers
+    # complete iff the whole tree fits in the budget (plain 6 d=2: 4 106 nodes), any workers
     for query, complete in [(SearchQuery(n=6, min_distance=1, node_budget=5000), False),
-                            (SearchQuery(n=6, min_distance=2, node_budget=24_636), True),
-                            (SearchQuery(n=6, min_distance=2, node_budget=24_635), False)]:
+                            (SearchQuery(n=6, min_distance=2, node_budget=4106), True),
+                            (SearchQuery(n=6, min_distance=2, node_budget=4105), False)]:
         for workers in (1, 2):
             assert run_search(query, workers=workers).complete == complete, (query, workers)
 
 
 def test_parallel_budget_bounds_the_work_done():
-    # plain 6 d=1 has 720 first rows; a task walks its rows under one shared budget
-    ctx_args = (6, 1, "plain", 0, 0, False)
-    rows = list(itertools.permutations(range(1, 7)))
+    # plain 6 d=1 has 120 first rows with the corner pinned; a task walks its rows
+    # under one shared budget
+    ctx_args = (6, 1, "plain", 0, 0)
+    rows = [(1, *rest) for rest in itertools.permutations(range(2, 7))]
     count, nodes, complete, _ = _task_entry((ctx_args, rows, 5000, False))
     assert (nodes, complete) == (5001, False)
     # so a starved parallel query stops within a few budgets of work, not one per row
