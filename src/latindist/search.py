@@ -6,26 +6,37 @@ per-diagonal) occupancy bitmasks, and filters every candidate symbol
 against a precomputed admissibility table dist(u, v) >= d for the two
 already-placed neighbours (left and up).  At distances near n/2 each
 symbol admits at most a handful of neighbours, so the tree collapses and
-even order-9 runs finish in milliseconds.  A symbol shift u -> u + s
-(mod n) keeps every constraint and distance, so the walk pins the corner
-to symbol 1 and run_search adds the other n - 1 shifts back afterwards.
+even order-9 runs finish in milliseconds.
+
+The symbol maps u -> +-(u - 1) + s (mod n, symbols 1..n) keep every
+constraint and distance: the constraints depend only on cell positions,
+and the cyclic distance is unchanged by translation and negation.  For
+n >= 3 no map but the identity fixes every symbol, so each orbit has 2n
+squares, and exactly two of them, S and its negation, have symbol 1 in
+the corner.  The walk visits only the lexicographically smaller of the
+two (row 0 decides it by cell (0, 2) at the latest), and a complete
+count or enumerate adds the other 2n - 1 maps back afterwards.  For
+n = 2 negation is a translation and the orbit has n squares.  This is
+isomorph rejection by lex-leader (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998), simple here because every orbit has
+the same size.
 
 One non-recursive walk over the cell index does all of it.  With one
 worker a query is a single walk from the empty grid under the query's node
 budget: witnesses come out in lexicographic order, and exists mode stops at
 the first.  With more workers (count and enumerate only) the same walk,
-cut after row 1, lists the first rows; they are cut into about 4 * workers
-contiguous slices, a worker completes each slice row by row under the
-budget left over, and the parent adds up the nodes and stops once the sum
-passes the budget.  The tree is the same either way, so a complete query
-gives the same count, witness list and node count for any worker count,
-and complete itself agrees for any worker count.  The count, witnesses
-and node count of an incomplete query are partial and may differ.
+cut after row 1, lists the leaders' first rows; they are cut into about
+4 * workers contiguous slices, a worker completes each slice row by row
+under the budget left over, and the parent adds up the nodes and stops
+once the sum passes the budget.  The tree is the same either way, so a
+complete query gives the same count, witness list and node count for any
+worker count, and complete itself agrees for any worker count.  The
+count, witnesses and node count of an incomplete query are partial and
+may differ.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .construct import known_bounds
@@ -52,8 +63,9 @@ class SearchQuery:
 
     min_distance may exceed floor(n/2); the count is then simply 0.
 
-    node_budget caps the placements of the walk with the corner pinned;
-    the search is complete iff that tree fits in it.  With workers > 1 the
+    node_budget caps the placements of the walk reduced by translation and
+    negation (one square of each pair with symbol 1 in the corner); the
+    search is complete iff that tree fits in it.  With workers > 1 the
     reported nodes are summed over the slices the parent read; slices
     still running when it stops finish first, each within the budget, so
     the work spent is at most about (workers + 1) * node_budget.
@@ -106,10 +118,16 @@ class SearchResult:
 
     complete means the answer is definitive for the queried mode: the tree
     up to the answer fit in the node budget, whatever the worker count.  A
-    result truncated by the budget always comes back with complete=False,
-    never silently, and its count and witnesses are partial.  In exists
-    mode the count is min(total, 1) because the search stops at the first
-    witness, which starts with symbol 1.  nodes_expanded counts the pinned walk.
+    complete count or enumerate covers every square: the walked squares
+    under all 2n symbol maps (n when n = 2), witnesses in lexicographic
+    order.  A result truncated by the budget always comes back with
+    complete=False, never silently, and unexpanded in every mode: its count
+    and witnesses are only the squares the walk itself placed, each with
+    symbol 1 in the corner, so an enumerate has len(witnesses) == count.
+    In exists mode the count is min(total, 1) because the search stops at
+    the first witness, which starts with symbol 1 and is the
+    lexicographically first square of the query.  nodes_expanded counts the
+    walk reduced by translation and negation.
     """
 
     count: int
@@ -121,14 +139,21 @@ class SearchResult:
 class _Context:
     """Immutable per-search tables shared by every walk.
 
-    cells[k] is (u1, u2, u3, u4, left, up, allowed) for cell k in row-major
-    order.  u1..u4 are the four units whose symbols must differ: its row,
-    its column, and its block or two wrapped diagonals.  Plain cells list
-    their row and column twice and sudoku cells their block twice; placing
-    ORs a bit into each unit and removing clears it, so a repeated unit is
-    harmless.  left and up index the neighbours, or the spare cell n*n,
-    which always holds the symbol 0 that admits every symbol.  allowed is
-    symbol 1 alone for the corner cell and the full symbol mask elsewhere.
+    adm[u] is the mask of symbols at distance >= d from u, and adm[0], the
+    symbol of the spare cell n*n, is the full mask.  cells[k] is
+    (u1, u2, u3, u4, left, up, nbr) for cell k in row-major order.  u1..u4
+    are the four units whose symbols must differ: its row, its column, and
+    its block or two wrapped diagonals.  Plain cells list their row and
+    column twice and sudoku cells their block twice; placing ORs a bit into
+    each unit and removing clears it, so a repeated unit is harmless.  left
+    and up index the neighbours, or the spare cell.  nbr[s] is the mask the
+    cell admits beside a left neighbour holding s: adm itself for most
+    cells, adm with the lex-leader rule folded in for the first cells of
+    row 0.  The corner admits symbol 1 alone (translation), and cell (0, 1)
+    admits s only if s <= -s, where -s is the negation 2 - s (mod n, symbols
+    1..n).  For even n, -s = s at s = 1 + n/2, and then cell (0, 2) admits
+    t only if t < -t.  For n = 2 negation is the identity and restricts
+    nothing.
     """
 
     __slots__ = ("n", "adm", "cells")
@@ -136,28 +161,33 @@ class _Context:
     def __init__(self, n: int, d: int, constraint: str, a: int, b: int):
         full = (1 << n) - 1
         self.n = n
-        self.adm = [full] * (n + 1)
-        for u in range(1, n + 1):
-            mask = 0
-            for v in range(1, n + 1):
-                if min((u - v) % n, (v - u) % n) >= d:
-                    mask |= 1 << (v - 1)
-            self.adm[u] = mask
+        # v = u + x (mod n) is admissible beside u iff d <= x <= n - d; rotate x's mask by u - 1
+        base = sum(1 << x for x in range(d, n - d + 1))
+        adm = [full] + [((base << r) | (base >> (n - r))) & full for r in range(n)]
+        self.adm = adm
         spare = n * n
-        cells = []
-        for k in range(n * n):
-            r, c = divmod(k, n)
-            row, col = r, n + c
-            if constraint == "sudoku":
-                extra = 2 * n + (r // a) * a + c // b
-                units = (row, col, extra, extra)
-            elif constraint == "pandiagonal":
-                units = (row, col, 2 * n + (r - c) % n, 3 * n + (r + c) % n)
-            else:
-                units = (row, col, row, col)
-            cells.append((*units, k - 1 if c else spare, k - n if r else spare,
-                          full if k else 1))
-        self.cells = cells
+        rows = [r for r in range(n) for _ in range(n)]
+        cols = list(range(n)) * n
+        cols_u = [n + c for c in cols]
+        if constraint == "sudoku":
+            u3 = u4 = [2 * n + (r // a) * a + c // b for r, c in zip(rows, cols)]
+        elif constraint == "pandiagonal":
+            u3 = [2 * n + (r - c) % n for r, c in zip(rows, cols)]
+            u4 = [3 * n + (r + c) % n for r, c in zip(rows, cols)]
+        else:
+            u3, u4 = rows, cols_u
+        left = [k - 1 if c else spare for k, c in enumerate(cols)]
+        up = [spare] * n + list(range(spare - n))
+        # symbols x + 1 with x <= -x (mod n), and with x < -x
+        lead = sum(1 << x for x in range(n) if x <= -x % n)
+        strict = sum(1 << x for x in range(n) if x < -x % n)
+        nbr = [adm] * spare
+        nbr[0] = [m & 1 for m in adm]
+        nbr[1] = [m & lead for m in adm]
+        if n % 2 == 0 and n > 2:
+            nbr[2] = adm[:]
+            nbr[2][1 + n // 2] &= strict
+        self.cells = list(zip(rows, cols_u, u3, u4, left, up, nbr))
 
 
 def _walk(ctx: _Context, prefix: tuple[int, ...], stop: int, budget: int,
@@ -187,7 +217,7 @@ def _walk(ctx: _Context, prefix: tuple[int, ...], stop: int, budget: int,
     untried = [0] * stop
     k = start
     while k >= start:
-        u1, u2, u3, u4, left, up, allowed = cells[k]
+        u1, u2, u3, u4, left, up, nbr = cells[k]
         sym = grid[k]
         if sym:
             # back at a placed cell: lift its symbol, go on with the rest
@@ -198,8 +228,7 @@ def _walk(ctx: _Context, prefix: tuple[int, ...], stop: int, budget: int,
             used[u4] &= keep
             cand = untried[k]
         else:
-            cand = (allowed & adm[grid[left]] & adm[grid[up]]
-                    & ~(used[u1] | used[u2] | used[u3] | used[u4]))
+            cand = nbr[grid[left]] & adm[grid[up]] & ~(used[u1] | used[u2] | used[u3] | used[u4])
         if not cand:
             grid[k] = 0
             k -= 1
@@ -272,6 +301,7 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
         size = max(1, -(-len(first_rows) // (workers * 4)))
         args = [(ctx_args, first_rows[i:i + size], budget - nodes, collect)
                 for i in range(0, len(first_rows), size)] if complete else []
+        from concurrent.futures import ProcessPoolExecutor  # only parallel search pays for it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = pool.map(_task_entry, args)
             for t_count, t_nodes, t_complete, t_leaves in outcomes:
@@ -283,10 +313,12 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
                 count += t_count
                 leaves += t_leaves
 
-    if query.mode != "exists":
-        count *= n
-        shifts = [[0] + [(v + s) % n + 1 for v in range(n)] for s in range(n)]
-        leaves = sorted(tuple(map(shift.__getitem__, leaf)) for shift in shifts for leaf in leaves)
+    if complete and query.mode != "exists":
+        # each leaf stands for its orbit under u -> +-(u - 1) + s: 2n squares, n when n = 2
+        maps = {(0, *[(sign * v + s) % n + 1 for v in range(n)])
+                for sign in (1, -1) for s in range(n)}
+        count *= len(maps)
+        leaves = sorted(tuple(map(m.__getitem__, leaf)) for m in maps for leaf in leaves)
     witnesses = tuple(SquareGrid([w[i:i + n] for i in range(0, n * n, n)]) for w in leaves)
     return SearchResult(count=count, witnesses=witnesses, nodes_expanded=nodes, complete=complete)
 

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,3 +292,14 @@ def test_outputs_on_the_back_circulant_are_pinned(capsys, argv, want_code, want_
     path = FIXTURE_DIR / "order5_back_circulant.txt"
     code, out, err = run_cli(capsys, [*argv, str(path)])
     assert (code, out, err) == (want_code, want_out, "")
+
+
+def test_cli_start_up_does_not_import_multiprocessing():
+    # only parallel search needs the process pool; every CLI process imports the rest
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import latindist.cli, sys; assert 'multiprocessing' not in sys.modules, 'imported'"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,7 @@ from latindist import (NonexistenceError, ParameterError,
                        inner_distance, max_distance_via_search, run_search,
                        validate_latin, validate_pandiagonal, validate_sudoku)
 
-from latindist.search import _task_entry
+from latindist.search import _Context, _task_entry
 from oracle import (all_latin_squares, count_by_filter, is_pandiagonal, is_sudoku,
                     min_adjacent_distance)
 
@@ -119,15 +119,21 @@ def test_exists_mode_spends_the_whole_budget_on_one_walk():
 
 
 def test_complete_queries_expand_the_same_tree():
-    # node counts of the seed engine, which walked every corner symbol;
-    # the pinned walk is one of n symbol shifts of that tree
+    # node counts of the seed engine, which walked every corner symbol.  The pinned
+    # walk is one of n symbol shifts of that tree, T = seed / n nodes, and of it the
+    # walk keeps one subtree of each negation pair below the shared corner: (T + 1) / 2
+    # nodes for odd n; for even n the cell (0, 1) = 1 + n/2 node is shared too, so
+    # (T + 2) / 2.  That is 2 054, 12 257, 12 843 and 13 731 nodes.
     cases = [(SearchQuery(n=6, min_distance=2), 24_636),
              (SearchQuery(n=8, min_distance=3), 196_096),
              (SearchQuery(constraint="sudoku", shape=SudokuShape(3, 3), min_distance=3), 231_165),
              (SearchQuery(n=13, constraint="pandiagonal", min_distance=5), 356_993)]
-    for query, nodes in cases:
+    for query, seed in cases:
+        shifted, rest = divmod(seed, query.n)
+        assert rest == 0
+        nodes = (shifted + 1) // 2 if query.n % 2 else (shifted + 2) // 2
         result = run_search(query)
-        assert result.complete and result.nodes_expanded * query.n == nodes, query
+        assert result.complete and result.nodes_expanded == nodes, query
 
 
 def test_enumeration_matches_the_oracle_in_order():
@@ -148,11 +154,13 @@ def test_enumeration_matches_the_oracle_in_order():
 
 
 def test_nonexistence_is_proven_on_one_corner_symbol():
-    # the seed engine walked all n corner symbols: 12, 171 and 45 nodes
+    # the seed engine walked all n corner symbols: 12, 171 and 45 nodes; one corner
+    # symbol takes 2, 19 and 9, and one of each negation pair (T + 1) / 2 of those for
+    # odd n.  Plain 6 d=3 keeps both: its only cell (0, 1) symbol is 4 = 1 + n/2.
     cases = [(SearchQuery(n=6, min_distance=3, mode="exists"), 2),
              (SearchQuery(constraint="sudoku", shape=SudokuShape(3, 3), min_distance=4,
-                          mode="exists"), 19),
-             (SearchQuery(n=5, constraint="pandiagonal", min_distance=2, mode="exists"), 9)]
+                          mode="exists"), 10),
+             (SearchQuery(n=5, constraint="pandiagonal", min_distance=2, mode="exists"), 5)]
     for query, nodes in cases:
         result = run_search(query)
         assert result.complete and result.count == 0 and not result.witnesses, query
@@ -175,17 +183,17 @@ def test_results_identical_for_any_worker_count():
             assert other.complete == reference.complete
             assert other.nodes_expanded == reference.nodes_expanded
 
-    # complete iff the whole tree fits in the budget (plain 6 d=2: 4 106 nodes), any workers
+    # complete iff the whole tree fits in the budget (plain 6 d=2: 2 054 nodes), any workers
     for query, complete in [(SearchQuery(n=6, min_distance=1, node_budget=5000), False),
-                            (SearchQuery(n=6, min_distance=2, node_budget=4106), True),
-                            (SearchQuery(n=6, min_distance=2, node_budget=4105), False)]:
+                            (SearchQuery(n=6, min_distance=2, node_budget=2054), True),
+                            (SearchQuery(n=6, min_distance=2, node_budget=2053), False)]:
         for workers in (1, 2):
             assert run_search(query, workers=workers).complete == complete, (query, workers)
 
 
 def test_parallel_budget_bounds_the_work_done():
-    # plain 6 d=1 has 120 first rows with the corner pinned; a task walks its rows
-    # under one shared budget
+    # plain 6 d=1 has 120 first rows with the corner pinned (the walk lists the 60
+    # negation leaders among them); a task walks its rows under one shared budget
     ctx_args = (6, 1, "plain", 0, 0)
     rows = [(1, *rest) for rest in itertools.permutations(range(2, 7))]
     count, nodes, complete, _ = _task_entry((ctx_args, rows, 5000, False))
@@ -201,6 +209,70 @@ def test_budget_exhaustion_is_reported_not_silent():
     assert not starved.complete
     generous = run_search(SearchQuery(n=6, min_distance=2))
     assert generous.complete and generous.count > 0
+
+
+def test_starved_results_are_not_expanded_by_symmetry():
+    # only what the walk placed: no symbol map is applied to a partial result
+    # (plain 6 d=2 has 672 squares, 56 of them walked, in 2 054 nodes)
+    for workers in (1, 2):
+        starved = run_search(SearchQuery(n=6, min_distance=2, mode="enumerate",
+                                         node_budget=1500), workers=workers)
+        assert not starved.complete and 0 < starved.count < 56
+        assert len(starved.witnesses) == starved.count
+        assert all(w.row_tuples()[0][0] == 1 for w in starved.witnesses)
+        counted = run_search(SearchQuery(n=6, min_distance=2, node_budget=1500),
+                             workers=workers)
+        assert not counted.complete and counted.count == starved.count
+
+
+def test_odd_orders_count_and_enumerate_every_latin_square():
+    squares = list(all_latin_squares(3))
+    result = run_search(SearchQuery(n=3, min_distance=1, mode="enumerate"))
+    assert result.complete and result.count == len(squares) == 12
+    assert [w.row_tuples() for w in result.witnesses] == squares
+    # the number of Latin squares of order 5 (OEIS A002860)
+    result = run_search(SearchQuery(n=5, min_distance=1))
+    assert result.complete and result.count == 161_280
+
+
+def _sigma(s, n):
+    return (2 - s - 1) % n + 1
+
+
+@pytest.mark.parametrize("n, constraint, shape",
+                         [(n, "plain", None) for n in range(2, 31)]
+                         + [(n, "pandiagonal", None) for n in (5, 7, 13)]
+                         + [(a * b, "sudoku", (a, b)) for a, b in ((2, 3), (3, 3), (3, 4))])
+def test_context_tables_match_their_definition(n, constraint, shape):
+    a, b = shape or (0, 0)
+    full = (1 << n) - 1
+    lead = sum(1 << (t - 1) for t in range(1, n + 1) if t <= _sigma(t, n))
+    strict = sum(1 << (t - 1) for t in range(1, n + 1) if t < _sigma(t, n))
+    for d in sorted({1, 2, n // 4, n // 2, n // 2 + 1} - {0}):
+        ctx = _Context(n, d, constraint, a, b)
+        adm = [full] + [sum(1 << (v - 1) for v in range(1, n + 1)
+                            if min((u - v) % n, (v - u) % n) >= d)
+                        for u in range(1, n + 1)]
+        assert ctx.adm == adm, d
+        assert len(ctx.cells) == n * n
+        for k, (u1, u2, u3, u4, left, up, nbr) in enumerate(ctx.cells):
+            r, c = divmod(k, n)
+            if constraint == "sudoku":
+                block = 2 * n + (r // a) * a + c // b
+                assert (u1, u2, u3, u4) == (r, n + c, block, block)
+            elif constraint == "pandiagonal":
+                assert (u1, u2, u3, u4) == (r, n + c, 2 * n + (r - c) % n, 3 * n + (r + c) % n)
+            else:
+                assert (u1, u2, u3, u4) == (r, n + c, r, n + c)
+            assert left == (k - 1 if c else n * n) and up == (k - n if r else n * n)
+            allowed = [full] * (n + 1)
+            if k == 0:
+                allowed = [1] * (n + 1)
+            elif k == 1:
+                allowed = [lead] * (n + 1)
+            elif k == 2 and n % 2 == 0 and n > 2:
+                allowed[1 + n // 2] = strict
+            assert nbr == [m & mask for m, mask in zip(adm, allowed)], (d, k)
 
 
 def test_max_distance_via_search():
