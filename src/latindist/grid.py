@@ -8,6 +8,7 @@ holds symbols from {1, ..., n} only; partial grids are not representable.
 from __future__ import annotations
 
 import json
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -76,7 +77,7 @@ class SquareGrid:
 
     def row_tuples(self) -> tuple[tuple[int, ...], ...]:
         """Hash/sort-friendly view: a tuple of row tuples."""
-        return tuple(tuple(int(v) for v in row) for row in self.cells)
+        return tuple(map(tuple, self.cells.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SquareGrid):
@@ -249,28 +250,63 @@ def validate_sudoku(grid: SquareGrid, shape: SudokuShape) -> ValidationReport:
 
 
 def format_grid_text(grid: SquareGrid) -> str:
-    """n lines of n space-separated integers, no alignment padding."""
-    return "\n".join(" ".join(map(str, row)) for row in grid.cells.tolist()) + "\n"
+    """n lines of n space-separated integers, no alignment padding.
+
+    parse_grid_text reads it back.  It accepts any token int() reads, and
+    its error for a bad token names the line that holds it.
+    """
+    n = grid.n
+    width = len(str(n)) + 1
+    # the decimal string of each symbol 0..n, NUL-padded, then a space
+    table = np.arange(n + 1).astype(f"S{width}").view(np.uint8).reshape(n + 1, width)
+    table[:, -1] = ord(" ")
+    text = table[grid.cells]
+    text[:, -1, -1] = ord("\n")
+    text = text.ravel()
+    return text[text != 0].tobytes().decode("ascii")
 
 
-def parse_grid_text(text: str) -> SquareGrid:
-    """Parse the text format; blank lines and '#' comment lines are ignored."""
+def _int_rows(lines: list[str]) -> list[list[int]]:
+    """Each line's tokens read with int(); a token int() rejects names its line."""
     rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in lines:
         try:
             rows.append(list(map(int, line.split())))
         except ValueError as exc:
             raise GridFormatError(f"bad token in line {line!r}") from exc
-    if not rows:
+    return rows
+
+
+def parse_grid_text(text: str) -> SquareGrid:
+    """Parse the text format; blank lines and '#' comment lines are ignored.
+
+    A token is any integer int() reads, such as 7, +7, 07, 1_0 or
+    non-ASCII digits; a '#' inside a row is a bad token.  The rows are
+    read with one numpy conversion; a text it rejects is read again line
+    by line, which names the first line holding a bad token.
+    """
+    lines = [line for line in map(str.strip, text.splitlines())
+             if line and not line.startswith("#")]
+    if not lines:
         raise GridFormatError("no grid rows found")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows) or len(rows) != width:
-        raise GridFormatError(f"expected a square grid, got {len(rows)} rows of widths "
-                              f"{sorted({len(r) for r in rows})}")
-    return SquareGrid(rows)
+    cells = None
+    # numpy reads some non-ASCII letters as digits (U+01FE as 462), so
+    # only ASCII rows go to it
+    if all(map(str.isascii, lines)):
+        try:
+            with warnings.catch_warnings():
+                # numpy releases that read an integer through a float
+                # ("1.0") only warn; int() rejects such a token
+                warnings.simplefilter("error", DeprecationWarning)
+                cells = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, DeprecationWarning):
+            pass
+    if cells is None:
+        cells = _int_rows(lines)
+    widths = sorted({len(row) for row in cells})
+    if widths != [len(cells)]:
+        raise GridFormatError(f"expected a square grid, got {len(cells)} rows of widths {widths}")
+    return SquareGrid(cells)
 
 
 def grid_to_json(grid: SquareGrid, shape: SudokuShape | None = None) -> dict:

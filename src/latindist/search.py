@@ -124,6 +124,8 @@ class SearchResult:
     complete=False, never silently, and unexpanded in every mode: its count
     and witnesses are only the squares the walk itself placed, each with
     symbol 1 in the corner, so an enumerate has len(witnesses) == count.
+    With workers > 1 they come from every slice the parent read before it
+    stopped, the slice that ran out of budget included.
     In exists mode the count is min(total, 1) because the search stops at
     the first witness, which starts with symbol 1 and is the
     lexicographically first square of the query.  nodes_expanded counts the
@@ -306,12 +308,12 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
             outcomes = pool.map(_task_entry, args)
             for t_count, t_nodes, t_complete, t_leaves in outcomes:
                 nodes += t_nodes
+                count += t_count
+                leaves += t_leaves
                 if not t_complete or nodes > budget:
                     complete = False
                     pool.shutdown(cancel_futures=True)
                     break
-                count += t_count
-                leaves += t_leaves
 
     if complete and query.mode != "exists":
         # each leaf stands for its orbit under u -> +-(u - 1) + s: 2n squares, n when n = 2

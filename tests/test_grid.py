@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import pytest
 from latindist import (BlockAddress, GridFormatError, ParameterError,
                        SquareGrid, SudokuShape, Violation, block_of,
                        format_grid_text, grid_from_json, grid_to_json,
+                       max_distance_square,
                        parse_grid_json, parse_grid_text, transpose,
                        validate_latin, validate_pandiagonal, validate_sudoku)
 
 from oracle import is_latin, is_pandiagonal, is_sudoku
-from conftest import random_grids
+from conftest import FIXTURE_DIR, random_grids
 
 
 def test_grid_construction_rejects_malformed_input():
@@ -140,14 +142,110 @@ def test_text_round_trip_and_comments():
 
 
 def test_text_parse_errors():
-    with pytest.raises(GridFormatError):
-        parse_grid_text("1 2\n1\n")
-    with pytest.raises(GridFormatError):
-        parse_grid_text("1 x\n2 1\n")
-    with pytest.raises(GridFormatError):
-        parse_grid_text("# only a comment\n")
-    with pytest.raises(GridFormatError):
-        parse_grid_text("1 2 3\n3 1 2\n")  # 2 rows of width 3
+    for text, message in [
+        ("", "no grid rows found"),
+        ("# only a comment\n  \n", "no grid rows found"),
+        ("1 2\n1\n", "expected a square grid, got 2 rows of widths [1, 2]"),
+        ("1 2 3\n3 1 2\n", "expected a square grid, got 2 rows of widths [3]"),
+        ("1 x\n2 1\n", "bad token in line '1 x'"),
+        ("1 2\n2 1 # note\n", "bad token in line '2 1 # note'"),
+        ("1 2\n2 1.0\n", "bad token in line '2 1.0'"),
+        ("2\n", "symbols must lie in [1, 1]"),
+    ]:
+        with pytest.raises(GridFormatError) as info:
+            parse_grid_text(text)
+        assert str(info.value) == message, text
+
+
+def loop_format(grid: SquareGrid) -> str:
+    return "".join(" ".join(map(str, row)) + "\n" for row in grid.cells.tolist())
+
+
+def test_format_matches_the_per_row_join(golden):
+    # each order where the widest symbol gains a digit, and its neighbours
+    grids = [SquareGrid([[1]])]
+    grids += [max_distance_square(n) for n in (2, 9, 10, 11, 99, 100, 101, 999, 1000)]
+    grids += [golden(path.name) for path in sorted(FIXTURE_DIR.glob("*.txt"))]
+    grids += [SquareGrid(rows) for rows in random_grids(seed=29, count=200)]
+    for g in grids:
+        assert format_grid_text(g) == loop_format(g), g.n
+
+
+def loop_parse(text: str) -> SquareGrid:
+    """Per-line reference: every token read with int()."""
+    rows = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            rows.append(list(map(int, line.split())))
+        except ValueError as exc:
+            raise GridFormatError(f"bad token in line {line!r}") from exc
+    if not rows:
+        raise GridFormatError("no grid rows found")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows) or len(rows) != width:
+        raise GridFormatError(f"expected a square grid, got {len(rows)} rows of widths "
+                              f"{sorted({len(r) for r in rows})}")
+    return SquareGrid(rows)
+
+
+# tokens int() reads in its own way, or rejects; U+01FE and U+0761 are
+# letters that numpy's integer parser reads as digits
+ODD_TOKENS = ["+2", "01", "-1", "0", "1_0", "\u0663", "\uff11", "\u01fe", "\u0761", "1.0",
+              "1e0", "x", "#", "2#", "99999999999999999999", "-9223372036854775809"]
+SEPARATORS = [" ", "  ", "\t", " \t ", "\xa0", "\x0b", "\x1f", "\u3000"]
+
+
+def random_texts(seed: int, count: int):
+    """Grid texts of order 1-6: mostly valid, some with odd tokens, odd
+    separators, CRLF, comment and blank lines, a dropped token or row."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        tokens = [[str(v) for v in row] for row in rng.integers(1, n + 1, size=(n, n)).tolist()]
+        if rng.random() < 0.4:
+            for _ in range(int(rng.integers(1, 3))):
+                tokens[rng.integers(n)][rng.integers(n)] = str(rng.choice(ODD_TOKENS))
+        if rng.random() < 0.1:
+            del tokens[rng.integers(n)][-1]
+        if rng.random() < 0.1:
+            del tokens[rng.integers(n)]
+        lines = []
+        for row in tokens:
+            sep = str(rng.choice(SEPARATORS)) if rng.random() < 0.2 else " "
+            lines.append(" " * int(rng.integers(0, 2)) + sep.join(row))
+            if rng.random() < 0.1:
+                lines.append(str(rng.choice(["", "   ", "# comment", "  # indented \u00e9"])))
+        end = "\r\n" if rng.random() < 0.2 else "\n"
+        yield end.join(lines) + end * int(rng.integers(0, 2))
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except GridFormatError as exc:
+        return str(exc)
+
+
+def test_parse_matches_the_per_line_loop():
+    texts = list(random_texts(seed=31, count=5000))
+    outcomes = [outcome(loop_parse, text) for text in texts]
+    assert sum(isinstance(o, SquareGrid) for o in outcomes) > 2000
+    assert [outcome(parse_grid_text, text) for text in texts] == outcomes
+
+
+def test_parse_rejects_a_float_numpy_only_warns_about(monkeypatch):
+    # older numpy reads "1.0" as the integer 1 and only warns
+    def lenient_loadtxt(lines, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return np.ones((1, 1), dtype=np.int64)
+
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    with pytest.raises(GridFormatError, match=r"bad token in line '1.0'"):
+        parse_grid_text("1.0\n")
 
 
 def test_json_round_trip():

@@ -225,6 +225,16 @@ def test_starved_results_are_not_expanded_by_symmetry():
         assert not counted.complete and counted.count == starved.count
 
 
+def test_a_starved_parallel_query_keeps_the_slice_that_starved():
+    # plain 6 d=1 starves inside its first slice, so dropping that slice's
+    # part would leave nothing
+    starved = run_search(SearchQuery(n=6, min_distance=1, mode="enumerate",
+                                     node_budget=20_000), workers=2)
+    assert not starved.complete and starved.count > 0
+    assert len(starved.witnesses) == starved.count
+    assert all(w.row_tuples()[0][0] == 1 for w in starved.witnesses)
+
+
 def test_odd_orders_count_and_enumerate_every_latin_square():
     squares = list(all_latin_squares(3))
     result = run_search(SearchQuery(n=3, min_distance=1, mode="enumerate"))
