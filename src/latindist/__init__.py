@@ -11,8 +11,7 @@ squares above a distance floor.
 from .construct import (BoundsEntry, ShiftParams, algorithm1, algorithm2,
                         known_bounds, max_distance_square, pandiagonal_bounds,
                         pandiagonal_max, plain_bounds, predicted_inner_distance,
-                        row_offset, shift_by_k, sudoku_2b, sudoku_a_odd_b,
-                        sudoku_bounds, sudoku_odd_a_even_b, sudoku_square)
+                        row_offset, shift_by_k, sudoku_bounds, sudoku_square)
 from .errors import (GridFormatError, NonexistenceError, NotReducibleError,
                      ParameterError, SearchIncompleteError,
                      UndefinedDistanceError)
@@ -73,10 +72,7 @@ __all__ = [
     "row_offset",
     "run_search",
     "shift_by_k",
-    "sudoku_2b",
-    "sudoku_a_odd_b",
     "sudoku_bounds",
-    "sudoku_odd_a_even_b",
     "sudoku_square",
     "to_circulant_canonical",
     "transpose",

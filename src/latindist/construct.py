@@ -4,9 +4,12 @@ The workhorse is `algorithm1`, a doubly-periodic fill
     m[i][j] = 1 + (i-1)r + (j-1)c + alpha*floor((i-1)/R) + beta*floor((j-1)/C)  (mod n)
 whose vertical/horizontal increments r, c set the distance classes and
 whose offsets alpha, beta repair collisions whenever r or c shares a
-factor with n.  Everything else in the module is a parameter selector on
-top of it, except `algorithm2`, which needs a four-case row-offset rule to
-reach the maximum distance on (even, even) block shapes.
+factor with n.  `algorithm2` is the one other fill: it needs a four-case
+row-offset rule to reach the maximum distance on (even, even) block
+shapes.  The remaining constructors choose parameters for these two.  For
+block shapes that choice is made once, in `_sudoku_plan`: `sudoku_square`
+builds the fill it names, and `sudoku_bounds` takes its lower bound from
+the distance that fill reaches.
 
 All constructors re-validate their output before returning; a validation
 failure is an internal bug, not a caller error.
@@ -37,10 +40,7 @@ __all__ = [
     "predicted_inner_distance",
     "row_offset",
     "shift_by_k",
-    "sudoku_2b",
-    "sudoku_a_odd_b",
     "sudoku_bounds",
-    "sudoku_odd_a_even_b",
     "sudoku_square",
 ]
 
@@ -197,53 +197,6 @@ def pandiagonal_max(n: int) -> SquareGrid:
     return grid
 
 
-def sudoku_2b(b: int) -> SquareGrid:
-    """A (2, b)-Sudoku Latin square with inner distance b - 1 (the maximum)."""
-    if b < 2:
-        raise ParameterError(f"block width must be at least 2, got {b}")
-    n = 2 * b
-    beta = 1 if b % 2 else n
-    grid = algorithm1(ShiftParams(n, r=b, c=b - 1, alpha=1, beta=beta))
-    return _require_sudoku(grid, SudokuShape(2, b))
-
-
-def sudoku_a_odd_b(a: int, b: int) -> SquareGrid:
-    """An (a, b)-Sudoku Latin square with inner distance (n-a)/2 for odd b >= a.
-
-    The horizontal increment (n-a)/2 shares exactly the factor a with n,
-    so the stack offset fires every b columns, right on the block seams.
-    The vertical increment is the largest value under n/2 coprime to n,
-    which depends on a mod 4.  Callers with a > b should transpose the
-    (b, a) square instead.
-    """
-    if b % 2 == 0:
-        raise ParameterError(f"block width must be odd, got {b}")
-    if a > b:
-        raise ParameterError(f"needs a <= b, got ({a}, {b}); build ({b}, {a}) and transpose")
-    if a < 1:
-        raise ParameterError(f"block height must be positive, got {a}")
-    if a == 1:
-        return max_distance_square(b)
-    if a == 2:
-        return sudoku_2b(b)
-    n = a * b
-    if a == b:
-        # square blocks: the mirrored parameter set (both increments negated,
-        # axes swapped) realizes the same distances; R == a keeps the vertical
-        # offsets on the block seams.
-        params = ShiftParams(n, r=mod1n(-(n - a) // 2, n), c=mod1n(-(n - 1) // 2, n),
-                             alpha=-1, beta=n)
-    else:
-        if a % 2:
-            r = (n - 1) // 2
-        elif a % 4 == 0:
-            r = (n - 2) // 2
-        else:
-            r = (n - 4) // 2
-        params = ShiftParams(n, r=r, c=(n - a) // 2, alpha=n, beta=1)
-    return _require_sudoku(algorithm1(params), SudokuShape(a, b))
-
-
 # row-offset rule for the (even, even) fill ---------------------------------
 
 
@@ -294,36 +247,69 @@ def algorithm2(x: int, y: int) -> SquareGrid:
     return _require_sudoku(SquareGrid(vals % n + 1), SudokuShape(a, b))
 
 
-def sudoku_odd_a_even_b(a: int, b: int) -> SquareGrid:
-    """An (a, b)-Sudoku Latin square for odd a >= 3 and even b >= a.
+# block shapes ----------------------------------------------------------------
 
-    Reaches inner distance (n - min(2a, b))/2 when b = 0 mod 4 and
-    (n - min(4a, b))/2 when b = 2 mod 4.  Whichever of the two increments
-    is smaller rides on the block seams; the parameter roles swap when b
-    is small relative to a.
+
+def _sudoku_plan(a: int, b: int) -> tuple[str, ShiftParams | None]:
+    """The fill that builds the (a, b)-Sudoku square for 2 <= a <= b.
+
+    Returns the fill's provenance name and its `ShiftParams`, or None for
+    `algorithm2`, which reaches (n-a)/2.  Otherwise the reached inner
+    distance is `predicted_inner_distance` of the parameters.
     """
-    if a % 2 == 0 or a < 3:
-        raise ParameterError(f"block height must be odd and at least 3, got {a}")
-    if b % 2:
-        raise ParameterError(f"block width must be even, got {b}")
-    if a > b:
-        raise ParameterError(f"needs a <= b, got ({a}, {b}); build ({b}, {a}) and transpose")
     n = a * b
+    if a == 2:
+        # inner distance b - 1, the maximum
+        return "two-row-block-formula", ShiftParams(n, r=b, c=b - 1, alpha=1,
+                                                     beta=1 if b % 2 else n)
+    if b % 2:
+        # (n-a)/2: the horizontal increment (n-a)/2 shares exactly the factor
+        # a with n, so the stack offset fires every b columns, right on the
+        # block seams
+        if a == b:
+            # square blocks: the mirrored parameter set (both increments
+            # negated, axes swapped) realizes the same distances; R == a
+            # keeps the vertical offsets on the block seams
+            params = ShiftParams(n, r=mod1n(-(n - a) // 2, n), c=mod1n(-(n - 1) // 2, n),
+                                 alpha=-1, beta=n)
+        else:
+            # the vertical increment is the largest value under n/2 coprime
+            # to n, which depends on a mod 4
+            if a % 2:
+                r = (n - 1) // 2
+            elif a % 4 == 0:
+                r = (n - 2) // 2
+            else:
+                r = (n - 4) // 2
+            params = ShiftParams(n, r=r, c=(n - a) // 2, alpha=n, beta=1)
+        return "odd-width-shift-fill", params
+    if a % 2 == 0:
+        # the shift fill cannot reach (n-a)/2 on (even, even) blocks; see
+        # `algorithm2`
+        return "even-even-row-offset-fill", None
+    # odd a, even b: (n - min(2a, b))/2 when b = 0 mod 4 and (n - min(4a, b))/2
+    # when b = 2 mod 4; whichever of the two increments is smaller rides on
+    # the block seams, so the parameter roles swap when b is small
+    # relative to a
     if b % 4 == 0:
         if b >= 2 * a:
             params = ShiftParams(n, r=(n - 2) // 2, c=(n - 2 * a) // 2, alpha=n, beta=1)
         else:
             params = ShiftParams(n, r=(n - b) // 2, c=(n - 2) // 2, alpha=1, beta=n)
+        return "width-div4-shift-fill", params
+    if b >= 4 * a:
+        params = ShiftParams(n, r=(n - 4) // 2, c=(n - 4 * a) // 2, alpha=n, beta=1)
     else:
-        if b >= 4 * a:
-            params = ShiftParams(n, r=(n - 4) // 2, c=(n - 4 * a) // 2, alpha=n, beta=1)
-        else:
-            params = ShiftParams(n, r=(n - b) // 2, c=(n - 4) // 2, alpha=1, beta=n)
-    return _require_sudoku(algorithm1(params), SudokuShape(a, b))
+        params = ShiftParams(n, r=(n - b) // 2, c=(n - 4) // 2, alpha=1, beta=n)
+    return "width-2mod4-shift-fill", params
 
 
 def sudoku_square(a: int, b: int) -> SquareGrid:
-    """Best known (a, b)-Sudoku construction for any shape, dispatching by parity."""
+    """Best known (a, b)-Sudoku construction for any shape.
+
+    a > b builds the (b, a) square and transposes it; otherwise the fill
+    is the one `_sudoku_plan` picks.
+    """
     if a < 1 or b < 1:
         raise ParameterError(f"block shape must be positive, got ({a}, {b})")
     if a > b:
@@ -331,13 +317,10 @@ def sudoku_square(a: int, b: int) -> SquareGrid:
         return _require_sudoku(transpose(sudoku_square(b, a)), SudokuShape(a, b))
     if a == 1:
         return max_distance_square(b) if b >= 2 else SquareGrid([[1]])
-    if a == 2:
-        return sudoku_2b(b)
-    if b % 2:
-        return sudoku_a_odd_b(a, b)
-    if a % 2:
-        return sudoku_odd_a_even_b(a, b)
-    return algorithm2(a // 2, b // 2)
+    _, params = _sudoku_plan(a, b)
+    if params is None:
+        return algorithm2(a // 2, b // 2)
+    return _require_sudoku(algorithm1(params), SudokuShape(a, b))
 
 
 # bounds table ---------------------------------------------------------------
@@ -402,6 +385,7 @@ def sudoku_bounds(a: int, b: int) -> BoundsEntry:
 
     Shapes are normalized to a <= b (transposing swaps the shape and
     preserves all distances), so (a, b) and (b, a) return the same entry.
+    For a >= 3 the lower bound is the distance `sudoku_square` reaches.
     """
     if a < 1 or b < 1:
         raise ParameterError(f"block shape must be positive, got ({a}, {b})")
@@ -422,14 +406,8 @@ def sudoku_bounds(a: int, b: int) -> BoundsEntry:
     else:
         upper, upper_prov = (n - 3) // 2, "block-interior-cap"
 
-    if b % 2:
-        lower, lower_prov = (n - a) // 2, "odd-width-shift-fill"
-    elif a % 2 == 0:
-        lower, lower_prov = (n - a) // 2, "even-even-row-offset-fill"
-    elif b % 4 == 0:
-        lower, lower_prov = (n - min(2 * a, b)) // 2, "width-div4-shift-fill"
-    else:
-        lower, lower_prov = (n - min(4 * a, b)) // 2, "width-2mod4-shift-fill"
+    lower_prov, params = _sudoku_plan(a, b)
+    lower = (n - a) // 2 if params is None else predicted_inner_distance(params)
 
     return BoundsEntry("sudoku", n, a, b, lower, upper, lower == upper, True,
                        (lower_prov, upper_prov))

@@ -11,6 +11,7 @@ import json
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -48,16 +49,26 @@ class SquareGrid:
     def __init__(self, cells):
         try:
             given = np.asarray(cells)
-            arr = given.astype(np.int64)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise GridFormatError(f"grid must be a square array of integers: {exc}") from exc
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise GridFormatError(f"grid must be a non-empty square array, got shape {arr.shape}")
-        if not np.issubdtype(given.dtype, np.integer) and not np.array_equal(given, arr):
+        if given.ndim != 2 or given.shape[0] != given.shape[1] or given.shape[0] == 0:
+            raise GridFormatError(f"grid must be a non-empty square array, got shape {given.shape}")
+        # every check runs on the given values: a cast to int64 first would
+        # wrap or warn on floats and on ints beyond int64, which numpy holds
+        # as float64 or as Python objects
+        if given.dtype.kind == "f":
+            integral = np.isfinite(given).all() and (np.trunc(given) == given).all()
+        elif given.dtype.kind in "biu":
+            integral = True
+        else:
+            integral = all(isinstance(v, Integral) or isinstance(v, float) and v.is_integer()
+                           for v in given.flat)
+        if not integral:
             raise GridFormatError("grid entries must be integers")
-        n = arr.shape[0]
-        if arr.min() < 1 or arr.max() > n:
+        n = given.shape[0]
+        if given.min() < 1 or given.max() > n:
             raise GridFormatError(f"symbols must lie in [1, {n}]")
+        arr = given.astype(np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
 

@@ -59,9 +59,6 @@ class DistanceReport:
     def __hash__(self) -> int:
         return hash((self.inner_distance, self.realized_classes, self.argmin_pairs.tobytes()))
 
-    def class_counts(self) -> dict[int, int]:
-        return dict(self.realized_classes)
-
     def as_json_dict(self) -> dict:
         return {
             "inner_distance": self.inner_distance,

@@ -61,14 +61,6 @@ class GridPermutation:
     def as_json_dict(self) -> dict:
         return {"rows": list(self.rows), "cols": list(self.cols), "symbols": list(self.symbols)}
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "GridPermutation":
-        try:
-            return cls(rows=tuple(doc["rows"]), cols=tuple(doc["cols"]),
-                       symbols=tuple(doc["symbols"]))
-        except (TypeError, KeyError) as exc:
-            raise ParameterError("permutation JSON needs 'rows', 'cols', 'symbols'") from exc
-
 
 def apply_permutation(grid: SquareGrid, perm: GridPermutation) -> SquareGrid:
     """Apply a row/column/symbol permutation triple; Latin-ness is preserved.

@@ -10,13 +10,13 @@ from math import gcd
 import numpy as np
 
 from latindist import (SearchQuery, ShiftParams, SquareGrid, SudokuShape,
-                       adjacent_distance, algorithm1, algorithm2,
-                       format_grid_text, inner_distance, max_distance_square,
+                       adjacent_distance, algorithm1, format_grid_text,
+                       inner_distance, max_distance_square,
                        max_distance_via_search, mod1n, pandiagonal_max,
                        predicted_inner_distance, residue_orbit, run_search,
-                       shift_by_k, sudoku_2b, sudoku_a_odd_b,
-                       sudoku_odd_a_even_b, to_circulant_canonical, transpose,
-                       validate_latin, validate_pandiagonal, validate_sudoku)
+                       shift_by_k, sudoku_square, to_circulant_canonical,
+                       transpose, validate_latin, validate_pandiagonal,
+                       validate_sudoku)
 from latindist.cli import main
 
 from conftest import load_golden
@@ -117,19 +117,19 @@ def test_acceptance_05_pandiagonal_maxima():
 def test_acceptance_06_sudoku_constructors():
     failures = []
     for b in range(2, 9):
-        grid = sudoku_2b(b)
+        grid = sudoku_square(2, b)
         ok = (validate_sudoku(grid, SudokuShape(2, b)).verdict
               and inner_distance(grid).inner_distance == b - 1)
         if not ok:
             failures.append((2, b))
     for a, b in [(3, 3), (3, 5), (4, 5), (5, 5), (5, 7), (6, 7)]:
-        grid = sudoku_a_odd_b(a, b)
+        grid = sudoku_square(a, b)
         ok = (validate_sudoku(grid, SudokuShape(a, b)).verdict
               and inner_distance(grid).inner_distance == (a * b - a) // 2)
         if not ok:
             failures.append((a, b))
     for x, y in [(2, 2), (2, 3), (3, 3)]:
-        grid = algorithm2(x, y)
+        grid = sudoku_square(2 * x, 2 * y)
         ok = (validate_sudoku(grid, SudokuShape(2 * x, 2 * y)).verdict
               and inner_distance(grid).inner_distance == 2 * x * y - x)
         if not ok:
@@ -137,7 +137,7 @@ def test_acceptance_06_sudoku_constructors():
     for a, b in [(3, 4), (3, 8), (3, 10), (5, 8)]:
         n = a * b
         want = (n - min(2 * a, b)) // 2 if b % 4 == 0 else (n - min(4 * a, b)) // 2
-        grid = sudoku_odd_a_even_b(a, b)
+        grid = sudoku_square(a, b)
         ok = (validate_sudoku(grid, SudokuShape(a, b)).verdict
               and inner_distance(grid).inner_distance == want)
         if not ok:

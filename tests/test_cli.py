@@ -135,6 +135,24 @@ def test_bounds_outputs(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("a, b, lower, upper, provenance", [
+    (1, 5, 2, 2, ["single-row-blocks", "half-range-cap", "max-distance-shift-fill"]),
+    (2, 6, 5, 5, ["two-row-block-formula"]),
+    (3, 5, 6, 6, ["odd-width-shift-fill", "block-interior-cap"]),
+    (5, 7, 15, 15, ["odd-width-shift-fill", "odd-blocks-interior-cap"]),
+    (4, 6, 10, 10, ["even-even-row-offset-fill", "block-interior-cap"]),
+    (3, 8, 9, 10, ["width-div4-shift-fill", "block-interior-cap"]),
+    (3, 10, 10, 13, ["width-2mod4-shift-fill", "block-interior-cap"]),
+])
+def test_sudoku_bounds_json_is_pinned(capsys, a, b, lower, upper, provenance):
+    # one shape per branch of the construction plan and of the upper caps
+    code, out, _ = run_cli(capsys, ["bounds", "--kind", "sudoku", "--a", str(a), "--b", str(b)])
+    assert code == 0
+    assert json.loads(out) == {
+        "kind": "sudoku", "a": a, "b": b, "n": a * b, "lower": lower, "upper": upper,
+        "exact": lower == upper, "existence": True, "provenance": provenance}
+
+
 def test_search_subcommand(capsys):
     code, out, _ = run_cli(capsys, ["search", "--n", "5", "--kind", "plain",
                                     "--min-dist", "2", "--mode", "count"])

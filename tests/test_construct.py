@@ -3,12 +3,13 @@ from math import gcd
 import pytest
 
 from latindist import (NonexistenceError, ParameterError, ShiftParams,
-                       SudokuShape, algorithm1, algorithm2,
+                       SquareGrid, SudokuShape, algorithm1, algorithm2,
                        inner_distance, known_bounds, max_distance_square,
                        pandiagonal_max, predicted_inner_distance, row_offset,
-                       shift_by_k, sudoku_2b, sudoku_a_odd_b, sudoku_bounds,
-                       sudoku_odd_a_even_b, sudoku_square, validate_latin,
-                       validate_pandiagonal, validate_sudoku)
+                       shift_by_k, sudoku_bounds, sudoku_square, transpose,
+                       validate_latin, validate_pandiagonal, validate_sudoku)
+
+from oracle import is_sudoku, min_adjacent_distance
 
 
 # --- parameter bundle --------------------------------------------------------
@@ -124,34 +125,30 @@ def test_pandiagonal_max(golden):
 
 def test_sudoku_2b():
     for b in range(2, 9):
-        g = sudoku_2b(b)
+        g = sudoku_square(2, b)
         assert validate_sudoku(g, SudokuShape(2, b)).verdict
         assert inner_distance(g).inner_distance == b - 1
-    with pytest.raises(ParameterError):
-        sudoku_2b(1)
 
 
 def test_sudoku_a_odd_b(golden):
-    assert sudoku_a_odd_b(3, 3) == golden("order9_sudoku_3x3.txt")
+    assert sudoku_square(3, 3) == golden("order9_sudoku_3x3.txt")
     for a, b in [(3, 3), (3, 5), (4, 5), (5, 5), (5, 7), (6, 7)]:
-        g = sudoku_a_odd_b(a, b)
+        g = sudoku_square(a, b)
         n = a * b
         assert validate_sudoku(g, SudokuShape(a, b)).verdict, (a, b)
         assert inner_distance(g).inner_distance == (n - a) // 2, (a, b)
 
 
-def test_sudoku_a_odd_b_delegates_small_heights():
-    assert sudoku_a_odd_b(1, 5) == max_distance_square(5)
-    assert sudoku_a_odd_b(2, 5) == sudoku_2b(5)
+def test_sudoku_square_single_row_blocks():
+    assert sudoku_square(1, 5) == max_distance_square(5)
+    assert sudoku_square(5, 1) == transpose(max_distance_square(5))
+    assert sudoku_square(1, 1) == SquareGrid([[1]])
 
 
-def test_sudoku_a_odd_b_parameter_errors():
-    with pytest.raises(ParameterError):
-        sudoku_a_odd_b(3, 4)  # even width
-    with pytest.raises(ParameterError):
-        sudoku_a_odd_b(5, 3)  # a > b
-    with pytest.raises(ParameterError):
-        sudoku_a_odd_b(0, 3)
+def test_sudoku_square_parameter_errors():
+    for a, b in [(0, 3), (3, 0), (-1, 2)]:
+        with pytest.raises(ParameterError):
+            sudoku_square(a, b)
 
 
 # --- the even-even fill ------------------------------------------------------
@@ -196,15 +193,9 @@ def test_algorithm2(golden):
 
 def test_sudoku_odd_a_even_b():
     for (a, b), want in [((3, 4), 4), ((3, 8), 9), ((3, 10), 10), ((5, 8), 16)]:
-        g = sudoku_odd_a_even_b(a, b)
+        g = sudoku_square(a, b)
         assert validate_sudoku(g, SudokuShape(a, b)).verdict, (a, b)
         assert inner_distance(g).inner_distance == want, (a, b)
-    with pytest.raises(ParameterError):
-        sudoku_odd_a_even_b(4, 6)
-    with pytest.raises(ParameterError):
-        sudoku_odd_a_even_b(3, 5)
-    with pytest.raises(ParameterError):
-        sudoku_odd_a_even_b(5, 4)
 
 
 def test_sudoku_square_dispatch():
@@ -216,6 +207,15 @@ def test_sudoku_square_dispatch():
     d1 = inner_distance(sudoku_square(5, 3)).inner_distance
     d2 = inner_distance(sudoku_square(3, 5)).inner_distance
     assert d1 == d2 == 6
+
+
+def test_sudoku_square_reaches_the_lower_bound_by_oracle():
+    # the lower bound of the table is the distance the construction reaches
+    shapes = [(a, b) for a in range(1, 61) for b in range(1, 61) if 2 <= a * b <= 60]
+    for a, b in shapes:
+        rows = sudoku_square(a, b).row_tuples()
+        assert is_sudoku(rows, a, b), (a, b)
+        assert min_adjacent_distance(rows) == sudoku_bounds(a, b).lower, (a, b)
 
 
 # --- bounds table ------------------------------------------------------------

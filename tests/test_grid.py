@@ -28,6 +28,27 @@ def test_grid_construction_rejects_malformed_input():
         SquareGrid([[1.5]])
 
 
+def test_values_beyond_int64_are_rejected_without_a_warning():
+    # numpy holds 12345678901234567890 as a float64 and 2**70 as a Python
+    # object; neither may be cast to int64 before it is checked
+    too_wide = [
+        (lambda: SquareGrid([[1, 12345678901234567890], [1, 1]]), "symbols must lie in [1, 2]"),
+        (lambda: SquareGrid([[1, 2**70], [1, 1]]), "symbols must lie in [1, 2]"),
+        (lambda: SquareGrid([[1, -2**64], [1, 1]]), "symbols must lie in [1, 2]"),
+        (lambda: parse_grid_text("1 12345678901234567890\n1 1\n"), "symbols must lie in [1, 2]"),
+        (lambda: SquareGrid([[float("inf")]]), "grid entries must be integers"),
+        (lambda: SquareGrid([[float("nan")]]), "grid entries must be integers"),
+        (lambda: SquareGrid([[1, None], [2, 1]]), "grid entries must be integers"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build, message in too_wide:
+            with pytest.raises(GridFormatError) as info:
+                build()
+            assert str(info.value) == message
+        assert SquareGrid([[1.0, 2.0], [2.0, 1.0]]) == SquareGrid([[1, 2], [2, 1]])
+
+
 def test_grid_is_immutable_and_1_indexed():
     g = SquareGrid([[1, 2], [2, 1]])
     with pytest.raises(ValueError):
