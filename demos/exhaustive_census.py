@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Counting every square above a distance floor, exactly.
 
-The search fills cells row by row, filtering candidates through occupancy
-bitmasks and a distance table against the two placed neighbours.  Near
+The search fills cells row by row (Sudoku squares band by band, each band
+column by column), filtering candidates through occupancy bitmasks and a
+distance table against the two placed neighbours.  Near
 the distance ceiling each symbol has at most a couple of admissible
 neighbours, so complete enumeration is cheap, and it independently
 confirms what the constructions promise.

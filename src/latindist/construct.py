@@ -307,14 +307,15 @@ def _sudoku_plan(a: int, b: int) -> tuple[str, ShiftParams | None]:
 def sudoku_square(a: int, b: int) -> SquareGrid:
     """Best known (a, b)-Sudoku construction for any shape.
 
-    a > b builds the (b, a) square and transposes it; otherwise the fill
-    is the one `_sudoku_plan` picks.
+    a > b builds and validates the (b, a) square and transposes it, which
+    keeps it valid: the (b, a) blocks become (a, b) blocks.  Otherwise the
+    fill is the one `_sudoku_plan` picks.
     """
     if a < 1 or b < 1:
         raise ParameterError(f"block shape must be positive, got ({a}, {b})")
     if a > b:
         from .transform import transpose
-        return _require_sudoku(transpose(sudoku_square(b, a)), SudokuShape(a, b))
+        return transpose(sudoku_square(b, a))
     if a == 1:
         return max_distance_square(b) if b >= 2 else SquareGrid([[1]])
     _, params = _sudoku_plan(a, b)

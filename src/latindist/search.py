@@ -1,12 +1,23 @@
 """Exhaustive backtracking enumeration of constrained Latin squares.
 
 This is the independent oracle for counts, maxima, and nonexistence: it
-fills cells in row-major order, keeping per-row/column (and per-block or
+fills cells one at a time, keeping per-row/column (and per-block or
 per-diagonal) occupancy bitmasks, and filters every candidate symbol
 against a precomputed admissibility table dist(u, v) >= d for the two
 already-placed neighbours (left and up).  At distances near n/2 each
 symbol admits at most a handful of neighbours, so the tree collapses and
 even order-9 runs finish in milliseconds.
+
+Plain and pandiagonal squares are visited row by row.  Sudoku squares are
+visited band by band (a rows each), each band column by column, so the
+first a*b cells visited are a block and the first a*n a band: a walk
+that cannot complete either backtracks inside it instead of under whole
+rows of the square.  The left and upper neighbours are visited earlier in
+both orders.  Candidates are tried cyclically upwards from the left
+neighbour's symbol (in column 0 the upper neighbour's, at the corner from
+1), so a row tends to go on by the smallest admissible step, as a shift
+square does, and an exists probe below the maximum often meets a witness
+after little more than n*n nodes instead of wandering.
 
 The symbol maps u -> +-(u - 1) + s (mod n, symbols 1..n) keep every
 constraint and distance: the constraints depend only on cell positions,
@@ -21,14 +32,16 @@ isomorph rejection by lex-leader (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 1998), simple here because every orbit has
 the same size.
 
-One non-recursive walk over the cell index does all of it.  With one
+One non-recursive walk over the visiting order does all of it.  With one
 worker a query is a single walk from the empty grid under the query's node
-budget: witnesses come out in lexicographic order, and exists mode stops at
-the first.  With more workers (count and enumerate only) the same walk,
-cut after row 1, lists the leaders' first rows; they are cut into about
-4 * workers contiguous slices, a worker completes each slice row by row
-under the budget left over, and the parent adds up the nodes and stops
-once the sum passes the budget.  The tree is the same either way, so a
+budget, and exists mode stops at its first witness.  With more workers
+(count and enumerate only) the same walk, cut after the first n cells
+visited (row 0, or the first block of a Sudoku square), lists the
+leaders' prefixes; they are cut into about 4 * workers contiguous slices,
+a worker completes each slice prefix by prefix under the budget left
+over, and the parent adds up the nodes and stops once the sum passes the
+budget.  Either way each square comes back laid out row by row, and a
+complete witness list is sorted.  The tree is the same either way, so a
 complete query gives the same count, witness list and node count for any
 worker count, and complete itself agrees for any worker count.  The
 count, witnesses and node count of an incomplete query are partial and
@@ -38,6 +51,7 @@ may differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .construct import known_bounds
 from .errors import NonexistenceError, ParameterError, SearchIncompleteError
@@ -119,16 +133,17 @@ class SearchResult:
     complete means the answer is definitive for the queried mode: the tree
     up to the answer fit in the node budget, whatever the worker count.  A
     complete count or enumerate covers every square: the walked squares
-    under all 2n symbol maps (n when n = 2), witnesses in lexicographic
-    order.  A result truncated by the budget always comes back with
+    under all 2n symbol maps (n when n = 2), witnesses sorted by their rows.  A result truncated by the budget always comes back with
     complete=False, never silently, and unexpanded in every mode: its count
     and witnesses are only the squares the walk itself placed, each with
     symbol 1 in the corner, so an enumerate has len(witnesses) == count.
     With workers > 1 they come from every slice the parent read before it
-    stopped, the slice that ran out of budget included.
+    stopped, the slice that ran out of budget included, in the order the
+    walk met them.
     In exists mode the count is min(total, 1) because the search stops at
-    the first witness, which starts with symbol 1 and is the
-    lexicographically first square of the query.  nodes_expanded counts the
+    the first witness, which starts with symbol 1 and is the first square
+    of the query in the walk's visiting and symbol order (see the module
+    docstring), not the lexicographically first.  nodes_expanded counts the
     walk reduced by translation and negation.
     """
 
@@ -142,23 +157,29 @@ class _Context:
     """Immutable per-search tables shared by every walk.
 
     adm[u] is the mask of symbols at distance >= d from u, and adm[0], the
-    symbol of the spare cell n*n, is the full mask.  cells[k] is
-    (u1, u2, u3, u4, left, up, nbr) for cell k in row-major order.  u1..u4
+    symbol of the spare cell n*n, is the full mask; above[s] is the mask of
+    the symbols above s.  cells[k] is (u1, u2, u3, u4, prev, other, nbr) for
+    the k-th cell visited: row by row for plain and pandiagonal squares,
+    band by band and within a band column by column for sudoku; pos[i] is
+    the visiting position of the i-th cell in row-major order.  u1..u4
     are the four units whose symbols must differ: its row, its column, and
     its block or two wrapped diagonals.  Plain cells list their row and
     column twice and sudoku cells their block twice; placing ORs a bit into
-    each unit and removing clears it, so a repeated unit is harmless.  left
-    and up index the neighbours, or the spare cell.  nbr[s] is the mask the
-    cell admits beside a left neighbour holding s: adm itself for most
-    cells, adm with the lex-leader rule folded in for the first cells of
-    row 0.  The corner admits symbol 1 alone (translation), and cell (0, 1)
-    admits s only if s <= -s, where -s is the negation 2 - s (mod n, symbols
-    1..n).  For even n, -s = s at s = 1 + n/2, and then cell (0, 2) admits
-    t only if t < -t.  For n = 2 negation is the identity and restricts
-    nothing.
+    each unit and removing clears it, so a repeated unit is harmless.  prev
+    and other are the visiting positions of the two neighbours, both
+    visited earlier: prev is the left one and other the upper one, or the
+    spare cell in row 0; in column 0 prev is the upper one and other the
+    spare cell.  Candidates are tried upwards from prev's symbol, then
+    from 1.  nbr[s] is the mask the cell admits beside a prev holding s:
+    adm itself for most cells, adm with the lex-leader rule folded in for
+    the first cells of row 0.  The corner admits symbol 1 alone
+    (translation), and cell (0, 1) admits s only if s <= -s, where -s is
+    the negation 2 - s (mod n, symbols 1..n).  For even n, -s = s at
+    s = 1 + n/2, and then cell (0, 2) admits t only if t < -t.  For n = 2
+    negation is the identity and restricts nothing.
     """
 
-    __slots__ = ("n", "adm", "cells")
+    __slots__ = ("n", "adm", "above", "cells", "pos")
 
     def __init__(self, n: int, d: int, constraint: str, a: int, b: int):
         full = (1 << n) - 1
@@ -167,6 +188,8 @@ class _Context:
         base = sum(1 << x for x in range(d, n - d + 1))
         adm = [full] + [((base << r) | (base >> (n - r))) & full for r in range(n)]
         self.adm = adm
+        # the symbols above s; above[0], the spare cell's, holds them all
+        self.above = [full >> s << s for s in range(n + 1)]
         spare = n * n
         rows = [r for r in range(n) for _ in range(n)]
         cols = list(range(n)) * n
@@ -178,8 +201,12 @@ class _Context:
             u4 = [3 * n + (r + c) % n for r, c in zip(rows, cols)]
         else:
             u3, u4 = rows, cols_u
-        left = [k - 1 if c else spare for k, c in enumerate(cols)]
+        # row-major neighbours: prev is left, or up in column 0; other is up, or spare there
         up = [spare] * n + list(range(spare - n))
+        prev = [spare] + list(range(spare - 1))
+        prev[n::n] = range(0, spare - n, n)
+        other = up[:]
+        other[::n] = [spare] * n
         # symbols x + 1 with x <= -x (mod n), and with x < -x
         lead = sum(1 << x for x in range(n) if x <= -x % n)
         strict = sum(1 << x for x in range(n) if x < -x % n)
@@ -189,24 +216,36 @@ class _Context:
         if n % 2 == 0 and n > 2:
             nbr[2] = adm[:]
             nbr[2][1 + n // 2] &= strict
-        self.cells = list(zip(rows, cols_u, u3, u4, left, up, nbr))
+        cells = list(zip(rows, cols_u, u3, u4, prev, other, nbr))
+        pos = list(range(spare + 1))
+        if constraint == "sudoku":
+            # band by band, each band column by column; renumber the neighbours
+            order = [(r + i) * n + c for r in range(0, n, a) for c in range(n) for i in range(a)]
+            for k, cell in enumerate(order):
+                pos[cell] = k
+            cells = [(u1, u2, u3, u4, pos[p], pos[o], nb)
+                     for u1, u2, u3, u4, p, o, nb in map(cells.__getitem__, order)]
+        pos.pop()
+        self.cells = cells
+        self.pos = pos
 
 
 def _walk(ctx: _Context, prefix: tuple[int, ...], stop: int, budget: int,
           collect: bool, stop_first: bool):
     """Depth-first fill of cells len(prefix) .. stop-1 after a fixed prefix.
 
-    The only code that places symbols.  Cells are filled in row-major
-    order and candidates are tried in increasing symbol order, so leaves
-    (grids cut after cell stop-1) come in lexicographic order.  Each cell's
-    untried candidates are kept on an explicit stack, so the depth is not
-    bounded by the interpreter's recursion limit.  Every placement counts
-    as one node; the walk gives up when the count passes budget.
+    The only code that places symbols.  Cells are filled in the context's
+    visiting order and each cell tries its candidates upwards from the
+    symbol of its prev neighbour, wrapping round to 1, so the leaves (grids
+    cut after cell stop-1) come in a fixed order.  Each cell's untried
+    candidates are kept on an explicit stack, so the depth is not bounded
+    by the interpreter's recursion limit.  Every placement counts as one
+    node; the walk gives up when the count passes budget.
 
-    Returns (count, nodes, complete, leaves) where leaves holds the
-    row-major cell tuples when collect is set.
+    Returns (count, nodes, complete, leaves) where leaves holds the cell
+    tuples in visiting order when collect is set.
     """
-    adm, cells = ctx.adm, ctx.cells
+    adm, above, cells = ctx.adm, ctx.above, ctx.cells
     start = len(prefix)
     grid = list(prefix) + [0] * (ctx.n * ctx.n + 1 - start)
     used = [0] * (4 * ctx.n)
@@ -219,7 +258,7 @@ def _walk(ctx: _Context, prefix: tuple[int, ...], stop: int, budget: int,
     untried = [0] * stop
     k = start
     while k >= start:
-        u1, u2, u3, u4, left, up, nbr = cells[k]
+        u1, u2, u3, u4, prev, other, nbr = cells[k]
         sym = grid[k]
         if sym:
             # back at a placed cell: lift its symbol, go on with the rest
@@ -230,12 +269,16 @@ def _walk(ctx: _Context, prefix: tuple[int, ...], stop: int, budget: int,
             used[u4] &= keep
             cand = untried[k]
         else:
-            cand = nbr[grid[left]] & adm[grid[up]] & ~(used[u1] | used[u2] | used[u3] | used[u4])
+            sym = grid[prev]
+            cand = nbr[sym] & adm[grid[other]] & ~(used[u1] | used[u2] | used[u3] | used[u4])
         if not cand:
             grid[k] = 0
             k -= 1
             continue
-        bit = cand & -cand
+        # upwards from prev's symbol, wrapping to 1; after a lifted symbol
+        # the rest of that cycle starts above the lifted one
+        pick = cand & above[sym] or cand
+        bit = pick & -pick
         untried[k] = cand ^ bit
         nodes += 1
         if nodes > budget:
@@ -257,15 +300,15 @@ def _walk(ctx: _Context, prefix: tuple[int, ...], stop: int, budget: int,
 
 
 def _task_entry(args):
-    """Picklable worker entry: completes a slice of first rows in turn.
+    """Picklable worker entry: completes a slice of n-cell prefixes in turn.
 
-    The rows share budget: each gets only what the rows before it left.
+    The prefixes share budget: each gets only what the ones before it left.
     """
-    ctx_args, first_rows, budget, collect = args
+    ctx_args, prefixes, budget, collect = args
     ctx = _Context(*ctx_args)
     count, nodes, leaves = 0, 0, []
-    for row in first_rows:
-        r_count, r_nodes, complete, r_leaves = _walk(ctx, row, ctx.n * ctx.n, budget - nodes,
+    for prefix in prefixes:
+        r_count, r_nodes, complete, r_leaves = _walk(ctx, prefix, ctx.n * ctx.n, budget - nodes,
                                                      collect=collect, stop_first=False)
         count, nodes = count + r_count, nodes + r_nodes
         leaves += r_leaves
@@ -280,8 +323,9 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
     The candidate set of every cell is filtered by the Latin (and block or
     diagonal) occupancy masks and by the distance table against the left
     and upper neighbours, so the distance floor prunes while building, not
-    after.  Witness lists are in lexicographic grid order regardless of
-    worker count.
+    after.  Witnesses are laid out row by row whatever the visiting order;
+    a complete witness list is sorted by rows and the same for any worker
+    count, and an exists witness is the first in visiting order.
     """
     if workers < 1:
         raise ParameterError(f"workers must be positive, got {workers}")
@@ -296,13 +340,13 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
         count, nodes, complete, leaves = _walk(ctx, (), n * n, budget, collect=collect,
                                                stop_first=query.mode == "exists")
     else:
-        # one task per slice of first rows; each may spend what the listing left over
-        _, nodes, complete, first_rows = _walk(ctx, (), n, budget, collect=True,
-                                               stop_first=False)
+        # one task per slice of n-cell prefixes; each may spend what the listing left over
+        _, nodes, complete, prefixes = _walk(ctx, (), n, budget, collect=True,
+                                             stop_first=False)
         count, leaves = 0, []
-        size = max(1, -(-len(first_rows) // (workers * 4)))
-        args = [(ctx_args, first_rows[i:i + size], budget - nodes, collect)
-                for i in range(0, len(first_rows), size)] if complete else []
+        size = max(1, -(-len(prefixes) // (workers * 4)))
+        args = [(ctx_args, prefixes[i:i + size], budget - nodes, collect)
+                for i in range(0, len(prefixes), size)] if complete else []
         from concurrent.futures import ProcessPoolExecutor  # only parallel search pays for it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = pool.map(_task_entry, args)
@@ -315,6 +359,10 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
                     pool.shutdown(cancel_futures=True)
                     break
 
+    if query.constraint == "sudoku":
+        # leaves hold the cells in visiting order; lay them out row by row
+        row_major = itemgetter(*ctx.pos)
+        leaves = [row_major(leaf) for leaf in leaves]
     if complete and query.mode != "exists":
         # each leaf stands for its orbit under u -> +-(u - 1) + s: 2n squares, n when n = 2
         maps = {(0, *[(sign * v + s) % n + 1 for v in range(n)])

@@ -9,8 +9,8 @@ from latindist import (NonexistenceError, ParameterError,
                        validate_latin, validate_pandiagonal, validate_sudoku)
 
 from latindist.search import _Context, _task_entry
-from oracle import (all_latin_squares, count_by_filter, is_pandiagonal, is_sudoku,
-                    min_adjacent_distance)
+from oracle import (all_latin_squares, band_column_order, count_by_filter, is_pandiagonal,
+                    is_sudoku, min_adjacent_distance, sudoku_prefix_count)
 
 
 def _count(n, d, constraint="plain", shape=None):
@@ -111,11 +111,25 @@ def test_exists_mode_answers_beyond_the_recursion_limit():
 
 
 def test_exists_mode_spends_the_whole_budget_on_one_walk():
-    shape = SudokuShape(3, 4)
-    result = run_search(SearchQuery(constraint="sudoku", shape=shape, min_distance=4,
+    # no (3, 6)-Sudoku square reaches d = 7: the walk proves it in 386 365 nodes
+    result = run_search(SearchQuery(constraint="sudoku", shape=SudokuShape(3, 6), min_distance=7,
                                     mode="exists", node_budget=10**6))
+    assert result.complete and result.count == 0 and not result.witnesses
+    assert result.nodes_expanded == 386_365
+    assert max_distance_via_search("sudoku", (3, 6), node_budget=10**6) == 6
+
+
+@pytest.mark.parametrize("n, constraint, shape, d",
+                         [(11, "pandiagonal", None, d) for d in (1, 2, 3, 4)]
+                         + [(12, "sudoku", (3, 4), 4), (16, "sudoku", (4, 4), 6)])
+def test_low_distance_probes_find_a_witness_early(n, constraint, shape, d):
+    result = run_search(SearchQuery(n=n, constraint=constraint,
+                                    shape=SudokuShape(*shape) if shape else None,
+                                    min_distance=d, mode="exists", node_budget=10**4))
     assert result.complete and result.count == 1
-    assert validate_sudoku(result.witnesses[0], shape).verdict
+    rows = result.witnesses[0].row_tuples()
+    assert min_adjacent_distance(rows) >= d
+    assert is_sudoku(rows, *shape) if shape else is_pandiagonal(rows)
 
 
 def test_complete_queries_expand_the_same_tree():
@@ -123,10 +137,9 @@ def test_complete_queries_expand_the_same_tree():
     # walk is one of n symbol shifts of that tree, T = seed / n nodes, and of it the
     # walk keeps one subtree of each negation pair below the shared corner: (T + 1) / 2
     # nodes for odd n; for even n the cell (0, 1) = 1 + n/2 node is shared too, so
-    # (T + 2) / 2.  That is 2 054, 12 257, 12 843 and 13 731 nodes.
+    # (T + 2) / 2.  That is 2 054, 12 257 and 13 731 nodes.
     cases = [(SearchQuery(n=6, min_distance=2), 24_636),
              (SearchQuery(n=8, min_distance=3), 196_096),
-             (SearchQuery(constraint="sudoku", shape=SudokuShape(3, 3), min_distance=3), 231_165),
              (SearchQuery(n=13, constraint="pandiagonal", min_distance=5), 356_993)]
     for query, seed in cases:
         shifted, rest = divmod(seed, query.n)
@@ -134,6 +147,18 @@ def test_complete_queries_expand_the_same_tree():
         nodes = (shifted + 1) // 2 if query.n % 2 else (shifted + 2) // 2
         result = run_search(query)
         assert result.complete and result.nodes_expanded == nodes, query
+
+
+@pytest.mark.parametrize("a, b, d, nodes",
+                         [(2, 2, 1, 354), (2, 3, 2, 136), (3, 2, 2, 119), (2, 4, 3, 254),
+                          (2, 5, 4, 384), (3, 3, 3, 10_834), (3, 3, 4, 6)])
+def test_sudoku_walk_matches_the_set_based_prefix_count(a, b, d, nodes):
+    # Sudoku squares are walked band by band, each band column by column
+    prefixes, squares = sudoku_prefix_count(a, b, d)
+    assert prefixes == nodes
+    result = run_search(SearchQuery(constraint="sudoku", shape=SudokuShape(a, b), min_distance=d))
+    assert result.complete and result.nodes_expanded == nodes
+    assert result.count == 2 * a * b * squares
 
 
 def test_enumeration_matches_the_oracle_in_order():
@@ -154,12 +179,14 @@ def test_enumeration_matches_the_oracle_in_order():
 
 
 def test_nonexistence_is_proven_on_one_corner_symbol():
-    # the seed engine walked all n corner symbols: 12, 171 and 45 nodes; one corner
-    # symbol takes 2, 19 and 9, and one of each negation pair (T + 1) / 2 of those for
+    # the seed engine walked all n corner symbols: 12 and 45 nodes; one corner
+    # symbol takes 2 and 9, and one of each negation pair (T + 1) / 2 of those for
     # odd n.  Plain 6 d=3 keeps both: its only cell (0, 1) symbol is 4 = 1 + n/2.
+    # The (3, 3)-Sudoku walk, band by band and column by column, places 6 symbols,
+    # as the set-based prefix counter does.
     cases = [(SearchQuery(n=6, min_distance=3, mode="exists"), 2),
              (SearchQuery(constraint="sudoku", shape=SudokuShape(3, 3), min_distance=4,
-                          mode="exists"), 10),
+                          mode="exists"), 6),
              (SearchQuery(n=5, constraint="pandiagonal", min_distance=2, mode="exists"), 5)]
     for query, nodes in cases:
         result = run_search(query)
@@ -189,6 +216,26 @@ def test_results_identical_for_any_worker_count():
                             (SearchQuery(n=6, min_distance=2, node_budget=2053), False)]:
         for workers in (1, 2):
             assert run_search(query, workers=workers).complete == complete, (query, workers)
+
+
+def test_parallel_walks_lay_sudoku_witnesses_out_row_by_row():
+    # the slices cut the band-column walk after its first block; every leaf comes
+    # back row-major whichever path produced it
+    for shape, d in [(SudokuShape(2, 3), 2), (SudokuShape(2, 4), 3)]:
+        query = SearchQuery(constraint="sudoku", shape=shape, min_distance=d, mode="enumerate")
+        reference = run_search(query, workers=1)
+        assert reference.complete and reference.count == len(reference.witnesses) > 0
+        rows = [w.row_tuples() for w in reference.witnesses]
+        assert rows == sorted(rows)
+        assert all(is_sudoku(r, shape.a, shape.b) and min_adjacent_distance(r) >= d
+                   for r in rows)
+        for workers in (2, 3):
+            other = run_search(query, workers=workers)
+            assert (other.witnesses, other.nodes_expanded, other.complete) \
+                == (reference.witnesses, reference.nodes_expanded, reference.complete)
+        first = run_search(SearchQuery(constraint="sudoku", shape=shape, min_distance=d,
+                                       mode="exists"))
+        assert first.witnesses[0] in reference.witnesses
 
 
 def test_parallel_budget_bounds_the_work_done():
@@ -252,21 +299,29 @@ def _sigma(s, n):
 @pytest.mark.parametrize("n, constraint, shape",
                          [(n, "plain", None) for n in range(2, 31)]
                          + [(n, "pandiagonal", None) for n in (5, 7, 13)]
-                         + [(a * b, "sudoku", (a, b)) for a, b in ((2, 3), (3, 3), (3, 4))])
+                         + [(a * b, "sudoku", (a, b))
+                            for a, b in ((2, 3), (3, 3), (3, 4), (3, 2), (4, 3), (1, 4))])
 def test_context_tables_match_their_definition(n, constraint, shape):
     a, b = shape or (0, 0)
     full = (1 << n) - 1
     lead = sum(1 << (t - 1) for t in range(1, n + 1) if t <= _sigma(t, n))
     strict = sum(1 << (t - 1) for t in range(1, n + 1) if t < _sigma(t, n))
+    # plain and pandiagonal squares are visited row by row, Sudoku squares band by band
+    order = band_column_order(a, b) if shape else [divmod(k, n) for k in range(n * n)]
+    at = {cell: k for k, cell in enumerate(order)}
+    spare = n * n
     for d in sorted({1, 2, n // 4, n // 2, n // 2 + 1} - {0}):
         ctx = _Context(n, d, constraint, a, b)
         adm = [full] + [sum(1 << (v - 1) for v in range(1, n + 1)
                             if min((u - v) % n, (v - u) % n) >= d)
                         for u in range(1, n + 1)]
         assert ctx.adm == adm, d
+        assert ctx.above == [sum(1 << (v - 1) for v in range(s + 1, n + 1))
+                             for s in range(n + 1)]
+        assert ctx.pos == [at[divmod(i, n)] for i in range(n * n)]
         assert len(ctx.cells) == n * n
-        for k, (u1, u2, u3, u4, left, up, nbr) in enumerate(ctx.cells):
-            r, c = divmod(k, n)
+        for k, (u1, u2, u3, u4, prev, other, nbr) in enumerate(ctx.cells):
+            r, c = order[k]
             if constraint == "sudoku":
                 block = 2 * n + (r // a) * a + c // b
                 assert (u1, u2, u3, u4) == (r, n + c, block, block)
@@ -274,13 +329,17 @@ def test_context_tables_match_their_definition(n, constraint, shape):
                 assert (u1, u2, u3, u4) == (r, n + c, 2 * n + (r - c) % n, 3 * n + (r + c) % n)
             else:
                 assert (u1, u2, u3, u4) == (r, n + c, r, n + c)
-            assert left == (k - 1 if c else n * n) and up == (k - n if r else n * n)
+            left = at[r, c - 1] if c else spare
+            up = at[r - 1, c] if r else spare
+            assert all(j < k or j == spare for j in (left, up))
+            # symbols are tried upwards from the left neighbour's, in column 0 the upper one's
+            assert (prev, other) == ((left, up) if c else (up, spare))
             allowed = [full] * (n + 1)
-            if k == 0:
+            if (r, c) == (0, 0):
                 allowed = [1] * (n + 1)
-            elif k == 1:
+            elif (r, c) == (0, 1):
                 allowed = [lead] * (n + 1)
-            elif k == 2 and n % 2 == 0 and n > 2:
+            elif (r, c) == (0, 2) and n % 2 == 0 and n > 2:
                 allowed[1 + n // 2] = strict
             assert nbr == [m & mask for m, mask in zip(adm, allowed)], (d, k)
 
