@@ -79,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--b", type=int)
     search.add_argument("--min-dist", type=int, required=True)
     search.add_argument("--mode", choices=["count", "enumerate", "exists"], default="count")
-    search.add_argument("--workers", type=int, default=1)
+    search.add_argument("--workers", type=int, default=1,
+                        help="worker processes (count and enumerate only)")
     search.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     search.add_argument("--witnesses-out", help="write witnesses as a multi-grid text file")
     search.add_argument("--out")

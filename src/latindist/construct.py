@@ -386,7 +386,7 @@ def sudoku_bounds(a: int, b: int) -> BoundsEntry:
 
     Shapes are normalized to a <= b (transposing swaps the shape and
     preserves all distances), so (a, b) and (b, a) return the same entry.
-    For a >= 3 the lower bound is the distance `sudoku_square` reaches.
+    For a >= 2 the lower bound is the distance `sudoku_square` reaches.
     """
     if a < 1 or b < 1:
         raise ParameterError(f"block shape must be positive, got ({a}, {b})")
@@ -398,17 +398,16 @@ def sudoku_bounds(a: int, b: int) -> BoundsEntry:
         base = plain_bounds(b)
         return BoundsEntry("sudoku", n, a, b, base.lower, base.upper, True, True,
                            ("single-row-blocks",) + base.provenance)
+    lower_prov, params = _sudoku_plan(a, b)
+    lower = (n - a) // 2 if params is None else predicted_inner_distance(params)
     if a == 2:
-        return BoundsEntry("sudoku", n, a, b, b - 1, b - 1, True, True,
-                           ("two-row-block-formula",))
+        # two-row blocks cap the distance at b - 1, and the plan's fill reaches it
+        return BoundsEntry("sudoku", n, a, b, lower, b - 1, lower == b - 1, True, (lower_prov,))
 
     if a % 2 and b % 2 and a >= 5:
         upper, upper_prov = (n - 5) // 2, "odd-blocks-interior-cap"
     else:
         upper, upper_prov = (n - 3) // 2, "block-interior-cap"
-
-    lower_prov, params = _sudoku_plan(a, b)
-    lower = (n - a) // 2 if params is None else predicted_inner_distance(params)
 
     return BoundsEntry("sudoku", n, a, b, lower, upper, lower == upper, True,
                        (lower_prov, upper_prov))

@@ -1,4 +1,9 @@
-"""Grid representation, band/stack/block indexing, and the three validators.
+"""Grid representation, the Latin units of each square class, and the three validators.
+
+A plain Latin square has every symbol once in each row and each column; a
+pandiagonal (Knut-Vik) square also in each wrapped diagonal, and a Sudoku
+square also in each a x b block.  `_unit_labels` numbers these units once,
+for the validators here and for the search walk's occupancy masks.
 
 Cells are addressed 1-based: (i, j) is row i from the top, column j from
 the left, matching the usual combinatorial convention.  A grid of order n
@@ -9,7 +14,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple
@@ -165,36 +169,51 @@ class ValidationReport:
         }
 
 
-def _duplicated(cells: np.ndarray, labels: list[np.ndarray],
-                units: int) -> tuple[list[int], list[int]]:
-    """The (unit, symbol) pairs in which a symbol occurs more than once.
+def _unit_labels(n: int, shape: SudokuShape | None = None,
+                 pandiagonal: bool = False) -> list[np.ndarray]:
+    """The Latin units of an order-n square class, one label array per cell partition.
 
-    Each label array, broadcast to the grid's shape, gives the unit in
-    range(units) that every cell belongs to; one cell may lie in one unit
-    per label array.  Pairs come back sorted by unit, then symbol.
+    Each array, broadcast to (n, n), gives the unit every cell lies in: rows
+    are units 0..n-1 and columns n..2n-1; with pandiagonal, forward diagonal
+    (r - c) mod n is unit 2n + 2d and back diagonal (r + c) mod n unit
+    2n + 2d + 1; with a shape, block (band, stack) is 2n + band * a + stack.
+    Coordinates r, c are 0-based.  The units number len(result) * n.
     """
-    n = cells.shape[0]
-    symbols = cells - 1
+    r = np.arange(n).reshape(-1, 1)
+    c = np.arange(n)
+    labels = [r, n + c]
+    if pandiagonal:
+        labels += [2 * n + 2 * ((r - c) % n), 2 * n + 2 * ((r + c) % n) + 1]
+    if shape is not None:
+        labels.append(2 * n + r // shape.a * shape.stack_count + c // shape.b)
+    return labels
+
+
+def _validate(grid: SquareGrid, shape: SudokuShape | None = None,
+              pandiagonal: bool = False) -> ValidationReport:
+    """One Violation per (unit, symbol) pair in which the symbol occurs more than once.
+
+    The pairs are counted in one bincount over the units of `_unit_labels`
+    and listed by unit, then symbol.
+    """
+    n = grid.n
+    labels = _unit_labels(n, shape, pandiagonal)
+    symbols = grid.cells - 1
     keys = np.concatenate([(label * n + symbols).ravel() for label in labels])
-    hits = np.flatnonzero(np.bincount(keys, minlength=units * n) > 1)
-    return (hits // n).tolist(), (hits % n + 1).tolist()
-
-
-def _latin_labels(n: int) -> list[np.ndarray]:
-    """Rows are units 0..n-1 and columns units n..2n-1."""
-    idx = np.arange(n)
-    return [idx.reshape(-1, 1), n + idx]
-
-
-def _latin_unit(u: int, n: int) -> tuple[str, int]:
-    return ("row", u + 1) if u < n else ("column", u - n + 1)
-
-
-def _report(units: list[int], symbols: list[int],
-            name: Callable[[int], tuple[str, object]]) -> ValidationReport:
-    """Violations of the duplicated (unit, symbol) pairs; name(u) gives unit u's kind and where."""
-    violations = tuple(Violation(*name(u), s) for u, s in zip(units, symbols))
-    return ValidationReport(verdict=not violations, violations=violations)
+    hits = np.flatnonzero(np.bincount(keys, minlength=len(labels) * n * n) > 1)
+    violations = []
+    for u, s in zip((hits // n).tolist(), (hits % n + 1).tolist()):
+        if u < n:
+            kind, where = "row", u + 1
+        elif u < 2 * n:
+            kind, where = "column", u - n + 1
+        elif shape is not None:
+            kind, where = "block", BlockAddress(*divmod(u - 2 * n, shape.stack_count))
+        else:
+            where, is_back = divmod(u - 2 * n, 2)
+            kind = "back-diagonal" if is_back else "forward-diagonal"
+        violations.append(Violation(kind, where, s))
+    return ValidationReport(verdict=not violations, violations=tuple(violations))
 
 
 def block_of(i: int, j: int, shape: SudokuShape) -> BlockAddress:
@@ -207,9 +226,7 @@ def block_of(i: int, j: int, shape: SudokuShape) -> BlockAddress:
 
 def validate_latin(grid: SquareGrid) -> ValidationReport:
     """Check that every row and every column is a permutation of {1..n}."""
-    n = grid.n
-    units, symbols = _duplicated(grid.cells, _latin_labels(n), 2 * n)
-    return _report(units, symbols, lambda u: _latin_unit(u, n))
+    return _validate(grid)
 
 
 def validate_pandiagonal(grid: SquareGrid) -> ValidationReport:
@@ -220,20 +237,7 @@ def validate_pandiagonal(grid: SquareGrid) -> ValidationReport:
     list rows, then columns, then forward diagonal d and back diagonal d
     for d = 0..n-1.
     """
-    n = grid.n
-    r = np.arange(n).reshape(-1, 1)
-    c = np.arange(n)
-    forward = 2 * n + 2 * ((r - c) % n)
-    back = 2 * n + 2 * ((r + c) % n) + 1
-    units, symbols = _duplicated(grid.cells, _latin_labels(n) + [forward, back], 4 * n)
-
-    def name(u: int) -> tuple[str, int]:
-        if u < 2 * n:
-            return _latin_unit(u, n)
-        d, is_back = divmod(u - 2 * n, 2)
-        return ("back-diagonal" if is_back else "forward-diagonal", d)
-
-    return _report(units, symbols, name)
+    return _validate(grid, pandiagonal=True)
 
 
 def validate_sudoku(grid: SquareGrid, shape: SudokuShape) -> ValidationReport:
@@ -241,19 +245,9 @@ def validate_sudoku(grid: SquareGrid, shape: SudokuShape) -> ValidationReport:
 
     Block violations come band-major after the row and column ones.
     """
-    n = grid.n
-    if shape.n != n:
-        raise ParameterError(f"shape ({shape.a}, {shape.b}) does not tile an order-{n} grid")
-    idx = np.arange(n)
-    block = 2 * n + (idx // shape.a).reshape(-1, 1) * shape.stack_count + idx // shape.b
-    units, symbols = _duplicated(grid.cells, _latin_labels(n) + [block], 3 * n)
-
-    def name(u: int) -> tuple[str, object]:
-        if u < 2 * n:
-            return _latin_unit(u, n)
-        return ("block", BlockAddress(*divmod(u - 2 * n, shape.stack_count)))
-
-    return _report(units, symbols, name)
+    if shape.n != grid.n:
+        raise ParameterError(f"shape ({shape.a}, {shape.b}) does not tile an order-{grid.n} grid")
+    return _validate(grid, shape)
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
+import numpy as np
+
 from .construct import known_bounds
 from .errors import NonexistenceError, ParameterError, SearchIncompleteError
-from .grid import SquareGrid, SudokuShape
+from .grid import SquareGrid, SudokuShape, _unit_labels
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -163,13 +165,13 @@ class _Context:
     band by band and within a band column by column for sudoku; pos[i] is
     the visiting position of the i-th cell in row-major order.  u1..u4
     are the four units whose symbols must differ: its row, its column, and
-    its block or two wrapped diagonals.  Plain cells list their row and
-    column twice and sudoku cells their block twice; placing ORs a bit into
-    each unit and removing clears it, so a repeated unit is harmless.  prev
-    and other are the visiting positions of the two neighbours, both
-    visited earlier: prev is the left one and other the upper one, or the
-    spare cell in row 0; in column 0 prev is the upper one and other the
-    spare cell.  Candidates are tried upwards from prev's symbol, then
+    its block or two wrapped diagonals, as `grid._unit_labels` numbers
+    them.  Plain cells list their row and column twice and sudoku cells
+    their block twice; placing ORs a bit into each unit and removing
+    clears it, so a repeated unit is harmless.  prev and other are the
+    visiting positions of the two neighbours, both visited earlier: prev
+    is the left one and other the upper one, or the spare cell in row 0;
+    in column 0 prev is the upper one and other the spare cell.  Candidates are tried upwards from prev's symbol, then
     from 1.  nbr[s] is the mask the cell admits beside a prev holding s:
     adm itself for most cells, adm with the lex-leader rule folded in for
     the first cells of row 0.  The corner admits symbol 1 alone
@@ -191,16 +193,12 @@ class _Context:
         # the symbols above s; above[0], the spare cell's, holds them all
         self.above = [full >> s << s for s in range(n + 1)]
         spare = n * n
-        rows = [r for r in range(n) for _ in range(n)]
-        cols = list(range(n)) * n
-        cols_u = [n + c for c in cols]
-        if constraint == "sudoku":
-            u3 = u4 = [2 * n + (r // a) * a + c // b for r, c in zip(rows, cols)]
-        elif constraint == "pandiagonal":
-            u3 = [2 * n + (r - c) % n for r, c in zip(rows, cols)]
-            u4 = [3 * n + (r + c) % n for r, c in zip(rows, cols)]
-        else:
-            u3, u4 = rows, cols_u
+        labels = _unit_labels(n, SudokuShape(a, b) if constraint == "sudoku" else None,
+                              constraint == "pandiagonal")
+        zero = np.zeros((n, n), np.int64)  # adding it broadcasts a label to every cell
+        u1, u2, *more = [(zero + label).ravel().tolist() for label in labels]
+        # a plain cell repeats its row and column, a sudoku cell its block
+        u3, u4 = (more * 2)[:2] if more else (u1, u2)
         # row-major neighbours: prev is left, or up in column 0; other is up, or spare there
         up = [spare] * n + list(range(spare - n))
         prev = [spare] + list(range(spare - 1))
@@ -216,7 +214,7 @@ class _Context:
         if n % 2 == 0 and n > 2:
             nbr[2] = adm[:]
             nbr[2][1 + n // 2] &= strict
-        cells = list(zip(rows, cols_u, u3, u4, prev, other, nbr))
+        cells = list(zip(u1, u2, u3, u4, prev, other, nbr))
         pos = list(range(spare + 1))
         if constraint == "sudoku":
             # band by band, each band column by column; renumber the neighbours
@@ -373,8 +371,7 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
     return SearchResult(count=count, witnesses=witnesses, nodes_expanded=nodes, complete=complete)
 
 
-def max_distance_via_search(kind: str, size, *, node_budget: int = DEFAULT_NODE_BUDGET,
-                            workers: int = 1) -> int:
+def max_distance_via_search(kind: str, size, *, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Largest d for which a square of the given class with distance >= d exists.
 
     Probes existence downward from the proven upper bound, so it both
@@ -399,7 +396,7 @@ def max_distance_via_search(kind: str, size, *, node_budget: int = DEFAULT_NODE_
     for d in range(entry.upper, 0, -1):
         query = SearchQuery(n=n, constraint=kind, shape=shape, min_distance=d,
                             mode="exists", node_budget=node_budget)
-        result = run_search(query, workers=workers)
+        result = run_search(query)
         if not result.complete:
             raise SearchIncompleteError(
                 f"node budget exhausted probing distance {d}; "

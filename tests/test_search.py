@@ -326,7 +326,8 @@ def test_context_tables_match_their_definition(n, constraint, shape):
                 block = 2 * n + (r // a) * a + c // b
                 assert (u1, u2, u3, u4) == (r, n + c, block, block)
             elif constraint == "pandiagonal":
-                assert (u1, u2, u3, u4) == (r, n + c, 2 * n + (r - c) % n, 3 * n + (r + c) % n)
+                forward, back = (r - c) % n, (r + c) % n
+                assert (u1, u2, u3, u4) == (r, n + c, 2 * n + 2 * forward, 2 * n + 2 * back + 1)
             else:
                 assert (u1, u2, u3, u4) == (r, n + c, r, n + c)
             left = at[r, c - 1] if c else spare
