@@ -79,8 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--b", type=int)
     search.add_argument("--min-dist", type=int, required=True)
     search.add_argument("--mode", choices=["count", "enumerate", "exists"], default="count")
-    search.add_argument("--workers", type=int, default=1,
-                        help="worker processes (count and enumerate only)")
     search.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     search.add_argument("--witnesses-out", help="write witnesses as a multi-grid text file")
     search.add_argument("--out")
@@ -211,7 +209,7 @@ def _cmd_search(args) -> int:
                         min_distance=args.min_dist, mode=args.mode,
                         node_budget=args.budget)
     started = time.perf_counter()
-    result = run_search(query, workers=args.workers)
+    result = run_search(query)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     doc = {"query": query.as_json_dict(), "count": result.count,
            "complete": result.complete, "nodes": result.nodes_expanded,

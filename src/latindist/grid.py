@@ -45,7 +45,7 @@ class SquareGrid:
     """Immutable n x n array of symbols in [1, n].
 
     The backing numpy array is made read-only on construction, so grids
-    can be shared freely (e.g. with a multi-worker search) without copies.
+    can be shared freely without copies.
     """
 
     cells: np.ndarray
@@ -331,11 +331,15 @@ def grid_from_json(doc: dict) -> tuple[SquareGrid, SudokuShape | None]:
     if grid.n != order:
         raise GridFormatError(f"declared order {order} but cells are {grid.n}x{grid.n}")
     shape = None
-    if "shape" in doc and doc["shape"] is not None:
+    if doc.get("shape") is not None:
         try:
-            shape = SudokuShape(int(doc["shape"]["a"]), int(doc["shape"]["b"]))
-        except (TypeError, KeyError, ValueError) as exc:
+            a, b = doc["shape"]["a"], doc["shape"]["b"]
+        except (TypeError, KeyError) as exc:
             raise GridFormatError("JSON shape needs 'a' and 'b' fields") from exc
+        # bool is an int subclass; a float or a string is no block side, whatever it rounds to
+        if not all(type(side) is int and side > 0 for side in (a, b)):
+            raise GridFormatError(f"JSON shape ({a!r}, {b!r}) is not two positive integers")
+        shape = SudokuShape(a, b)
         if shape.n != grid.n:
             raise GridFormatError(f"shape ({shape.a}, {shape.b}) does not tile order {grid.n}")
     return grid, shape

@@ -32,20 +32,13 @@ isomorph rejection by lex-leader (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 1998), simple here because every orbit has
 the same size.
 
-One non-recursive walk over the visiting order does all of it.  With one
-worker a query is a single walk from the empty grid under the query's node
-budget, and exists mode stops at its first witness.  With more workers
-(count and enumerate only) the same walk, cut after the first n cells
-visited (row 0, or the first block of a Sudoku square), lists the
-leaders' prefixes; they are cut into about 4 * workers contiguous slices,
-a worker completes each slice prefix by prefix under the budget left
-over, and the parent adds up the nodes and stops once the sum passes the
-budget.  Either way each square comes back laid out row by row, and a
-complete witness list is sorted.  The tree is the same either way, so a
-complete query gives the same count, witness list and node count for any
-worker count, and complete itself agrees for any worker count.  The
-count, witnesses and node count of an incomplete query are partial and
-may differ.
+One non-recursive walk over the visiting order does all of it: a query
+is a single walk from the empty grid under the query's node budget, and
+exists mode stops at its first witness.  The budget is exact: a query is
+complete iff its tree (in exists mode, up to the first witness) fits in
+node_budget placements, and a walk that does not fit stops at placement
+node_budget + 1.  Each square comes back laid out row by row, and a
+complete witness list is sorted.
 """
 
 from __future__ import annotations
@@ -81,10 +74,8 @@ class SearchQuery:
 
     node_budget caps the placements of the walk reduced by translation and
     negation (one square of each pair with symbol 1 in the corner); the
-    search is complete iff that tree fits in it.  With workers > 1 the
-    reported nodes are summed over the slices the parent read; slices
-    still running when it stops finish first, each within the budget, so
-    the work spent is at most about (workers + 1) * node_budget.
+    search is complete iff that tree fits in it, and otherwise stops after
+    exactly node_budget + 1 placements.
     """
 
     n: int | None = None
@@ -133,15 +124,14 @@ class SearchResult:
     """Outcome of one search.
 
     complete means the answer is definitive for the queried mode: the tree
-    up to the answer fit in the node budget, whatever the worker count.  A
-    complete count or enumerate covers every square: the walked squares
-    under all 2n symbol maps (n when n = 2), witnesses sorted by their rows.  A result truncated by the budget always comes back with
-    complete=False, never silently, and unexpanded in every mode: its count
-    and witnesses are only the squares the walk itself placed, each with
+    up to the answer fit in the node budget.  A complete count or
+    enumerate covers every square: the walked squares under all 2n symbol
+    maps (n when n = 2), witnesses sorted by their rows.  A result
+    truncated by the budget always comes back with complete=False, never
+    silently, with nodes_expanded == node_budget + 1, and unexpanded in
+    every mode: its count and witnesses are only the squares the walk
+    itself placed before it stopped, in the order it met them, each with
     symbol 1 in the corner, so an enumerate has len(witnesses) == count.
-    With workers > 1 they come from every slice the parent read before it
-    stopped, the slice that ran out of budget included, in the order the
-    walk met them.
     In exists mode the count is min(total, 1) because the search stops at
     the first witness, which starts with symbol 1 and is the first square
     of the query in the walk's visiting and symbol order (see the module
@@ -156,7 +146,7 @@ class SearchResult:
 
 
 class _Context:
-    """Immutable per-search tables shared by every walk.
+    """Immutable tables of one search.
 
     adm[u] is the mask of symbols at distance >= d from u, and adm[0], the
     symbol of the spare cell n*n, is the full mask; above[s] is the mask of
@@ -228,34 +218,30 @@ class _Context:
         self.pos = pos
 
 
-def _walk(ctx: _Context, prefix: tuple[int, ...], stop: int, budget: int,
-          collect: bool, stop_first: bool):
-    """Depth-first fill of cells len(prefix) .. stop-1 after a fixed prefix.
+def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
+    """Depth-first fill of every cell from the empty grid.
 
     The only code that places symbols.  Cells are filled in the context's
     visiting order and each cell tries its candidates upwards from the
-    symbol of its prev neighbour, wrapping round to 1, so the leaves (grids
-    cut after cell stop-1) come in a fixed order.  Each cell's untried
-    candidates are kept on an explicit stack, so the depth is not bounded
-    by the interpreter's recursion limit.  Every placement counts as one
-    node; the walk gives up when the count passes budget.
+    symbol of its prev neighbour, wrapping round to 1, so the squares come
+    in a fixed order.  Each cell's untried candidates are kept on an
+    explicit stack, so the depth is not bounded by the interpreter's
+    recursion limit.  Every placement counts as one node; a walk that
+    needs more than budget nodes stops at node budget + 1.
 
     Returns (count, nodes, complete, leaves) where leaves holds the cell
     tuples in visiting order when collect is set.
     """
     adm, above, cells = ctx.adm, ctx.above, ctx.cells
-    start = len(prefix)
-    grid = list(prefix) + [0] * (ctx.n * ctx.n + 1 - start)
+    stop = ctx.n * ctx.n
+    grid = [0] * (stop + 1)
     used = [0] * (4 * ctx.n)
-    for k, sym in enumerate(prefix):
-        for u in cells[k][:4]:
-            used[u] |= 1 << (sym - 1)
     count = 0
     nodes = 0
     leaves: list[tuple[int, ...]] = []
     untried = [0] * stop
-    k = start
-    while k >= start:
+    k = 0
+    while k >= 0:
         u1, u2, u3, u4, prev, other, nbr = cells[k]
         sym = grid[k]
         if sym:
@@ -297,66 +283,28 @@ def _walk(ctx: _Context, prefix: tuple[int, ...], stop: int, budget: int,
     return count, nodes, True, leaves
 
 
-def _task_entry(args):
-    """Picklable worker entry: completes a slice of n-cell prefixes in turn.
-
-    The prefixes share budget: each gets only what the ones before it left.
-    """
-    ctx_args, prefixes, budget, collect = args
-    ctx = _Context(*ctx_args)
-    count, nodes, leaves = 0, 0, []
-    for prefix in prefixes:
-        r_count, r_nodes, complete, r_leaves = _walk(ctx, prefix, ctx.n * ctx.n, budget - nodes,
-                                                     collect=collect, stop_first=False)
-        count, nodes = count + r_count, nodes + r_nodes
-        leaves += r_leaves
-        if not complete:
-            return count, nodes, False, leaves
-    return count, nodes, True, leaves
-
-
 def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
     """Count, enumerate, or probe existence of grids matching the query.
 
-    The candidate set of every cell is filtered by the Latin (and block or
+    One walk from the empty grid under query.node_budget answers it: the
+    candidate set of every cell is filtered by the Latin (and block or
     diagonal) occupancy masks and by the distance table against the left
     and upper neighbours, so the distance floor prunes while building, not
     after.  Witnesses are laid out row by row whatever the visiting order;
-    a complete witness list is sorted by rows and the same for any worker
-    count, and an exists witness is the first in visiting order.
+    a complete witness list is sorted by rows, and an exists witness is
+    the first in visiting order.
+
+    The search runs in one process, so workers must be 1.  It stays a
+    second parameter because callers pass it positionally, as in
+    run_search(query, workers).
     """
-    if workers < 1:
-        raise ParameterError(f"workers must be positive, got {workers}")
+    if workers != 1:
+        raise ParameterError(f"the search runs in one process: workers must be 1, got {workers}")
     n = query.n
     a, b = (query.shape.a, query.shape.b) if query.shape else (0, 0)
-    ctx_args = (n, query.min_distance, query.constraint, a, b)
-    ctx = _Context(*ctx_args)
-    collect = query.mode != "count"
-    budget = query.node_budget
-
-    if workers == 1 or query.mode == "exists":
-        count, nodes, complete, leaves = _walk(ctx, (), n * n, budget, collect=collect,
-                                               stop_first=query.mode == "exists")
-    else:
-        # one task per slice of n-cell prefixes; each may spend what the listing left over
-        _, nodes, complete, prefixes = _walk(ctx, (), n, budget, collect=True,
-                                             stop_first=False)
-        count, leaves = 0, []
-        size = max(1, -(-len(prefixes) // (workers * 4)))
-        args = [(ctx_args, prefixes[i:i + size], budget - nodes, collect)
-                for i in range(0, len(prefixes), size)] if complete else []
-        from concurrent.futures import ProcessPoolExecutor  # only parallel search pays for it
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = pool.map(_task_entry, args)
-            for t_count, t_nodes, t_complete, t_leaves in outcomes:
-                nodes += t_nodes
-                count += t_count
-                leaves += t_leaves
-                if not t_complete or nodes > budget:
-                    complete = False
-                    pool.shutdown(cancel_futures=True)
-                    break
-
+    ctx = _Context(n, query.min_distance, query.constraint, a, b)
+    count, nodes, complete, leaves = _walk(ctx, query.node_budget, collect=query.mode != "count",
+                                           stop_first=query.mode == "exists")
     if query.constraint == "sudoku":
         # leaves hold the cells in visiting order; lay them out row by row
         row_major = itemgetter(*ctx.pos)

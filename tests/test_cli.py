@@ -258,6 +258,11 @@ def test_file_errors_exit_2_without_a_traceback(capsys, tmp_path, argv):
     {"order": 2, "cells": [["a", "b"], ["b", "a"]]},
     {"order": 2, "cells": [["1", "2"], ["2", "1"]]},
     {"order": 4, "cells": shift_by_k(4, 1).rows(), "shape": {"a": "x", "b": 2}},
+    # a shape field must be a positive int, not whatever int() makes of it
+    {"order": 4, "cells": shift_by_k(4, 1).rows(), "shape": {"a": 2.7, "b": 2}},
+    {"order": 4, "cells": shift_by_k(4, 1).rows(), "shape": {"a": "2", "b": "2"}},
+    {"order": 2, "cells": [[1, 2], [2, 1]], "shape": {"a": True, "b": 2}},
+    {"order": 4, "cells": shift_by_k(4, 1).rows(), "shape": {"a": -2, "b": -2}},
 ])
 def test_malformed_json_grids_exit_2(capsys, monkeypatch, doc):
     code, out, err = run_cli(capsys, ["check", "--kind", "latin", "--format", "json"],
@@ -312,12 +317,25 @@ def test_outputs_on_the_back_circulant_are_pinned(capsys, argv, want_code, want_
     assert (code, out, err) == (want_code, want_out, "")
 
 
-def test_cli_start_up_does_not_import_multiprocessing():
-    # only parallel search needs the process pool; every CLI process imports the rest
+def _run_python(*args: str) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import latindist.cli, sys; assert 'multiprocessing' not in sys.modules, 'imported'"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=60)
+
+
+def test_cli_start_up_does_not_import_multiprocessing():
+    # the search runs in one process; a process pool would only slow every CLI start-up
+    proc = _run_python("-c", "import latindist.cli, sys; "
+                             "assert 'multiprocessing' not in sys.modules, 'imported'")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_search_has_no_workers_flag():
+    proc = _run_python("-m", "latindist.cli", "search", "--n", "5", "--min-dist", "2",
+                       "--workers", "2")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: latindist ")
+    assert "unrecognized arguments: --workers 2" in proc.stderr
+    assert "Traceback" not in proc.stderr

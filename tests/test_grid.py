@@ -288,6 +288,11 @@ def test_json_parse_errors():
         grid_from_json({"order": 2, "cells": [[1, 2], [2, 1]], "shape": {"a": 2, "b": 2}})
     with pytest.raises(GridFormatError):
         grid_from_json({"cells": [[1]]})
+    for shape in ({"a": 0, "b": 2}, {"a": 2.0, "b": 1}, {"a": 2, "b": True}):
+        with pytest.raises(GridFormatError, match="is not two positive integers"):
+            grid_from_json({"order": 2, "cells": [[1, 2], [2, 1]], "shape": shape})
+    with pytest.raises(GridFormatError, match="needs 'a' and 'b' fields"):
+        grid_from_json({"order": 2, "cells": [[1, 2], [2, 1]], "shape": {"a": 1}})
 
 
 def loop_violations(rows, kind: str, shape=None) -> list[Violation]:

@@ -1,6 +1,3 @@
-import itertools
-import time
-
 import pytest
 
 from latindist import (NonexistenceError, ParameterError,
@@ -8,7 +5,7 @@ from latindist import (NonexistenceError, ParameterError,
                        inner_distance, max_distance_via_search, run_search,
                        validate_latin, validate_pandiagonal, validate_sudoku)
 
-from latindist.search import _Context, _task_entry
+from latindist.search import _Context
 from oracle import (all_latin_squares, band_column_order, count_by_filter, is_pandiagonal,
                     is_sudoku, min_adjacent_distance, sudoku_prefix_count)
 
@@ -194,62 +191,49 @@ def test_nonexistence_is_proven_on_one_corner_symbol():
         assert result.nodes_expanded == nodes, query
 
 
-def test_results_identical_for_any_worker_count():
-    queries = [
-        SearchQuery(n=5, min_distance=2, mode="enumerate"),
-        SearchQuery(n=6, min_distance=2, mode="count"),
-        SearchQuery(n=9, constraint="sudoku", shape=SudokuShape(3, 3), min_distance=3,
-                    mode="count"),
-    ]
-    for query in queries:
-        reference = run_search(query, workers=1)
-        for workers in (2, 3):
-            other = run_search(query, workers=workers)
-            assert other.count == reference.count
-            assert other.witnesses == reference.witnesses
-            assert other.complete == reference.complete
-            assert other.nodes_expanded == reference.nodes_expanded
-
-    # complete iff the whole tree fits in the budget (plain 6 d=2: 2 054 nodes), any workers
+def test_complete_iff_the_tree_fits_the_budget():
+    # plain 6 d=2 is a tree of 2 054 nodes
     for query, complete in [(SearchQuery(n=6, min_distance=1, node_budget=5000), False),
                             (SearchQuery(n=6, min_distance=2, node_budget=2054), True),
                             (SearchQuery(n=6, min_distance=2, node_budget=2053), False)]:
-        for workers in (1, 2):
-            assert run_search(query, workers=workers).complete == complete, (query, workers)
+        assert run_search(query).complete == complete, query
 
 
-def test_parallel_walks_lay_sudoku_witnesses_out_row_by_row():
-    # the slices cut the band-column walk after its first block; every leaf comes
-    # back row-major whichever path produced it
+@pytest.mark.parametrize("query", [
+    SearchQuery(n=6, min_distance=1, node_budget=5000),
+    SearchQuery(n=6, min_distance=2, mode="enumerate", node_budget=2053),
+    SearchQuery(n=6, min_distance=1, node_budget=100_000),
+    SearchQuery(n=8, min_distance=2, mode="exists", node_budget=10),
+    SearchQuery(constraint="sudoku", shape=SudokuShape(3, 6), min_distance=7, mode="exists",
+                node_budget=1000),
+])
+def test_a_starved_walk_stops_one_node_past_the_budget(query):
+    result = run_search(query)
+    assert not result.complete and result.nodes_expanded == query.node_budget + 1
+
+
+def test_run_search_takes_workers_positionally_and_only_one():
+    query = SearchQuery(n=5, min_distance=2)
+    assert run_search(query, 1) == run_search(query)
+    for workers in (0, 2):
+        with pytest.raises(ParameterError):
+            run_search(query, workers)
+
+
+def test_sudoku_witnesses_are_laid_out_row_by_row():
+    # the band-column walk meets the leaves in visiting order; every one comes back row-major
     for shape, d in [(SudokuShape(2, 3), 2), (SudokuShape(2, 4), 3)]:
         query = SearchQuery(constraint="sudoku", shape=shape, min_distance=d, mode="enumerate")
-        reference = run_search(query, workers=1)
-        assert reference.complete and reference.count == len(reference.witnesses) > 0
-        rows = [w.row_tuples() for w in reference.witnesses]
+        result = run_search(query)
+        assert result.complete and result.count == len(result.witnesses) > 0
+        rows = [w.row_tuples() for w in result.witnesses]
         assert rows == sorted(rows)
         assert all(is_sudoku(r, shape.a, shape.b) and min_adjacent_distance(r) >= d
                    for r in rows)
-        for workers in (2, 3):
-            other = run_search(query, workers=workers)
-            assert (other.witnesses, other.nodes_expanded, other.complete) \
-                == (reference.witnesses, reference.nodes_expanded, reference.complete)
         first = run_search(SearchQuery(constraint="sudoku", shape=shape, min_distance=d,
                                        mode="exists"))
-        assert first.witnesses[0] in reference.witnesses
+        assert first.witnesses[0] in result.witnesses
 
-
-def test_parallel_budget_bounds_the_work_done():
-    # plain 6 d=1 has 120 first rows with the corner pinned (the walk lists the 60
-    # negation leaders among them); a task walks its rows under one shared budget
-    ctx_args = (6, 1, "plain", 0, 0)
-    rows = [(1, *rest) for rest in itertools.permutations(range(2, 7))]
-    count, nodes, complete, _ = _task_entry((ctx_args, rows, 5000, False))
-    assert (nodes, complete) == (5001, False)
-    # so a starved parallel query stops within a few budgets of work, not one per row
-    start = time.perf_counter()
-    result = run_search(SearchQuery(n=6, min_distance=1, node_budget=100_000), workers=2)
-    assert not result.complete and result.nodes_expanded == 100_001
-    assert time.perf_counter() - start < 10
 
 def test_budget_exhaustion_is_reported_not_silent():
     starved = run_search(SearchQuery(n=6, min_distance=1, node_budget=50))
@@ -261,22 +245,14 @@ def test_budget_exhaustion_is_reported_not_silent():
 def test_starved_results_are_not_expanded_by_symmetry():
     # only what the walk placed: no symbol map is applied to a partial result
     # (plain 6 d=2 has 672 squares, 56 of them walked, in 2 054 nodes)
-    for workers in (1, 2):
-        starved = run_search(SearchQuery(n=6, min_distance=2, mode="enumerate",
-                                         node_budget=1500), workers=workers)
-        assert not starved.complete and 0 < starved.count < 56
-        assert len(starved.witnesses) == starved.count
-        assert all(w.row_tuples()[0][0] == 1 for w in starved.witnesses)
-        counted = run_search(SearchQuery(n=6, min_distance=2, node_budget=1500),
-                             workers=workers)
-        assert not counted.complete and counted.count == starved.count
-
-
-def test_a_starved_parallel_query_keeps_the_slice_that_starved():
-    # plain 6 d=1 starves inside its first slice, so dropping that slice's
-    # part would leave nothing
-    starved = run_search(SearchQuery(n=6, min_distance=1, mode="enumerate",
-                                     node_budget=20_000), workers=2)
+    starved = run_search(SearchQuery(n=6, min_distance=2, mode="enumerate", node_budget=1500))
+    assert not starved.complete and 0 < starved.count < 56
+    assert len(starved.witnesses) == starved.count
+    assert all(w.row_tuples()[0][0] == 1 for w in starved.witnesses)
+    counted = run_search(SearchQuery(n=6, min_distance=2, node_budget=1500))
+    assert not counted.complete and counted.count == starved.count
+    # a starved walk keeps the squares it placed before it stopped
+    starved = run_search(SearchQuery(n=6, min_distance=1, mode="enumerate", node_budget=20_000))
     assert not starved.complete and starved.count > 0
     assert len(starved.witnesses) == starved.count
     assert all(w.row_tuples()[0][0] == 1 for w in starved.witnesses)
