@@ -11,8 +11,8 @@ block shapes that choice is made once, in `_sudoku_plan`: `sudoku_square`
 builds the fill it names, and `sudoku_bounds` takes its lower bound from
 the distance that fill reaches.
 
-All constructors re-validate their output before returning; a validation
-failure is an internal bug, not a caller error.
+Each constructor checks its output once, against all units of its own class,
+before returning; a failed check is an internal bug, not a caller error.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from math import gcd
 import numpy as np
 
 from .errors import NonexistenceError, ParameterError
-from .grid import (SquareGrid, SudokuShape, validate_latin,
-                   validate_pandiagonal, validate_sudoku)
+from .grid import SquareGrid, SudokuShape, _validate
 from .modmath import mod1n
+from .transform import transpose
 
 __all__ = [
     "BoundsEntry",
@@ -91,17 +91,21 @@ class ShiftParams:
         return self.n // gcd(self.n, self.c)
 
 
-def _require_latin(grid: SquareGrid) -> SquareGrid:
-    if not validate_latin(grid).verdict:
-        raise RuntimeError("constructor produced a non-Latin grid (internal bug)")
+def _require(cells, shape: SudokuShape | None = None, pandiagonal: bool = False) -> SquareGrid:
+    """The grid of cells, checked in one pass over every unit of its class."""
+    grid = SquareGrid(cells)
+    if not _validate(grid, shape, pandiagonal).verdict:
+        raise RuntimeError("constructor repeated a symbol in a unit of its class (internal bug)")
     return grid
 
 
-def _require_sudoku(grid: SquareGrid, shape: SudokuShape) -> SquareGrid:
-    if not validate_sudoku(grid, shape).verdict:
-        raise RuntimeError(
-            f"constructor produced an invalid ({shape.a}, {shape.b}) block grid (internal bug)")
-    return grid
+def _shift_fill(params: ShiftParams) -> np.ndarray:
+    """The cells of `algorithm1(params)`, unchecked."""
+    n, r, c = params.n, params.r, params.c
+    i = np.arange(n).reshape(-1, 1)
+    j = np.arange(n).reshape(1, -1)
+    vals = i * r + j * c + params.alpha * (i // params.R) + params.beta * (j // params.C)
+    return vals % n + 1
 
 
 def algorithm1(params: ShiftParams) -> SquareGrid:
@@ -111,11 +115,7 @@ def algorithm1(params: ShiftParams) -> SquareGrid:
     fixed coset, and the offsets are coprime to the increments, so no row
     or column can repeat a symbol.
     """
-    n, r, c = params.n, params.r, params.c
-    i = np.arange(n).reshape(-1, 1)
-    j = np.arange(n).reshape(1, -1)
-    vals = i * r + j * c + params.alpha * (i // params.R) + params.beta * (j // params.C)
-    return _require_latin(SquareGrid(vals % n + 1))
+    return _require(_shift_fill(params))
 
 
 def _half_range(t: int, n: int) -> int:
@@ -144,7 +144,8 @@ def predicted_inner_distance(params: ShiftParams) -> int:
 def shift_by_k(n: int, k: int) -> SquareGrid:
     """Top row 1..n, each following row rotated right by k; needs gcd(k, n) = 1.
 
-    k = 1 gives the circulant square, k = -1 the back circulant.
+    k = 1 gives the circulant square, k = -1 the back circulant.  It is the
+    shift fill with increments -k and 1, whose periods span the whole grid.
     """
     if n < 1:
         raise ParameterError(f"order must be positive, got {n}")
@@ -152,9 +153,7 @@ def shift_by_k(n: int, k: int) -> SquareGrid:
         raise ParameterError(f"shift {k} is not coprime to {n}")
     if n == 1:
         return SquareGrid([[1]])
-    i = np.arange(n).reshape(-1, 1)
-    j = np.arange(n).reshape(1, -1)
-    return _require_latin(SquareGrid((j - i * k) % n + 1))
+    return algorithm1(ShiftParams(n, r=-k, c=1, alpha=n, beta=n))
 
 
 def max_distance_square(n: int) -> SquareGrid:
@@ -191,10 +190,7 @@ def pandiagonal_max(n: int) -> SquareGrid:
     if n == 1:
         raise ParameterError("no inner distance is defined below order 2")
     params = ShiftParams(n, r=mod1n(-(n - 3) // 2, n), c=(n - 1) // 2, alpha=n, beta=n)
-    grid = algorithm1(params)
-    if not validate_pandiagonal(grid).verdict:
-        raise RuntimeError("pandiagonal constructor produced a bad grid (internal bug)")
-    return grid
+    return _require(_shift_fill(params), pandiagonal=True)
 
 
 # row-offset rule for the (even, even) fill ---------------------------------
@@ -244,7 +240,7 @@ def algorithm2(x: int, y: int) -> SquareGrid:
     i = np.arange(n).reshape(-1, 1)
     j = np.arange(n).reshape(1, -1)
     vals = j * (2 * x * y - x) + j // (4 * y) + i * (2 * x * y) + offsets.reshape(-1, 1)
-    return _require_sudoku(SquareGrid(vals % n + 1), SudokuShape(a, b))
+    return _require(vals % n + 1, SudokuShape(a, b))
 
 
 # block shapes ----------------------------------------------------------------
@@ -311,17 +307,15 @@ def sudoku_square(a: int, b: int) -> SquareGrid:
     keeps it valid: the (b, a) blocks become (a, b) blocks.  Otherwise the
     fill is the one `_sudoku_plan` picks.
     """
-    if a < 1 or b < 1:
-        raise ParameterError(f"block shape must be positive, got ({a}, {b})")
+    shape = SudokuShape(a, b)
     if a > b:
-        from .transform import transpose
         return transpose(sudoku_square(b, a))
     if a == 1:
         return max_distance_square(b) if b >= 2 else SquareGrid([[1]])
     _, params = _sudoku_plan(a, b)
     if params is None:
         return algorithm2(a // 2, b // 2)
-    return _require_sudoku(algorithm1(params), SudokuShape(a, b))
+    return _require(_shift_fill(params), shape)
 
 
 # bounds table ---------------------------------------------------------------
@@ -388,9 +382,8 @@ def sudoku_bounds(a: int, b: int) -> BoundsEntry:
     preserves all distances), so (a, b) and (b, a) return the same entry.
     For a >= 2 the lower bound is the distance `sudoku_square` reaches.
     """
-    if a < 1 or b < 1:
-        raise ParameterError(f"block shape must be positive, got ({a}, {b})")
-    a, b = min(a, b), max(a, b)
+    shape = SudokuShape(a, b)
+    a, b = min(shape.a, shape.b), max(shape.a, shape.b)
     n = a * b
     if n < 2:
         raise ParameterError("no inner distance is defined below order 2")

@@ -118,20 +118,18 @@ class SudokuShape:
     b: int
 
     def __post_init__(self):
+        # bool is an Integral; a float or a string is no block side, whatever it rounds to
+        if not all(isinstance(s, Integral) and not isinstance(s, bool) for s in (self.a, self.b)):
+            raise ParameterError(f"block shape must be two integers, got ({self.a!r}, {self.b!r})")
         if self.a < 1 or self.b < 1:
             raise ParameterError(f"block shape must be positive, got ({self.a}, {self.b})")
+        # numpy sides become Python ints: the search builds bitmasks from n = a * b
+        object.__setattr__(self, "a", int(self.a))
+        object.__setattr__(self, "b", int(self.b))
 
     @property
     def n(self) -> int:
         return self.a * self.b
-
-    @property
-    def band_count(self) -> int:
-        return self.b
-
-    @property
-    def stack_count(self) -> int:
-        return self.a
 
 
 class BlockAddress(NamedTuple):
@@ -185,7 +183,7 @@ def _unit_labels(n: int, shape: SudokuShape | None = None,
     if pandiagonal:
         labels += [2 * n + 2 * ((r - c) % n), 2 * n + 2 * ((r + c) % n) + 1]
     if shape is not None:
-        labels.append(2 * n + r // shape.a * shape.stack_count + c // shape.b)
+        labels.append(2 * n + r // shape.a * shape.a + c // shape.b)
     return labels
 
 
@@ -208,7 +206,7 @@ def _validate(grid: SquareGrid, shape: SudokuShape | None = None,
         elif u < 2 * n:
             kind, where = "column", u - n + 1
         elif shape is not None:
-            kind, where = "block", BlockAddress(*divmod(u - 2 * n, shape.stack_count))
+            kind, where = "block", BlockAddress(*divmod(u - 2 * n, shape.a))
         else:
             where, is_back = divmod(u - 2 * n, 2)
             kind = "back-diagonal" if is_back else "forward-diagonal"
@@ -327,6 +325,9 @@ def grid_from_json(doc: dict) -> tuple[SquareGrid, SudokuShape | None]:
         cells = doc["cells"]
     except (TypeError, KeyError) as exc:
         raise GridFormatError("JSON grid needs 'order' and 'cells' fields") from exc
+    # 2.0 == 2 and True == 1, but neither is an order
+    if type(order) is not int:
+        raise GridFormatError(f"JSON order {order!r} is not an integer")
     grid = SquareGrid(cells)
     if grid.n != order:
         raise GridFormatError(f"declared order {order} but cells are {grid.n}x{grid.n}")

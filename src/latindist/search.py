@@ -44,6 +44,7 @@ complete witness list is sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from operator import itemgetter
 
 import numpy as np
@@ -146,7 +147,7 @@ class SearchResult:
 
 
 class _Context:
-    """Immutable tables of one search.
+    """Immutable tables of one search, built from its SearchQuery; d is its min_distance.
 
     adm[u] is the mask of symbols at distance >= d from u, and adm[0], the
     symbol of the spare cell n*n, is the full mask; above[s] is the mask of
@@ -173,7 +174,8 @@ class _Context:
 
     __slots__ = ("n", "adm", "above", "cells", "pos")
 
-    def __init__(self, n: int, d: int, constraint: str, a: int, b: int):
+    def __init__(self, query: SearchQuery):
+        n, d, shape = query.n, query.min_distance, query.shape
         full = (1 << n) - 1
         self.n = n
         # v = u + x (mod n) is admissible beside u iff d <= x <= n - d; rotate x's mask by u - 1
@@ -183,8 +185,7 @@ class _Context:
         # the symbols above s; above[0], the spare cell's, holds them all
         self.above = [full >> s << s for s in range(n + 1)]
         spare = n * n
-        labels = _unit_labels(n, SudokuShape(a, b) if constraint == "sudoku" else None,
-                              constraint == "pandiagonal")
+        labels = _unit_labels(n, shape, query.constraint == "pandiagonal")
         zero = np.zeros((n, n), np.int64)  # adding it broadcasts a label to every cell
         u1, u2, *more = [(zero + label).ravel().tolist() for label in labels]
         # a plain cell repeats its row and column, a sudoku cell its block
@@ -206,8 +207,10 @@ class _Context:
             nbr[2][1 + n // 2] &= strict
         cells = list(zip(u1, u2, u3, u4, prev, other, nbr))
         pos = list(range(spare + 1))
-        if constraint == "sudoku":
-            # band by band, each band column by column; renumber the neighbours
+        if shape is not None:
+            # band by band, each band column by column; renumber the neighbours (row-major
+            # is this with one-row bands, but plain tables built so took 3-4x as long)
+            a = shape.a
             order = [(r + i) * n + c for r in range(0, n, a) for c in range(n) for i in range(a)]
             for k, cell in enumerate(order):
                 pos[cell] = k
@@ -301,8 +304,7 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
     if workers != 1:
         raise ParameterError(f"the search runs in one process: workers must be 1, got {workers}")
     n = query.n
-    a, b = (query.shape.a, query.shape.b) if query.shape else (0, 0)
-    ctx = _Context(n, query.min_distance, query.constraint, a, b)
+    ctx = _Context(query)
     count, nodes, complete, leaves = _walk(ctx, query.node_budget, collect=query.mode != "count",
                                            stop_first=query.mode == "exists")
     if query.constraint == "sudoku":
@@ -334,6 +336,8 @@ def max_distance_via_search(kind: str, size, *, node_budget: int = DEFAULT_NODE_
         entry = known_bounds(kind, a=shape.a, b=shape.b)
         n = shape.n
     elif kind in ("plain", "pandiagonal"):
+        if not isinstance(size, Integral) or isinstance(size, bool):
+            raise ParameterError(f"a {kind} size is an order, an integer; got {size!r}")
         shape = None
         n = int(size)
         entry = known_bounds(kind, n=n)

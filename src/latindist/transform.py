@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import NotReducibleError, ParameterError
 from .grid import SquareGrid, validate_latin
-from .modmath import mod1n
 
 __all__ = [
     "GridPermutation",
@@ -96,20 +95,17 @@ def is_back_circulant(grid: SquareGrid) -> bool:
     return bool(np.array_equal(grid.cells, np.roll(grid.cells, (1, -1), axis=(0, 1))))
 
 
-def _circulant_reference(n: int) -> SquareGrid:
-    j = np.arange(n)
-    cells = (j[None, :] - j[:, None]) % n + 1
-    return SquareGrid(cells)
-
-
 def to_circulant_canonical(grid: SquareGrid) -> tuple[SquareGrid, GridPermutation]:
     """Reduce a shift-structured square to the circulant with first row 1..n.
 
-    The reduction shifts symbols so the corner becomes 1, sorts columns by
-    the first row, and then checks the property it depends on: every row
-    must now step by +1 cyclically.  Squares produced by the shift fills
-    always pass; for anything else a NotReducibleError is raised, which
-    says nothing about isotopy, only that this method does not apply.
+    The permutation triple is read off row 0 and one column: symbols shift
+    the corner to 1, each column moves to its shifted row-0 symbol, and the
+    row holding s where that symbol is 1 moves to row (2 - s) mod n.  One
+    `apply_permutation` then puts 1..n in row 0 of a Latin input, and
+    `is_circulant` holds exactly when every row steps by +1 cyclically
+    after the column move.  Squares produced by the shift fills always do;
+    for anything else a NotReducibleError is raised, which says nothing
+    about isotopy, only that this method does not apply.
 
     Returns the canonical grid together with the permutation triple that
     maps the input onto it.
@@ -117,31 +113,14 @@ def to_circulant_canonical(grid: SquareGrid) -> tuple[SquareGrid, GridPermutatio
     n = grid.n
     if not validate_latin(grid).verdict:
         raise NotReducibleError("input is not a Latin square")
-
-    # symbol shift: corner to 1 (a shift keeps all adjacent differences)
-    shift = 1 - grid.at(1, 1)
-    symbols = tuple(mod1n(v + shift, n) for v in range(1, n + 1))
-    shifted = (grid.cells + shift - 1) % n + 1
-
-    # sort columns by the (shifted) first row: column j lands at position m[0][j]
-    cols = tuple(int(v) for v in shifted[0])
-    sorted_cells = np.empty_like(shifted)
-    sorted_cells[:, np.asarray(cols) - 1] = shifted
-
-    steps = (sorted_cells[:, 1:] - sorted_cells[:, :-1]) % n
-    if not np.all(steps == 1):
+    symbols = (np.arange(1, n + 1) - grid.cells[0, 0]) % n + 1
+    cols = symbols[grid.cells[0] - 1]
+    rows = (1 - symbols[grid.cells[:, np.argmin(cols)] - 1]) % n + 1
+    perm = GridPermutation(rows=tuple(rows.tolist()), cols=tuple(cols.tolist()),
+                           symbols=tuple(symbols.tolist()))
+    canonical = apply_permutation(grid, perm)
+    if not is_circulant(canonical):
         raise NotReducibleError(
             "rows do not advance cyclically by a constant step after column sorting; "
             "the constructive reduction does not apply (this does not prove non-isotopy)")
-
-    # place the row starting with s at position (2 - s) mod n
-    starts = sorted_cells[:, 0]
-    rows = tuple(mod1n(2 - int(s), n) for s in starts)
-    canon_cells = np.empty_like(sorted_cells)
-    canon_cells[np.asarray(rows) - 1] = sorted_cells
-
-    canonical = SquareGrid(canon_cells)
-    perm = GridPermutation(rows=rows, cols=cols, symbols=symbols)
-    if canonical != _circulant_reference(n) or apply_permutation(grid, perm) != canonical:
-        raise NotReducibleError("reduction did not reach the circulant reference square")
     return canonical, perm

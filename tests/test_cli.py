@@ -263,6 +263,9 @@ def test_file_errors_exit_2_without_a_traceback(capsys, tmp_path, argv):
     {"order": 4, "cells": shift_by_k(4, 1).rows(), "shape": {"a": "2", "b": "2"}},
     {"order": 2, "cells": [[1, 2], [2, 1]], "shape": {"a": True, "b": 2}},
     {"order": 4, "cells": shift_by_k(4, 1).rows(), "shape": {"a": -2, "b": -2}},
+    # so must the order, though 2.0 == 2 and True == 1
+    {"order": 2.0, "cells": [[1, 2], [2, 1]]},
+    {"order": True, "cells": [[1]]},
 ])
 def test_malformed_json_grids_exit_2(capsys, monkeypatch, doc):
     code, out, err = run_cli(capsys, ["check", "--kind", "latin", "--format", "json"],

@@ -9,6 +9,8 @@ from latindist import (NonexistenceError, ParameterError, ShiftParams,
                        shift_by_k, sudoku_bounds, sudoku_square, transpose,
                        validate_latin, validate_pandiagonal, validate_sudoku)
 
+from latindist import construct as construct_module
+from latindist import grid as grid_module
 from oracle import is_sudoku, min_adjacent_distance
 
 
@@ -207,6 +209,32 @@ def test_sudoku_square_dispatch():
     d1 = inner_distance(sudoku_square(5, 3)).inner_distance
     d2 = inner_distance(sudoku_square(3, 5)).inner_distance
     assert d1 == d2 == 6
+
+
+def test_each_build_is_checked_once_against_its_class(monkeypatch):
+    # every check goes through grid._validate, which the validators call and
+    # construct imports; record each pass with the units it covered
+    passes = []
+    real = grid_module._validate
+
+    def recording(grid, shape=None, pandiagonal=False):
+        passes.append((grid.n, shape, pandiagonal))
+        return real(grid, shape, pandiagonal)
+
+    monkeypatch.setattr(grid_module, "_validate", recording)
+    monkeypatch.setattr(construct_module, "_validate", recording)
+    builds = [
+        (lambda: max_distance_square(9), (9, None, False)),
+        (lambda: pandiagonal_max(11), (11, None, True)),
+        (lambda: sudoku_square(3, 5), (15, SudokuShape(3, 5), False)),
+        (lambda: sudoku_square(4, 4), (16, SudokuShape(4, 4), False)),  # algorithm2
+        # built as (3, 5) and transposed, which keeps the blocks
+        (lambda: sudoku_square(5, 3), (15, SudokuShape(3, 5), False)),
+    ]
+    for build, want in builds:
+        passes.clear()
+        build()
+        assert passes == [want]
 
 
 def test_sudoku_square_reaches_the_lower_bound_by_oracle():

@@ -149,9 +149,9 @@ def test_block_of_covers_every_block():
     shape = SudokuShape(2, 3)
     seen = {block_of(i, j, shape) for i in range(1, 7) for j in range(1, 7)}
     assert len(seen) == shape.a * shape.b
-    assert {addr.band for addr in seen} == set(range(shape.band_count))
-    assert {addr.stack for addr in seen} == set(range(shape.stack_count))
-    assert shape.band_count == shape.b and shape.stack_count == shape.a
+    # b bands of a rows, a stacks of b columns
+    assert {addr.band for addr in seen} == set(range(shape.b))
+    assert {addr.stack for addr in seen} == set(range(shape.a))
 
 
 def test_text_round_trip_and_comments():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from latindist import (NonexistenceError, ParameterError,
@@ -276,7 +277,8 @@ def _sigma(s, n):
                          [(n, "plain", None) for n in range(2, 31)]
                          + [(n, "pandiagonal", None) for n in (5, 7, 13)]
                          + [(a * b, "sudoku", (a, b))
-                            for a, b in ((2, 3), (3, 3), (3, 4), (3, 2), (4, 3), (1, 4))])
+                            for a, b in ((2, 3), (3, 3), (3, 4), (3, 2), (4, 3), (1, 4),
+                                         (4, 1), (2, 1))])
 def test_context_tables_match_their_definition(n, constraint, shape):
     a, b = shape or (0, 0)
     full = (1 << n) - 1
@@ -287,7 +289,8 @@ def test_context_tables_match_their_definition(n, constraint, shape):
     at = {cell: k for k, cell in enumerate(order)}
     spare = n * n
     for d in sorted({1, 2, n // 4, n // 2, n // 2 + 1} - {0}):
-        ctx = _Context(n, d, constraint, a, b)
+        ctx = _Context(SearchQuery(n=n, constraint=constraint, min_distance=d,
+                                   shape=SudokuShape(a, b) if shape else None))
         adm = [full] + [sum(1 << (v - 1) for v in range(1, n + 1)
                             if min((u - v) % n, (v - u) % n) >= d)
                         for u in range(1, n + 1)]
@@ -330,6 +333,14 @@ def test_max_distance_via_search():
         max_distance_via_search("pandiagonal", 6)
     with pytest.raises(ParameterError):
         max_distance_via_search("diagonal", 6)
+    # sizes are integers, numpy's included; nothing is truncated or parsed
+    assert max_distance_via_search("plain", np.int64(6)) == 2
+    assert max_distance_via_search("sudoku", (np.int32(2), np.int64(3))) == 2
+    for kind, size in [("plain", 5.9), ("plain", "7"), ("pandiagonal", 7.0), ("pandiagonal", "7"),
+                       ("sudoku", (True, 3)), ("sudoku", (2.0, 3)), ("sudoku", ("2", 3)),
+                       ("sudoku", (2, 3.5))]:
+        with pytest.raises(ParameterError):
+            max_distance_via_search(kind, size)
 
 
 def test_max_distance_via_search_reports_open_bracket_on_starvation():
