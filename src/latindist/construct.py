@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from numbers import Integral
 
 import numpy as np
 
@@ -352,8 +353,19 @@ class BoundsEntry:
         }
 
 
+def _order(n) -> int:
+    """An order as a Python int.
+
+    numpy ints are orders; a bool, a float or a string is none, whatever it rounds to.
+    """
+    if not isinstance(n, Integral) or isinstance(n, bool):
+        raise ParameterError(f"an order is an integer; got {n!r}")
+    return int(n)
+
+
 def plain_bounds(n: int) -> BoundsEntry:
     """Exact maximum inner distance over all Latin squares of order n."""
+    n = _order(n)
     if n < 2:
         raise ParameterError("no inner distance is defined below order 2")
     if n == 2:
@@ -365,6 +377,7 @@ def plain_bounds(n: int) -> BoundsEntry:
 
 def pandiagonal_bounds(n: int) -> BoundsEntry:
     """Existence and exact maximum for pandiagonal Latin squares of order n."""
+    n = _order(n)
     if n < 2:
         raise ParameterError("no inner distance is defined below order 2")
     if n % 6 not in (1, 5):

@@ -13,6 +13,7 @@ holds symbols from {1, ..., n} only; partial grids are not representable.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from dataclasses import dataclass
 from numbers import Integral
@@ -346,9 +347,74 @@ def grid_from_json(doc: dict) -> tuple[SquareGrid, SudokuShape | None]:
     return grid, shape
 
 
+# json.dumps(grid_to_json(grid, shape)), the one layout this package writes;
+# every number is a canonical int of at most 18 digits, so it fits an int64
+_COMPACT_HEAD = re.compile(rb'\{"order": ([1-9][0-9]{0,17}), "cells": \[\[')
+_COMPACT_TAIL = re.compile(rb'\]\](?:, "shape": \{"a": ([1-9][0-9]{0,17}), "b": ([1-9][0-9]{0,17})\})?\}')
+
+
+def _compact_json_doc(text) -> dict | None:
+    """The document of a text in the compact layout, its cells an array; None for any other text.
+
+    The text is proven to be that layout byte by byte: head and tail, then
+    n*n maximal digit runs, none with a leading zero or over 18 digits,
+    parted by ", " within a row and by "], [" between rows.  json.loads
+    reads such a text as the same document.
+    """
+    if not isinstance(text, str) or not text.isascii():
+        return None
+    # JSON whitespace only: str.strip() would also drop "\x0b", which json.loads rejects
+    data = text.strip(" \t\n\r").encode("ascii")
+    head = _COMPACT_HEAD.match(data)
+    stop = data.rfind(b"]]")
+    tail = _COMPACT_TAIL.fullmatch(data, stop) if head and stop > head.end() else None
+    if tail is None:
+        return None
+    n, start = int(head[1]), head.end()
+    # digit values; every other byte reads 10 or more
+    body = np.frombuffer(data, np.uint8, stop - start, start) - np.uint8(48)
+    digit = np.concatenate(([False], body < 10, [False]))
+    # token k is body[starts[k]:ends[k]]; narrow positions keep the temporaries small
+    edges = np.flatnonzero(digit[1:] != digit[:-1])
+    edges = edges.astype(np.int32 if len(body) < 2**31 else np.int64)
+    starts, ends = edges[0::2], edges[1::2]
+    if len(starts) != n * n:
+        return None
+    lengths = ends - starts
+    widest = int(lengths.max())
+    gaps = np.full(n * n, 2, dtype=edges.dtype)
+    gaps[n - 1::n] = 4
+    # no leading zeros; with every gap's length right, its bytes are the
+    # non-digit bytes in turn
+    if (widest > 18 or not body.take(starts).all()
+            or not np.array_equal(starts[1:] - ends[:-1], gaps[:-1])
+            or data[start:stop].translate(None, b"0123456789")
+            != ((b", " * (n - 1) + b"], [") * n)[:-4]):
+        return None
+    # one gather per digit place, counted from each token's last digit
+    last = ends - 1
+    cells = body.take(last).astype(np.int64)
+    for place in range(1, widest):
+        cells += np.where(lengths > place, body.take(last - place), 0) * np.int64(10**place)
+    doc = {"order": n, "cells": cells.reshape(n, n)}
+    if tail[1] is not None:
+        doc["shape"] = {"a": int(tail[1]), "b": int(tail[2])}
+    return doc
+
+
 def parse_grid_json(text: str) -> tuple[SquareGrid, SudokuShape | None]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GridFormatError(f"invalid JSON: {exc}") from exc
+    """Read a JSON grid document, as grid_from_json(json.loads(text)) does.
+
+    The compact layout that json.dumps(grid_to_json(...)) writes is read
+    with array operations; any other text goes through json.loads.  Both
+    give the same grid and shape, or the same error.
+    """
+    doc = _compact_json_doc(text)
+    if doc is None:
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            # a JSONDecodeError, or an integer past Python's digit limit
+            # (sys.get_int_max_str_digits)
+            raise GridFormatError(f"invalid JSON: {exc}") from exc
     return grid_from_json(doc)

@@ -44,12 +44,11 @@ complete witness list is sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from operator import itemgetter
 
 import numpy as np
 
-from .construct import known_bounds
+from .construct import _order, known_bounds
 from .errors import NonexistenceError, ParameterError, SearchIncompleteError
 from .grid import SquareGrid, SudokuShape, _unit_labels
 
@@ -95,6 +94,9 @@ class SearchQuery:
             raise ParameterError(f"min_distance must be at least 1, got {self.min_distance}")
         if self.node_budget < 1:
             raise ParameterError(f"node_budget must be positive, got {self.node_budget}")
+        if self.n is not None:
+            # numpy orders become Python ints: the walk builds bitmasks from n
+            object.__setattr__(self, "n", _order(self.n))
         if self.constraint == "sudoku":
             if self.shape is None:
                 raise ParameterError("sudoku searches need a block shape")
@@ -336,11 +338,9 @@ def max_distance_via_search(kind: str, size, *, node_budget: int = DEFAULT_NODE_
         entry = known_bounds(kind, a=shape.a, b=shape.b)
         n = shape.n
     elif kind in ("plain", "pandiagonal"):
-        if not isinstance(size, Integral) or isinstance(size, bool):
-            raise ParameterError(f"a {kind} size is an order, an integer; got {size!r}")
         shape = None
-        n = int(size)
-        entry = known_bounds(kind, n=n)
+        entry = known_bounds(kind, n=size)
+        n = entry.n
     else:
         raise ParameterError(f"unknown kind {kind!r}")
     if not entry.existence:

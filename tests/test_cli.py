@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from latindist import format_grid_text, max_distance_square, parse_grid_text, shift_by_k
+from latindist import (SudokuShape, format_grid_text, max_distance_square, parse_grid_json,
+                       parse_grid_text, shift_by_k)
 from latindist.cli import main
 
 from conftest import FIXTURE_DIR, load_golden
@@ -32,10 +33,18 @@ def run_cli(capsys, argv, stdin: str | None = None, monkeypatch=None):
     (["gen", "--algo", "sudoku", "--a", "3", "--b", "3"], "order9_sudoku_3x3.txt"),
     (["gen", "--algo", "eveneven", "--x", "2", "--y", "2"], "order16_sudoku_4x4.txt"),
 ])
-def test_gen_matches_goldens(capsys, argv, fixture):
+def test_gen_matches_goldens(capsys, monkeypatch, argv, fixture):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert out == format_grid_text(load_golden(fixture))
+    # the JSON output reads back without json.loads, as the same grid
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0
+    # --a/--b give the block shape, --x/--y half of it
+    scale = {"sudoku": 1, "eveneven": 2}.get(argv[2])
+    shape = SudokuShape(scale * int(argv[4]), scale * int(argv[6])) if scale else None
+    monkeypatch.setattr(json, "loads", None)
+    assert parse_grid_json(out) == (load_golden(fixture), shape)
 
 
 def test_gen_json_format(capsys):
@@ -266,10 +275,14 @@ def test_file_errors_exit_2_without_a_traceback(capsys, tmp_path, argv):
     # so must the order, though 2.0 == 2 and True == 1
     {"order": 2.0, "cells": [[1, 2], [2, 1]]},
     {"order": True, "cells": [[1]]},
+    # integers past Python's 4300-digit limit for reading a decimal string
+    pytest.param('{"order": 1, "cells": [[' + "1" * 5000 + ']]}', id="cell-past-digit-limit"),
+    pytest.param('{"order": ' + "1" * 5000 + ', "cells": [[1]]}', id="order-past-digit-limit"),
 ])
 def test_malformed_json_grids_exit_2(capsys, monkeypatch, doc):
+    stdin = doc if isinstance(doc, str) else json.dumps(doc)
     code, out, err = run_cli(capsys, ["check", "--kind", "latin", "--format", "json"],
-                             stdin=json.dumps(doc), monkeypatch=monkeypatch)
+                             stdin=stdin, monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
     assert err.startswith("latindist: ") and err.count("\n") == 1
 

@@ -1,11 +1,13 @@
 from math import gcd
 
+import numpy as np
 import pytest
 
 from latindist import (NonexistenceError, ParameterError, ShiftParams,
                        SquareGrid, SudokuShape, algorithm1, algorithm2,
                        inner_distance, known_bounds, max_distance_square,
-                       pandiagonal_max, predicted_inner_distance, row_offset,
+                       pandiagonal_bounds, pandiagonal_max, plain_bounds,
+                       predicted_inner_distance, row_offset,
                        shift_by_k, sudoku_bounds, sudoku_square, transpose,
                        validate_latin, validate_pandiagonal, validate_sudoku)
 
@@ -263,6 +265,20 @@ def test_pandiagonal_bounds():
     assert (e.lower, e.upper, e.exact, e.existence) == (4, 4, True, True)
     assert not known_bounds("pandiagonal", n=6).existence
     assert known_bounds("pandiagonal", n=5).upper == 1
+
+
+def test_bounds_orders_are_integers():
+    for kind, bounds in (("plain", plain_bounds), ("pandiagonal", pandiagonal_bounds)):
+        # a numpy order answers as the same Python int
+        for n in (np.int64(11), np.int32(11), np.uint8(11)):
+            assert bounds(n) == known_bounds(kind, n=11)
+            assert type(bounds(n).n) is int
+        # a float, a string or a bool is no order, whatever it rounds to
+        for n in (5.9, 7.0, "7", True):
+            with pytest.raises(ParameterError):
+                bounds(n)
+            with pytest.raises(ParameterError):
+                known_bounds(kind, n=n)
 
 
 def test_sudoku_bounds_exact_cases():

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from latindist import (BlockAddress, GridFormatError, ParameterError,
                        SquareGrid, SudokuShape, Violation, block_of,
                        format_grid_text, grid_from_json, grid_to_json,
                        max_distance_square,
-                       parse_grid_json, parse_grid_text, transpose,
+                       parse_grid_json, parse_grid_text, sudoku_square, transpose,
                        validate_latin, validate_pandiagonal, validate_sudoku)
 
 from oracle import is_latin, is_pandiagonal, is_sudoku
@@ -293,6 +294,113 @@ def test_json_parse_errors():
             grid_from_json({"order": 2, "cells": [[1, 2], [2, 1]], "shape": shape})
     with pytest.raises(GridFormatError, match="needs 'a' and 'b' fields"):
         grid_from_json({"order": 2, "cells": [[1, 2], [2, 1]], "shape": {"a": 1}})
+
+
+def reference_parse_json(text):
+    """json.loads, then grid_from_json; a text json.loads rejects is a GridFormatError."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise GridFormatError(f"invalid JSON: {exc}") from exc
+    return grid_from_json(doc)
+
+
+def json_outcome(parse, text):
+    try:
+        grid, shape = parse(text)
+    except Exception as exc:  # the reference's exception type is part of the outcome
+        return type(exc), str(exc)
+    return grid.cells.dtype, grid.cells.tolist(), shape
+
+
+def compact_json_documents():
+    """json.dumps(grid_to_json(...)) of grids of order 1-30 and a few of order 99-101,
+    and of Sudoku squares with their shape, for every shape up to (5, 5)."""
+    rng = np.random.default_rng(37)
+    grids = [(SquareGrid(rng.integers(1, n + 1, size=(n, n))), None) for n in range(1, 31)]
+    grids += [(max_distance_square(n), None) for n in (99, 100, 101)]
+    grids += [(sudoku_square(a, b), SudokuShape(a, b)) for a in range(1, 6) for b in range(1, 6)]
+    return [json.dumps(grid_to_json(grid, shape)) for grid, shape in grids]
+
+
+def json_variants(text: str, rng):
+    """Near misses of one compact document: whitespace, token spellings,
+    structure, declared sizes, and random one-byte edits and deletions."""
+    first, last = text.index("[[") + 2, text.rindex("]]")
+    tokens = re.findall(r"[0-9]+", text[first:last])
+    gaps = re.findall(r"[^0-9]+", text[first:last])
+    n = round(len(tokens) ** 0.5)
+
+    def joined(tokens, gaps):
+        return text[:first] + "".join(map(str.__add__, tokens, gaps + [""])) + text[last:]
+
+    def respell(spelling):
+        k = int(rng.integers(len(tokens)))
+        return joined(tokens[:k] + [spelling(tokens[k])] + tokens[k + 1:], gaps)
+
+    yield " \t\n\r" + text + "\r\n "
+    yield "\x0b" + text
+    yield text + "\x0b"
+    yield text.replace(", ", ",")
+    yield text.replace("], [", "],[")
+    at = int(rng.integers(len(text) + 1))
+    yield text[:at] + " " + text[at:]
+    for spelling in (lambda t: "0" + t, lambda t: t + ".0", lambda t: "-2", lambda t: "true",
+                     lambda t: "1e0", lambda t: "1" * 20, lambda t: "1" * 18, lambda t: "\u0663",
+                     lambda t: "0", lambda t: str(n + 1), lambda t: t + " "):
+        yield respell(spelling)
+    if n > 1:
+        # a ragged row: one token and the ", " after it dropped
+        k = int(rng.integers(n)) * n + int(rng.integers(n - 1))
+        yield joined(tokens[:k] + tokens[k + 1:], gaps[:k] + gaps[k + 1:])
+        # the boundary after row 0 moved one token forward, then one back
+        yield joined(tokens, gaps[:n - 1] + [", ", "], ["] + gaps[n + 1:])
+        yield joined(tokens, gaps[:n - 2] + ["], [", ", "] + gaps[n:])
+        # the same separator bytes in the same order, parted differently
+        yield joined(tokens, gaps[:n - 1] + ["], ", "[, "] + gaps[n + 1:])
+        yield joined(tokens, gaps[:n - 1] + ["]", ", [, "] + gaps[n + 1:])
+    yield text[:-1] + ', "extra": 1}'
+    yield text[:-1] + ', "shape": null}'
+    yield text.replace(f'"order": {n}', f'"order": {n + 1}')
+    yield text.replace(f'"order": {n}', f'"order": {n - 1}')
+    yield text.replace(f'"order": {n}', f'"order": 0{n}')
+    if '"shape"' in text:
+        yield text.replace('"a": ', '"a": 1')
+        yield text.replace('"b": ', '"b": 0')
+        yield text.replace('{"a"', '{"b": 1, "a"')
+    yield text[:int(rng.integers(len(text)))]
+    alphabet = list("0123456789 ,[]{}\":-.e") + ["\t", "\x0b", "\u0663"]
+    for _ in range(6):
+        at = int(rng.integers(len(text)))
+        yield text[:at] + str(rng.choice(alphabet)) + text[at + 1:]
+        at = int(rng.integers(len(text)))
+        yield text[:at] + text[at + 1:]
+
+
+def test_compact_json_reader_matches_json_loads():
+    rng = np.random.default_rng(41)
+    texts = [variant for text in compact_json_documents()
+             for variant in [text, *json_variants(text, rng)]]
+    outcomes = [json_outcome(reference_parse_json, text) for text in texts]
+    assert sum(isinstance(o[1], list) for o in outcomes) > 300
+    assert [json_outcome(parse_grid_json, text) for text in texts] == outcomes
+
+
+def test_compact_json_documents_skip_json_loads(golden, monkeypatch):
+    grids = [(golden(path.name), None) for path in sorted(FIXTURE_DIR.glob("*.txt"))]
+    grids += [(golden("order9_sudoku_3x3.txt"), SudokuShape(3, 3)),
+              (golden("order16_sudoku_4x4.txt"), SudokuShape(4, 4))]
+    texts = [json.dumps(grid_to_json(grid, shape)) for grid, shape in grids]
+    texts += compact_json_documents()
+    outcomes = [json_outcome(reference_parse_json, text) for text in texts]
+
+    def no_loads(*args, **kwargs):
+        raise AssertionError("json.loads called on a compact document")
+
+    monkeypatch.setattr(json, "loads", no_loads)
+    assert [json_outcome(parse_grid_json, text) for text in texts] == outcomes
+    for (grid, shape), text in zip(grids, texts):
+        assert parse_grid_json(text) == (grid, shape)
 
 
 def loop_violations(rows, kind: str, shape=None) -> list[Violation]:

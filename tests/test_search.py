@@ -52,6 +52,20 @@ def test_query_validation():
     assert q.n == 4
 
 
+def test_query_orders_are_integers():
+    # a numpy order works and is stored as a Python int, which the walk's bitmasks need
+    q = SearchQuery(n=np.int64(5), min_distance=2)
+    assert type(q.n) is int and run_search(q).count == 20
+    q = SearchQuery(n=np.int32(6), constraint="sudoku", shape=SudokuShape(2, 3))
+    assert type(q.n) is int and q.n == 6
+    # nothing else is read as an order, whatever it rounds to
+    for n in (5.5, 5.0, "5", True, None):
+        with pytest.raises(ParameterError):
+            SearchQuery(n=n, min_distance=2)
+    with pytest.raises(ParameterError):
+        SearchQuery(n=6.0, constraint="sudoku", shape=SudokuShape(2, 3))
+
+
 def test_agrees_with_filtering_the_full_square_list():
     for n in (3, 4):
         for d in range(1, n // 2 + 2):
