@@ -7,6 +7,12 @@ distance table against the two placed neighbours.  Near
 the distance ceiling each symbol has at most a couple of admissible
 neighbours, so complete enumeration is cheap, and it independently
 confirms what the constructions promise.
+
+The nodes printed are the placements of the reduced walk: symbol 1 in
+the corner, row 0 no greater than its negation, and, in these count and
+enumerate queries, row 0 no greater than c*, the smaller of column 0 and
+its negation, which keeps one square of each transposed pair.  The
+counts add the transposed partners and all 2n symbol maps back.
 """
 
 import time

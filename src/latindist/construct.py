@@ -46,6 +46,19 @@ __all__ = [
 ]
 
 
+def _order(n, what: str = "an order") -> int:
+    """An order, or another integer argument named by what, as a Python int.
+
+    numpy ints are integers; a bool, a float or a string is none, whatever it rounds to.
+    """
+    if type(n) is int:
+        # the common case, without the slower Integral check
+        return n
+    if not isinstance(n, Integral) or isinstance(n, bool):
+        raise ParameterError(f"{what} is an integer; got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class ShiftParams:
     """Parameter bundle for `algorithm1`.
@@ -68,6 +81,8 @@ class ShiftParams:
     beta: int
 
     def __post_init__(self):
+        for name in ("n", "r", "c", "alpha", "beta"):
+            object.__setattr__(self, name, _order(getattr(self, name), f"ShiftParams.{name}"))
         if self.n < 2:
             raise ParameterError(f"order must be at least 2, got {self.n}")
         r = self.r % self.n
@@ -148,6 +163,7 @@ def shift_by_k(n: int, k: int) -> SquareGrid:
     k = 1 gives the circulant square, k = -1 the back circulant.  It is the
     shift fill with increments -k and 1, whose periods span the whole grid.
     """
+    n, k = _order(n), _order(k, "a shift")
     if n < 1:
         raise ParameterError(f"order must be positive, got {n}")
     if gcd(k, n) != 1:
@@ -164,6 +180,7 @@ def max_distance_square(n: int) -> SquareGrid:
     order is the same as subtracting less); for n = 2 both squares of that
     order have distance 1.
     """
+    n = _order(n)
     if n < 2:
         raise ParameterError("no inner distance is defined below order 2")
     if n == 2:
@@ -183,6 +200,7 @@ def pandiagonal_max(n: int) -> SquareGrid:
     at distance (n-1)/2 the increments satisfy |r| = |c|, which forces a
     constant diagonal.
     """
+    n = _order(n)
     if n < 1:
         raise ParameterError(f"order must be positive, got {n}")
     if n % 6 not in (1, 5):
@@ -231,6 +249,7 @@ def algorithm2(x: int, y: int) -> SquareGrid:
     instead of every stack, and the vertical direction needs the four-case
     row offsets to keep blocks collision-free.
     """
+    x, y = _order(x, "a half-height"), _order(y, "a half-width")
     if x < 2:
         raise ParameterError(f"half-height must be at least 2, got {x} (height 2 has its own rule)")
     if y < x:
@@ -351,16 +370,6 @@ class BoundsEntry:
             "lower": self.lower, "upper": self.upper, "exact": self.exact,
             "existence": self.existence, "provenance": list(self.provenance),
         }
-
-
-def _order(n) -> int:
-    """An order as a Python int.
-
-    numpy ints are orders; a bool, a float or a string is none, whatever it rounds to.
-    """
-    if not isinstance(n, Integral) or isinstance(n, bool):
-        raise ParameterError(f"an order is an integer; got {n!r}")
-    return int(n)
 
 
 def plain_bounds(n: int) -> BoundsEntry:

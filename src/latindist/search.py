@@ -32,6 +32,27 @@ isomorph rejection by lex-leader (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 1998), simple here because every orbit has
 the same size.
 
+Count and enumerate walks also break transposition, which keeps plain,
+pandiagonal and (a, a)-Sudoku squares in their class and keeps their
+inner distance.  With c column 0 and c* the smaller of c and its negation
+(both start with 1), they keep a walked square only if its row 0 is
+lexicographically <= c*.  Its partner, the transpose or the negated
+transpose, whichever has row 0 <= its negation, has row 0 = c* and c*
+equal to the square's row 0, so of each pair with different rows 0 the
+walk keeps exactly one, and a square whose row 0 equals c* is kept with
+its partner or is its own.  This is a lex-leader predicate decided while
+the walk fills (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking
+predicates for search problems", KR 1996): row 0[i] is compared with
+c*[i] when the later of cells (0, i) and (i, 0) is placed, and the
+subtree is cut as soon as c*[i] < row 0[i] after pairs that tied.  That
+cell is (i, 0) in row-major order, and (0, i) for i < a in band-column
+order.  The rule is one mask ANDed into that cell's candidates; every
+other cell only finds that it has none.  A complete leaf whose row 0
+differs from c* stands for its partner too: a count weighs it 2, and an
+enumerate adds its transpose before the 2n symbol maps.  A starved walk
+returns its leaves unweighted.  Exists walks keep both squares of each
+pair.
+
 One non-recursive walk over the visiting order does all of it: a query
 is a single walk from the empty grid under the query's node budget, and
 exists mode stops at its first witness.  The budget is exact: a query is
@@ -44,7 +65,8 @@ complete witness list is sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import accumulate
+from operator import and_, itemgetter, or_
 
 import numpy as np
 
@@ -73,9 +95,12 @@ class SearchQuery:
     min_distance may exceed floor(n/2); the count is then simply 0.
 
     node_budget caps the placements of the walk reduced by translation and
-    negation (one square of each pair with symbol 1 in the corner); the
-    search is complete iff that tree fits in it, and otherwise stops after
-    exactly node_budget + 1 placements.
+    negation (one square of each pair with symbol 1 in the corner), and in
+    count and enumerate mode of plain, pandiagonal and (a, a)-Sudoku
+    squares also by transposition (row 0 <= c*; see the module docstring);
+    the search is complete iff that tree fits in it, and otherwise stops
+    after exactly node_budget + 1 placements.  min_distance and n are
+    integers, numpy's included; a bool, float or string is neither.
     """
 
     n: int | None = None
@@ -90,6 +115,7 @@ class SearchQuery:
             raise ParameterError(f"constraint must be one of {_CONSTRAINTS}, got {self.constraint!r}")
         if self.mode not in _MODES:
             raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        object.__setattr__(self, "min_distance", _order(self.min_distance, "min_distance"))
         if self.min_distance < 1:
             raise ParameterError(f"min_distance must be at least 1, got {self.min_distance}")
         if self.node_budget < 1:
@@ -128,10 +154,11 @@ class SearchResult:
 
     complete means the answer is definitive for the queried mode: the tree
     up to the answer fit in the node budget.  A complete count or
-    enumerate covers every square: the walked squares under all 2n symbol
-    maps (n when n = 2), witnesses sorted by their rows.  A result
-    truncated by the budget always comes back with complete=False, never
-    silently, with nodes_expanded == node_budget + 1, and unexpanded in
+    enumerate covers every square: the walked squares and the transposed
+    partners of those whose row 0 is below c*, under all 2n symbol maps
+    (n when n = 2), witnesses sorted by their rows.  A result truncated by
+    the budget always comes back with complete=False, never silently, with
+    nodes_expanded == node_budget + 1, and unexpanded and unweighted in
     every mode: its count and witnesses are only the squares the walk
     itself placed before it stopped, in the order it met them, each with
     symbol 1 in the corner, so an enumerate has len(witnesses) == count.
@@ -139,7 +166,10 @@ class SearchResult:
     the first witness, which starts with symbol 1 and is the first square
     of the query in the walk's visiting and symbol order (see the module
     docstring), not the lexicographically first.  nodes_expanded counts the
-    walk reduced by translation and negation.
+    walk reduced by translation and negation, and in count and enumerate
+    mode of plain, pandiagonal and (a, a)-Sudoku squares also by
+    transposition; in exists mode and for (a, b)-Sudoku with a != b it
+    counts no transposition cut.
     """
 
     count: int
@@ -153,8 +183,8 @@ class _Context:
 
     adm[u] is the mask of symbols at distance >= d from u, and adm[0], the
     symbol of the spare cell n*n, is the full mask; above[s] is the mask of
-    the symbols above s.  cells[k] is (u1, u2, u3, u4, prev, other, nbr) for
-    the k-th cell visited: row by row for plain and pandiagonal squares,
+    the symbols above s.  cells[k] is (u1, u2, u3, u4, prev, other, nbr, lex)
+    for the k-th cell visited: row by row for plain and pandiagonal squares,
     band by band and within a band column by column for sudoku; pos[i] is
     the visiting position of the i-th cell in row-major order.  u1..u4
     are the four units whose symbols must differ: its row, its column, and
@@ -164,17 +194,27 @@ class _Context:
     clears it, so a repeated unit is harmless.  prev and other are the
     visiting positions of the two neighbours, both visited earlier: prev
     is the left one and other the upper one, or the spare cell in row 0;
-    in column 0 prev is the upper one and other the spare cell.  Candidates are tried upwards from prev's symbol, then
-    from 1.  nbr[s] is the mask the cell admits beside a prev holding s:
-    adm itself for most cells, adm with the lex-leader rule folded in for
-    the first cells of row 0.  The corner admits symbol 1 alone
-    (translation), and cell (0, 1) admits s only if s <= -s, where -s is
-    the negation 2 - s (mod n, symbols 1..n).  For even n, -s = s at
-    s = 1 + n/2, and then cell (0, 2) admits t only if t < -t.  For n = 2
-    negation is the identity and restricts nothing.
+    in column 0 prev is the upper one and other the spare cell.  Candidates
+    are tried upwards from prev's symbol, then from 1.  nbr[s] is the mask
+    the cell admits beside a prev holding s: adm itself for most cells, adm
+    with the lex-leader rule folded in for the first cells of row 0.  The
+    corner admits symbol 1 alone (translation), and cell (0, 1) admits s
+    only if s <= -s, where -s is the negation 2 - s (mod n, symbols 1..n).
+    For even n, -s = s at s = 1 + n/2, and then cell (0, 2) admits t only
+    if t < -t.  For n = 2 negation is the identity and restricts nothing.
+
+    Count and enumerate walks of transposable classes (plain, pandiagonal
+    and (a, a)-Sudoku) also keep row 0 <= c*, the smaller of column 0 and
+    its negation; see the module docstring.  pairs[i] holds the visiting
+    positions of (0, i) and (i, 0), and neg[s] is -s.  lex is 0 but at the
+    later cell of each pair i >= 1, where it is (i, the visiting position
+    of the pair's other cell, masks): masks[t][x] is the mask the cell
+    admits when the pairs before i tie in the state t of `_tie_sign` and
+    the other cell holds x.  Exists walks and (a, b)-Sudoku with a != b
+    have no pairs and no lex.
     """
 
-    __slots__ = ("n", "adm", "above", "cells", "pos")
+    __slots__ = ("n", "adm", "above", "cells", "pos", "neg", "pairs")
 
     def __init__(self, query: SearchQuery):
         n, d, shape = query.n, query.min_distance, query.shape
@@ -207,20 +247,61 @@ class _Context:
         if n % 2 == 0 and n > 2:
             nbr[2] = adm[:]
             nbr[2][1 + n // 2] &= strict
-        cells = list(zip(u1, u2, u3, u4, prev, other, nbr))
         pos = list(range(spare + 1))
+        order = None
         if shape is not None:
-            # band by band, each band column by column; renumber the neighbours (row-major
-            # is this with one-row bands, but plain tables built so took 3-4x as long)
+            # band by band, each band column by column (row-major is this with one-row
+            # bands, but plain tables built so took 3-4x as long)
             a = shape.a
             order = [(r + i) * n + c for r in range(0, n, a) for c in range(n) for i in range(a)]
             for k, cell in enumerate(order):
                 pos[cell] = k
-            cells = [(u1, u2, u3, u4, pos[p], pos[o], nb)
-                     for u1, u2, u3, u4, p, o, nb in map(cells.__getitem__, order)]
+        lex = [0] * spare
+        self.pairs = self.neg = []
+        if query.mode != "exists" and (shape is None or shape.a == shape.b):
+            self.pairs = [(pos[i], pos[i * n]) for i in range(n)]
+            self.neg = neg = [0] + [(1 - u) % n + 1 for u in range(1, n + 1)]
+            # c*[i] is f(c[i]): f(u) = min(u, -u) while c ties its negation, then u or -u.
+            # Masks are listed by _tie_sign's state: 0, 1 (identity), -1 (negation).  A
+            # column cell admits the v with f(v) >= row 0's symbol r (at_least[r] holds the
+            # v >= r, negated[r] the v with -v >= r),
+            at_least = [full] + self.above[:n]
+            negated = [full] + list(accumulate((1 << (neg[v] - 1) for v in range(n, 0, -1)),
+                                               or_))[::-1]
+            col_masks = [list(map(and_, at_least, negated)), at_least, negated]
+            # and a row cell, the later one only in a band of square blocks, v <= f(c[i])
+            row_masks = None if shape is None else [
+                [(1 << f[c]) - 1 for c in range(n + 1)]
+                for f in ([min(u, v) for u, v in enumerate(neg)], range(n + 1), neg)]
+            for i, (rk, ck) in enumerate(self.pairs[1:], 1):
+                if rk > ck:
+                    lex[i] = (i, ck, row_masks)
+                else:
+                    lex[i * n] = (i, rk, col_masks)
+        cells = list(zip(u1, u2, u3, u4, prev, other, nbr, lex))
+        if order is not None:
+            # renumber the neighbours in visiting order
+            cells = [(u1, u2, u3, u4, pos[p], pos[o], nb, lx)
+                     for u1, u2, u3, u4, p, o, nb, lx in map(cells.__getitem__, order)]
         pos.pop()
         self.cells = cells
         self.pos = pos
+
+
+def _tie_sign(sign, r: int, c: int, neg: list[int]):
+    """The transposition state after pair i, from the state before it.
+
+    r and c are the symbols of cells (0, i) and (i, 0).  The state is None
+    once row 0 is below c*, and otherwise says how c* reads column 0: 0
+    while c and its negation tie (c* = c so far), 1 once c* = c, -1 once
+    c* is the negation of c.
+    """
+    if sign is None:
+        return None
+    if not sign:
+        m = neg[c]
+        return (c < m) - (c > m) if r == min(c, m) else None
+    return sign if r == (c if sign > 0 else neg[c]) else None
 
 
 def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
@@ -234,20 +315,24 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
     recursion limit.  Every placement counts as one node; a walk that
     needs more than budget nodes stops at node budget + 1.
 
-    Returns (count, nodes, complete, leaves) where leaves holds the cell
-    tuples in visiting order when collect is set.
+    Returns (count, twins, nodes, complete, leaves): count leaves, twins of
+    them with row 0 below c*, which stand for their transposed partner too,
+    and the leaves' cell tuples in visiting order when collect is set.
     """
-    adm, above, cells = ctx.adm, ctx.above, ctx.cells
+    adm, above, cells, pairs, neg = ctx.adm, ctx.above, ctx.cells, ctx.pairs, ctx.neg
     stop = ctx.n * ctx.n
     grid = [0] * (stop + 1)
     used = [0] * (4 * ctx.n)
-    count = 0
+    # ties[i]: the transposition state before pair i, set when its deciding cell is entered;
+    # pair 0 is the corner, where 1 ties its negation
+    ties = [0] * ctx.n
+    count = twins = 0
     nodes = 0
     leaves: list[tuple[int, ...]] = []
     untried = [0] * stop
     k = 0
     while k >= 0:
-        u1, u2, u3, u4, prev, other, nbr = cells[k]
+        u1, u2, u3, u4, prev, other, nbr, lex = cells[k]
         sym = grid[k]
         if sym:
             # back at a placed cell: lift its symbol, go on with the rest
@@ -260,6 +345,13 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
         else:
             sym = grid[prev]
             cand = nbr[sym] & adm[grid[other]] & ~(used[u1] | used[u2] | used[u3] | used[u4])
+            if lex:
+                # the later cell of pair i: keep row 0 <= c* while the pairs before tie
+                i, partner, masks = lex
+                r, c = pairs[i - 1]
+                sign = ties[i] = _tie_sign(ties[i - 1], grid[r], grid[c], neg)
+                if sign is not None:
+                    cand &= masks[sign][grid[partner]]
         if not cand:
             grid[k] = 0
             k -= 1
@@ -271,7 +363,7 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
         untried[k] = cand ^ bit
         nodes += 1
         if nodes > budget:
-            return count, nodes, False, leaves
+            return count, twins, nodes, False, leaves
         grid[k] = bit.bit_length()
         used[u1] |= bit
         used[u2] |= bit
@@ -280,12 +372,23 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
         k += 1
         if k == stop:
             count += 1
+            if pairs:
+                r, c = pairs[-1]
+                twins += _tie_sign(ties[-1], grid[r], grid[c], neg) is None
             if collect:
                 leaves.append(tuple(grid[:stop]))
             if stop_first:
                 break
             k -= 1
-    return count, nodes, True, leaves
+    return count, twins, nodes, True, leaves
+
+
+def _below_c_star(leaf: tuple[int, ...], pairs, neg: list[int]) -> bool:
+    """Whether the row-major square's row 0 is below c*; pairs are its (0, i), (i, 0) indices."""
+    sign = 0
+    for r, c in pairs:
+        sign = _tie_sign(sign, leaf[r], leaf[c], neg)
+    return sign is None
 
 
 def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
@@ -307,13 +410,20 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
         raise ParameterError(f"the search runs in one process: workers must be 1, got {workers}")
     n = query.n
     ctx = _Context(query)
-    count, nodes, complete, leaves = _walk(ctx, query.node_budget, collect=query.mode != "count",
-                                           stop_first=query.mode == "exists")
+    count, twins, nodes, complete, leaves = _walk(ctx, query.node_budget,
+                                                  collect=query.mode != "count",
+                                                  stop_first=query.mode == "exists")
     if query.constraint == "sudoku":
         # leaves hold the cells in visiting order; lay them out row by row
         row_major = itemgetter(*ctx.pos)
         leaves = [row_major(leaf) for leaf in leaves]
     if complete and query.mode != "exists":
+        if twins:
+            # a leaf with row 0 below c* stands for its transpose too
+            count += twins
+            pairs = [(i, i * n) for i in range(n)]
+            transpose = itemgetter(*[c * n + r for r in range(n) for c in range(n)])
+            leaves += [transpose(leaf) for leaf in leaves if _below_c_star(leaf, pairs, ctx.neg)]
         # each leaf stands for its orbit under u -> +-(u - 1) + s: 2n squares, n when n = 2
         maps = {(0, *[(sign * v + s) % n + 1 for v in range(n)])
                 for sign in (1, -1) for s in range(n)}

@@ -92,60 +92,103 @@ def band_column_order(a: int, b: int):
     return [(band + i, c) for band in range(0, n, a) for c in range(n) for i in range(a)]
 
 
-def sudoku_prefix_count(a: int, b: int, d: int):
-    """Count the partial (a, b)-Sudoku squares a walk in band-column order places.
+def _negation(u: int, n: int) -> int:
+    return (1 - u) % n + 1
 
-    A prefix of band_column_order is kept if its filled cells share no
-    symbol within a row, a column or a block, every two filled side
-    neighbours lie at cyclic distance >= d, the corner holds 1, and the
-    filled part of row 0 is not lexicographically greater than its
-    negation u -> 2 - u (mod n).  Returns (prefixes, squares): how many
-    non-empty prefixes are kept, and how many of them fill the square.
+
+def _prefix_count(n: int, d: int, order, units_of, transposition: bool):
+    """Count the partial squares a walk over `order`, a list of (row, column) cells, places.
+
+    A prefix of order is kept if its filled cells share no symbol within any
+    unit units_of(r, c) names, every two filled side neighbours lie at cyclic
+    distance >= d, the corner holds 1, and the filled part of row 0 is not
+    lexicographically greater than its negation u -> 2 - u (mod n).  With
+    transposition, take the pairs i >= 1 whose cells (0, i) and (i, 0) are
+    both filled, 1..m; with R and C the row-0 and column-0 symbols of those
+    pairs, c* the smaller of C and its negation, the prefix is also kept
+    only if R <= c*.  A whole square whose row 0 is below c* stands for its
+    transposed partner too, so it counts twice.
+
+    Returns (prefixes, squares): how many non-empty prefixes are kept, and
+    how many squares with symbol 1 in the corner and row 0 no greater than
+    its negation the complete ones stand for.
     """
-    n = a * b
-    order = band_column_order(a, b)
     grid = {}
     units = {}
 
-    def negation(u):
-        return (1 - u) % n + 1
-
     def row0_leads(row):
         for u in row:
-            if u != negation(u):
-                return u < negation(u)
+            if u != _negation(u, n):
+                return u < _negation(u, n)
         return True
+
+    def lex_pairs():
+        m = 1
+        while (0, m) in grid and (m, 0) in grid:
+            m += 1
+        row = tuple(grid[0, i] for i in range(1, m))
+        col = tuple(grid[i, 0] for i in range(1, m))
+        return row, min(col, tuple(_negation(u, n) for u in col))
 
     def fits(r, c, s):
         if (r, c) == (0, 0) and s != 1:
             return False
-        if any(s in units.get(unit, ()) for unit in (("row", r), ("col", c),
-                                                      ("block", r // a, c // b))):
+        if any(s in units.get(unit, ()) for unit in units_of(r, c)):
             return False
         for cell in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
             if cell in grid and min((s - grid[cell]) % n, (grid[cell] - s) % n) < d:
                 return False
-        row = [grid[0, j] for j in range(c)] + [s] if r == 0 else []
-        return row0_leads(row)
+        grid[r, c] = s
+        row = [grid[0, j] for j in range(n) if (0, j) in grid]
+        keep = row0_leads(row)
+        if transposition:
+            row, star = lex_pairs()
+            keep = keep and row <= star
+        del grid[r, c]
+        return keep
 
     def extend(k):
         if k == len(order):
-            return 0, 1
+            row, star = lex_pairs()
+            return 0, 2 if transposition and row != star else 1
         r, c = order[k]
         prefixes = squares = 0
         for s in range(1, n + 1):
             if not fits(r, c, s):
                 continue
             grid[r, c] = s
-            cell_units = (("row", r), ("col", c), ("block", r // a, c // b))
-            for unit in cell_units:
+            for unit in units_of(r, c):
                 units.setdefault(unit, set()).add(s)
             below, full = extend(k + 1)
             prefixes += 1 + below
             squares += full
-            for unit in cell_units:
+            for unit in units_of(r, c):
                 units[unit].discard(s)
             del grid[r, c]
         return prefixes, squares
 
     return extend(0)
+
+
+def row_major_prefix_count(n: int, d: int, constraint: str = "plain"):
+    """The count and enumerate walk of plain or pandiagonal squares of order n,
+    row by row, with the transposition rule; see _prefix_count."""
+
+    def units_of(r, c):
+        units = [("row", r), ("col", c)]
+        if constraint == "pandiagonal":
+            units += [("forward", (r - c) % n), ("back", (r + c) % n)]
+        return units
+
+    return _prefix_count(n, d, [divmod(k, n) for k in range(n * n)], units_of, True)
+
+
+def sudoku_prefix_count(a: int, b: int, d: int):
+    """The count and enumerate walk of (a, b)-Sudoku squares in band-column
+    order; square blocks (a = b) also take the transposition rule.  See
+    _prefix_count."""
+
+    def units_of(r, c):
+        return [("row", r), ("col", c), ("block", r // a, c // b)]
+
+    return _prefix_count(a * b, d, band_column_order(a, b), units_of, a == b)

@@ -281,6 +281,22 @@ def test_bounds_orders_are_integers():
                 known_bounds(kind, n=n)
 
 
+@pytest.mark.parametrize("build, args", [(max_distance_square, (7,)), (pandiagonal_max, (7,)),
+                                         (shift_by_k, (5, 2)), (algorithm2, (2, 3)),
+                                         (ShiftParams, (7, 3, 3, 7, 7))])
+def test_constructor_arguments_are_integers(build, args):
+    # numpy ints build the same thing, stored as Python ints
+    built = build(*map(np.int64, args))
+    assert built == build(*args)
+    if isinstance(built, ShiftParams):
+        assert all(type(getattr(built, name)) is int for name in ("n", "r", "c", "alpha", "beta"))
+    # a float, a string or a bool is no integer argument, whatever it rounds to
+    for i, value in enumerate(args):
+        for bad in (float(value), str(value), True):
+            with pytest.raises(ParameterError):
+                build(*args[:i], bad, *args[i + 1:])
+
+
 def test_sudoku_bounds_exact_cases():
     assert (sudoku_bounds(5, 7).lower, sudoku_bounds(5, 7).upper,
             sudoku_bounds(5, 7).exact) == (15, 15, True)

@@ -8,7 +8,8 @@ from latindist import (NonexistenceError, ParameterError,
 
 from latindist.search import _Context
 from oracle import (all_latin_squares, band_column_order, count_by_filter, is_pandiagonal,
-                    is_sudoku, min_adjacent_distance, sudoku_prefix_count)
+                    is_sudoku, min_adjacent_distance, row_major_prefix_count,
+                    sudoku_prefix_count)
 
 
 def _count(n, d, constraint="plain", shape=None):
@@ -64,6 +65,12 @@ def test_query_orders_are_integers():
             SearchQuery(n=n, min_distance=2)
     with pytest.raises(ParameterError):
         SearchQuery(n=6.0, constraint="sudoku", shape=SudokuShape(2, 3))
+    # the distance floor too: True would read as 1 and count every square
+    q = SearchQuery(n=5, min_distance=np.int64(2))
+    assert type(q.min_distance) is int and run_search(q).count == 20
+    for d in (2.0, "2", True, None):
+        with pytest.raises(ParameterError):
+            SearchQuery(n=5, min_distance=d)
 
 
 def test_agrees_with_filtering_the_full_square_list():
@@ -145,32 +152,52 @@ def test_low_distance_probes_find_a_witness_early(n, constraint, shape, d):
 
 
 def test_complete_queries_expand_the_same_tree():
-    # node counts of the seed engine, which walked every corner symbol.  The pinned
-    # walk is one of n symbol shifts of that tree, T = seed / n nodes, and of it the
-    # walk keeps one subtree of each negation pair below the shared corner: (T + 1) / 2
-    # nodes for odd n; for even n the cell (0, 1) = 1 + n/2 node is shared too, so
-    # (T + 2) / 2.  That is 2 054, 12 257 and 13 731 nodes.
-    cases = [(SearchQuery(n=6, min_distance=2), 24_636),
-             (SearchQuery(n=8, min_distance=3), 196_096),
-             (SearchQuery(n=13, constraint="pandiagonal", min_distance=5), 356_993)]
-    for query, seed in cases:
-        shifted, rest = divmod(seed, query.n)
-        assert rest == 0
-        nodes = (shifted + 1) // 2 if query.n % 2 else (shifted + 2) // 2
-        result = run_search(query)
-        assert result.complete and result.nodes_expanded == nodes, query
+    # the set-based counter walks row by row under the corner, negation and
+    # transposition rules; squares counts the squares with symbol 1 in the corner
+    # and row 0 no greater than its negation, a twin for each leaf whose row 0 is below c*
+    for n, constraint, d, nodes, squares in [(6, "plain", 2, 1_300, 56),
+                                             (8, "plain", 3, 7_253, 170),
+                                             (13, "pandiagonal", 5, 11_199, 4)]:
+        assert row_major_prefix_count(n, d, constraint) == (nodes, squares)
+        for mode in ("count", "enumerate"):
+            query = SearchQuery(n=n, constraint=constraint, min_distance=d, mode=mode)
+            result = run_search(query)
+            assert result.complete and result.nodes_expanded == nodes, query
+            assert result.count == 2 * n * squares, query
 
 
 @pytest.mark.parametrize("a, b, d, nodes",
-                         [(2, 2, 1, 354), (2, 3, 2, 136), (3, 2, 2, 119), (2, 4, 3, 254),
-                          (2, 5, 4, 384), (3, 3, 3, 10_834), (3, 3, 4, 6)])
+                         [(2, 2, 1, 212), (2, 3, 2, 136), (3, 2, 2, 119), (2, 4, 3, 254),
+                          (2, 5, 4, 384), (3, 3, 3, 5_932), (3, 3, 4, 6)])
 def test_sudoku_walk_matches_the_set_based_prefix_count(a, b, d, nodes):
-    # Sudoku squares are walked band by band, each band column by column
+    # Sudoku squares are walked band by band, each band column by column; square
+    # blocks also keep one square of each transposed pair
     prefixes, squares = sudoku_prefix_count(a, b, d)
     assert prefixes == nodes
     result = run_search(SearchQuery(constraint="sudoku", shape=SudokuShape(a, b), min_distance=d))
     assert result.complete and result.nodes_expanded == nodes
     assert result.count == 2 * a * b * squares
+
+
+@pytest.mark.parametrize("n, constraint, shape, d",
+                         [(5, "plain", None, 2), (6, "plain", None, 2), (7, "pandiagonal", None, 2),
+                          (4, "sudoku", (2, 2), 1), (9, "sudoku", (3, 3), 3)])
+def test_complete_lists_are_closed_under_transposition_and_symbol_maps(n, constraint, shape, d):
+    # the walk keeps one square of each transposed pair; the list must hold both
+    result = run_search(SearchQuery(n=n, constraint=constraint, min_distance=d, mode="enumerate",
+                                    shape=SudokuShape(*shape) if shape else None))
+    rows = [w.row_tuples() for w in result.witnesses]
+    assert result.complete and len(rows) == result.count > 0
+    keep = (lambda r: is_sudoku(r, *shape)) if shape else \
+        is_pandiagonal if constraint == "pandiagonal" else (lambda r: True)
+    assert all(keep(r) and min_adjacent_distance(r) >= d for r in rows)
+    squares = np.array(rows)
+    listed = {square.tobytes() for square in squares}
+    assert len(listed) == result.count
+    images = [squares.transpose(0, 2, 1)]
+    images += [(sign * (squares - 1) + shift) % n + 1 for sign in (1, -1) for shift in range(n)]
+    for image in images:
+        assert {square.tobytes() for square in image} == listed
 
 
 def test_enumeration_matches_the_oracle_in_order():
@@ -207,16 +234,16 @@ def test_nonexistence_is_proven_on_one_corner_symbol():
 
 
 def test_complete_iff_the_tree_fits_the_budget():
-    # plain 6 d=2 is a tree of 2 054 nodes
+    # plain 6 d=2 is a tree of 1 300 nodes
     for query, complete in [(SearchQuery(n=6, min_distance=1, node_budget=5000), False),
-                            (SearchQuery(n=6, min_distance=2, node_budget=2054), True),
-                            (SearchQuery(n=6, min_distance=2, node_budget=2053), False)]:
+                            (SearchQuery(n=6, min_distance=2, node_budget=1300), True),
+                            (SearchQuery(n=6, min_distance=2, node_budget=1299), False)]:
         assert run_search(query).complete == complete, query
 
 
 @pytest.mark.parametrize("query", [
     SearchQuery(n=6, min_distance=1, node_budget=5000),
-    SearchQuery(n=6, min_distance=2, mode="enumerate", node_budget=2053),
+    SearchQuery(n=6, min_distance=2, mode="enumerate", node_budget=1299),
     SearchQuery(n=6, min_distance=1, node_budget=100_000),
     SearchQuery(n=8, min_distance=2, mode="exists", node_budget=10),
     SearchQuery(constraint="sudoku", shape=SudokuShape(3, 6), min_distance=7, mode="exists",
@@ -258,13 +285,14 @@ def test_budget_exhaustion_is_reported_not_silent():
 
 
 def test_starved_results_are_not_expanded_by_symmetry():
-    # only what the walk placed: no symbol map is applied to a partial result
-    # (plain 6 d=2 has 672 squares, 56 of them walked, in 2 054 nodes)
-    starved = run_search(SearchQuery(n=6, min_distance=2, mode="enumerate", node_budget=1500))
-    assert not starved.complete and 0 < starved.count < 56
+    # only what the walk placed: no symbol map or transposition is applied to a
+    # partial result (plain 6 d=2 has 672 squares; the walk places 35 in 1 300 nodes,
+    # and 21 of them stand for a transposed twin too)
+    starved = run_search(SearchQuery(n=6, min_distance=2, mode="enumerate", node_budget=1000))
+    assert not starved.complete and 0 < starved.count < 35
     assert len(starved.witnesses) == starved.count
     assert all(w.row_tuples()[0][0] == 1 for w in starved.witnesses)
-    counted = run_search(SearchQuery(n=6, min_distance=2, node_budget=1500))
+    counted = run_search(SearchQuery(n=6, min_distance=2, node_budget=1000))
     assert not counted.complete and counted.count == starved.count
     # a starved walk keeps the squares it placed before it stopped
     starved = run_search(SearchQuery(n=6, min_distance=1, mode="enumerate", node_budget=20_000))
@@ -292,7 +320,7 @@ def _sigma(s, n):
                          + [(n, "pandiagonal", None) for n in (5, 7, 13)]
                          + [(a * b, "sudoku", (a, b))
                             for a, b in ((2, 3), (3, 3), (3, 4), (3, 2), (4, 3), (1, 4),
-                                         (4, 1), (2, 1))])
+                                         (4, 1), (2, 1), (2, 2))])
 def test_context_tables_match_their_definition(n, constraint, shape):
     a, b = shape or (0, 0)
     full = (1 << n) - 1
@@ -302,6 +330,9 @@ def test_context_tables_match_their_definition(n, constraint, shape):
     order = band_column_order(a, b) if shape else [divmod(k, n) for k in range(n * n)]
     at = {cell: k for k, cell in enumerate(order)}
     spare = n * n
+    transposable = constraint != "sudoku" or a == b
+    # c* reads column 0 through min(u, -u) while it ties its negation, then u or -u
+    star = {0: lambda v: min(v, _sigma(v, n)), 1: lambda v: v, -1: lambda v: _sigma(v, n)}
     for d in sorted({1, 2, n // 4, n // 2, n // 2 + 1} - {0}):
         ctx = _Context(SearchQuery(n=n, constraint=constraint, min_distance=d,
                                    shape=SudokuShape(a, b) if shape else None))
@@ -313,7 +344,12 @@ def test_context_tables_match_their_definition(n, constraint, shape):
                              for s in range(n + 1)]
         assert ctx.pos == [at[divmod(i, n)] for i in range(n * n)]
         assert len(ctx.cells) == n * n
-        for k, (u1, u2, u3, u4, prev, other, nbr) in enumerate(ctx.cells):
+        assert ctx.pairs == ([(at[0, i], at[i, 0]) for i in range(n)] if transposable else [])
+        # exists walks keep every square of a transposed pair
+        probe = _Context(SearchQuery(n=n, constraint=constraint, min_distance=d, mode="exists",
+                                     shape=SudokuShape(a, b) if shape else None))
+        assert probe.pairs == [] and probe.cells == [cell[:-1] + (0,) for cell in ctx.cells]
+        for k, (u1, u2, u3, u4, prev, other, nbr, lex) in enumerate(ctx.cells):
             r, c = order[k]
             if constraint == "sudoku":
                 block = 2 * n + (r // a) * a + c // b
@@ -336,6 +372,17 @@ def test_context_tables_match_their_definition(n, constraint, shape):
             elif (r, c) == (0, 2) and n % 2 == 0 and n > 2:
                 allowed[1 + n // 2] = strict
             assert nbr == [m & mask for m, mask in zip(adm, allowed)], (d, k)
+            # pair i = r + c is decided at the later of (0, i) and (i, 0): a column cell
+            # admits v with c*'s f(v) >= row 0's x, a row cell v <= f(x) for column 0's x
+            if transposable and (r == 0 or c == 0) and at[c, r] < k:
+                assert lex[:2] == (r + c, at[c, r]), (d, k)
+                for sign, f in star.items():
+                    assert lex[2][sign][1:] == [
+                        sum(1 << (v - 1) for v in range(1, n + 1)
+                            if (f(v) >= x if c == 0 else v <= f(x)))
+                        for x in range(1, n + 1)], (d, k, sign)
+            else:
+                assert lex == 0, (d, k)
 
 
 def test_max_distance_via_search():
