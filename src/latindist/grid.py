@@ -244,6 +244,8 @@ def validate_sudoku(grid: SquareGrid, shape: SudokuShape) -> ValidationReport:
 
     Block violations come band-major after the row and column ones.
     """
+    if not isinstance(shape, SudokuShape):
+        raise ParameterError(f"shape must be a SudokuShape, got {shape!r}")
     if shape.n != grid.n:
         raise ParameterError(f"shape ({shape.a}, {shape.b}) does not tile an order-{grid.n} grid")
     return _validate(grid, shape)

@@ -8,16 +8,19 @@ already-placed neighbours (left and up).  At distances near n/2 each
 symbol admits at most a handful of neighbours, so the tree collapses and
 even order-9 runs finish in milliseconds.
 
-Plain and pandiagonal squares are visited row by row.  Sudoku squares are
-visited band by band (a rows each), each band column by column, so the
-first a*b cells visited are a block and the first a*n a band: a walk
-that cannot complete either backtracks inside it instead of under whole
-rows of the square.  The left and upper neighbours are visited earlier in
-both orders.  Candidates are tried cyclically upwards from the left
-neighbour's symbol (in column 0 the upper neighbour's, at the corner from
-1), so a row tends to go on by the smallest admissible step, as a shift
-square does, and an exists probe below the maximum often meets a witness
-after little more than n*n nodes instead of wandering.
+Cells are visited band by band, each band column by column.  A Sudoku
+band is a rows, so the first a*b cells visited are a block and the first
+a*n a band: a walk that cannot complete either backtracks inside it
+instead of under whole rows of the square.  Plain and pandiagonal bands
+are one row, so those squares are visited row by row.  The left and upper
+neighbours are visited earlier in every such order, and the walk's grid
+is indexed by the row-major cell whatever the order, so each square
+comes back laid out row by row.  Candidates are tried cyclically upwards
+from the left neighbour's symbol (in column 0 the upper neighbour's, at
+the corner from 1), so a row tends to go on by the smallest admissible
+step, as a shift square does, and an exists probe below the maximum
+often meets a witness after little more than n*n nodes instead of
+wandering.
 
 The symbol maps u -> +-(u - 1) + s (mod n, symbols 1..n) keep every
 constraint and distance: the constraints depend only on cell positions,
@@ -45,21 +48,20 @@ the walk fills (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking
 predicates for search problems", KR 1996): row 0[i] is compared with
 c*[i] when the later of cells (0, i) and (i, 0) is placed, and the
 subtree is cut as soon as c*[i] < row 0[i] after pairs that tied.  That
-cell is (i, 0) in row-major order, and (0, i) for i < a in band-column
-order.  The rule is one mask ANDed into that cell's candidates; every
-other cell only finds that it has none.  A complete leaf whose row 0
-differs from c* stands for its partner too: a count weighs it 2, and an
-enumerate adds its transpose before the 2n symbol maps.  A starved walk
-returns its leaves unweighted.  Exists walks keep both squares of each
-pair.
+cell is (0, i) for i < a, inside the first band's first a columns, and
+(i, 0) otherwise.  The rule is one mask ANDed into that cell's
+candidates; every other cell only finds that it has none.  A complete
+leaf whose row 0 differs from c* stands for its partner too: a count
+weighs it 2, and an enumerate adds its transpose before the 2n symbol
+maps.  A starved walk returns its leaves unweighted.  Exists walks keep
+both squares of each pair.
 
 One non-recursive walk over the visiting order does all of it: a query
 is a single walk from the empty grid under the query's node budget, and
 exists mode stops at its first witness.  The budget is exact: a query is
 complete iff its tree (in exists mode, up to the first witness) fits in
 node_budget placements, and a walk that does not fit stops at placement
-node_budget + 1.  Each square comes back laid out row by row, and a
-complete witness list is sorted.
+node_budget + 1.  A complete witness list is sorted.
 """
 
 from __future__ import annotations
@@ -99,8 +101,9 @@ class SearchQuery:
     count and enumerate mode of plain, pandiagonal and (a, a)-Sudoku
     squares also by transposition (row 0 <= c*; see the module docstring);
     the search is complete iff that tree fits in it, and otherwise stops
-    after exactly node_budget + 1 placements.  min_distance and n are
-    integers, numpy's included; a bool, float or string is neither.
+    after exactly node_budget + 1 placements.  n, min_distance and
+    node_budget are integers, numpy's included; a bool, float or string is
+    none of them.
     """
 
     n: int | None = None
@@ -118,14 +121,15 @@ class SearchQuery:
         object.__setattr__(self, "min_distance", _order(self.min_distance, "min_distance"))
         if self.min_distance < 1:
             raise ParameterError(f"min_distance must be at least 1, got {self.min_distance}")
+        object.__setattr__(self, "node_budget", _order(self.node_budget, "node_budget"))
         if self.node_budget < 1:
             raise ParameterError(f"node_budget must be positive, got {self.node_budget}")
         if self.n is not None:
             # numpy orders become Python ints: the walk builds bitmasks from n
             object.__setattr__(self, "n", _order(self.n))
         if self.constraint == "sudoku":
-            if self.shape is None:
-                raise ParameterError("sudoku searches need a block shape")
+            if not isinstance(self.shape, SudokuShape):
+                raise ParameterError(f"sudoku searches need a SudokuShape, got {self.shape!r}")
             if self.n is None:
                 object.__setattr__(self, "n", self.shape.n)
             elif self.n != self.shape.n:
@@ -183,38 +187,40 @@ class _Context:
 
     adm[u] is the mask of symbols at distance >= d from u, and adm[0], the
     symbol of the spare cell n*n, is the full mask; above[s] is the mask of
-    the symbols above s.  cells[k] is (u1, u2, u3, u4, prev, other, nbr, lex)
-    for the k-th cell visited: row by row for plain and pandiagonal squares,
-    band by band and within a band column by column for sudoku; pos[i] is
-    the visiting position of the i-th cell in row-major order.  u1..u4
-    are the four units whose symbols must differ: its row, its column, and
-    its block or two wrapped diagonals, as `grid._unit_labels` numbers
-    them.  Plain cells list their row and column twice and sudoku cells
-    their block twice; placing ORs a bit into each unit and removing
-    clears it, so a repeated unit is harmless.  prev and other are the
-    visiting positions of the two neighbours, both visited earlier: prev
-    is the left one and other the upper one, or the spare cell in row 0;
-    in column 0 prev is the upper one and other the spare cell.  Candidates
-    are tried upwards from prev's symbol, then from 1.  nbr[s] is the mask
-    the cell admits beside a prev holding s: adm itself for most cells, adm
-    with the lex-leader rule folded in for the first cells of row 0.  The
-    corner admits symbol 1 alone (translation), and cell (0, 1) admits s
-    only if s <= -s, where -s is the negation 2 - s (mod n, symbols 1..n).
-    For even n, -s = s at s = 1 + n/2, and then cell (0, 2) admits t only
-    if t < -t.  For n = 2 negation is the identity and restricts nothing.
+    the symbols above s.  Cells are numbered row-major, as the walk's grid
+    is: (r, c) is cell r*n + c.  cells[k] is (cell, u1, u2, u3, u4, prev,
+    other, nbr, lex) for the k-th cell visited, band by band (a rows each;
+    one row for plain and pandiagonal squares, so row by row) and within a
+    band column by column: every table is built once in row-major order and
+    then gathered into that order.  u1..u4 are the four units whose symbols
+    must differ: its row, its column, and its block or two wrapped
+    diagonals, as `grid._unit_labels` numbers them.  Plain cells list their
+    row and column twice and sudoku cells their block twice; placing ORs a
+    bit into each unit and removing clears it, so a repeated unit is
+    harmless.  prev and other are the row-major cells of the two
+    neighbours, both visited earlier: prev is the left one and other the
+    upper one, or the spare cell in row 0; in column 0 prev is the upper
+    one and other the spare cell.  Candidates are tried upwards from prev's
+    symbol, then from 1.  nbr[s] is the mask the cell admits beside a prev
+    holding s: adm itself for most cells, adm with the lex-leader rule
+    folded in for the first cells of row 0.  The corner admits symbol 1
+    alone (translation), and cell (0, 1) admits s only if s <= -s, where -s
+    is the negation 2 - s (mod n, symbols 1..n).  For even n, -s = s at
+    s = 1 + n/2, and then cell (0, 2) admits t only if t < -t.  For n = 2
+    negation is the identity and restricts nothing.
 
     Count and enumerate walks of transposable classes (plain, pandiagonal
     and (a, a)-Sudoku) also keep row 0 <= c*, the smaller of column 0 and
-    its negation; see the module docstring.  pairs[i] holds the visiting
-    positions of (0, i) and (i, 0), and neg[s] is -s.  lex is 0 but at the
-    later cell of each pair i >= 1, where it is (i, the visiting position
-    of the pair's other cell, masks): masks[t][x] is the mask the cell
-    admits when the pairs before i tie in the state t of `_tie_sign` and
-    the other cell holds x.  Exists walks and (a, b)-Sudoku with a != b
-    have no pairs and no lex.
+    its negation; see the module docstring.  pairs[i] is (i, i*n), the
+    cells (0, i) and (i, 0), and neg[s] is -s.  lex is 0 but at the later
+    cell of each pair i >= 1, which is (0, i) for i < a and (i, 0)
+    otherwise; there it is (i, the pair's other cell, masks): masks[t][x]
+    is the mask the cell admits when the pairs before i tie in the state t
+    of `_tie_sign` and the other cell holds x.  Exists walks and (a, b)-Sudoku
+    with a != b have no pairs and no lex.
     """
 
-    __slots__ = ("n", "adm", "above", "cells", "pos", "neg", "pairs")
+    __slots__ = ("n", "adm", "above", "cells", "neg", "pairs")
 
     def __init__(self, query: SearchQuery):
         n, d, shape = query.n, query.min_distance, query.shape
@@ -232,11 +238,12 @@ class _Context:
         u1, u2, *more = [(zero + label).ravel().tolist() for label in labels]
         # a plain cell repeats its row and column, a sudoku cell its block
         u3, u4 = (more * 2)[:2] if more else (u1, u2)
-        # row-major neighbours: prev is left, or up in column 0; other is up, or spare there
-        up = [spare] * n + list(range(spare - n))
-        prev = [spare] + list(range(spare - 1))
-        prev[n::n] = range(0, spare - n, n)
-        other = up[:]
+        # prev is the left neighbour, or the upper one in column 0; other is the upper one,
+        # or spare in row 0 and column 0
+        cell = list(range(spare))
+        prev = [spare] + cell[:-1]
+        prev[n::n] = cell[:-n:n]
+        other = [spare] * n + cell[:-n]
         other[::n] = [spare] * n
         # symbols x + 1 with x <= -x (mod n), and with x < -x
         lead = sum(1 << x for x in range(n) if x <= -x % n)
@@ -247,19 +254,12 @@ class _Context:
         if n % 2 == 0 and n > 2:
             nbr[2] = adm[:]
             nbr[2][1 + n // 2] &= strict
-        pos = list(range(spare + 1))
-        order = None
-        if shape is not None:
-            # band by band, each band column by column (row-major is this with one-row
-            # bands, but plain tables built so took 3-4x as long)
-            a = shape.a
-            order = [(r + i) * n + c for r in range(0, n, a) for c in range(n) for i in range(a)]
-            for k, cell in enumerate(order):
-                pos[cell] = k
+        # bands of a rows, one row for plain and pandiagonal squares
+        a = shape.a if shape is not None else 1
         lex = [0] * spare
         self.pairs = self.neg = []
         if query.mode != "exists" and (shape is None or shape.a == shape.b):
-            self.pairs = [(pos[i], pos[i * n]) for i in range(n)]
+            self.pairs = [(i, i * n) for i in range(n)]
             self.neg = neg = [0] + [(1 - u) % n + 1 for u in range(1, n + 1)]
             # c*[i] is f(c[i]): f(u) = min(u, -u) while c ties its negation, then u or -u.
             # Masks are listed by _tie_sign's state: 0, 1 (identity), -1 (negation).  A
@@ -269,23 +269,17 @@ class _Context:
             negated = [full] + list(accumulate((1 << (neg[v] - 1) for v in range(n, 0, -1)),
                                                or_))[::-1]
             col_masks = [list(map(and_, at_least, negated)), at_least, negated]
-            # and a row cell, the later one only in a band of square blocks, v <= f(c[i])
-            row_masks = None if shape is None else [
-                [(1 << f[c]) - 1 for c in range(n + 1)]
-                for f in ([min(u, v) for u, v in enumerate(neg)], range(n + 1), neg)]
-            for i, (rk, ck) in enumerate(self.pairs[1:], 1):
-                if rk > ck:
-                    lex[i] = (i, ck, row_masks)
-                else:
-                    lex[i * n] = (i, rk, col_masks)
-        cells = list(zip(u1, u2, u3, u4, prev, other, nbr, lex))
-        if order is not None:
-            # renumber the neighbours in visiting order
-            cells = [(u1, u2, u3, u4, pos[p], pos[o], nb, lx)
-                     for u1, u2, u3, u4, p, o, nb, lx in map(cells.__getitem__, order)]
-        pos.pop()
-        self.cells = cells
-        self.pos = pos
+            # and a row cell, the later one for i < a, v <= f(c[i]) (at_most[x] holds the v <= x)
+            at_most = [full ^ m for m in self.above]
+            neg_at_most = list(itemgetter(*neg)(at_most))
+            row_masks = [list(map(and_, at_most, neg_at_most)), at_most, neg_at_most]
+            for i in range(1, a):
+                lex[i] = (i, i * n, row_masks)
+            for i in range(a, n):
+                lex[i * n] = (i, i, col_masks)
+        # visit band by band, each band column by column: row-major when a = 1
+        order = np.arange(spare).reshape(-1, a, n).transpose(0, 2, 1).ravel().tolist()
+        self.cells = itemgetter(*order)(list(zip(cell, u1, u2, u3, u4, prev, other, nbr, lex)))
 
 
 def _tie_sign(sign, r: int, c: int, neg: list[int]):
@@ -317,7 +311,7 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
 
     Returns (count, twins, nodes, complete, leaves): count leaves, twins of
     them with row 0 below c*, which stand for their transposed partner too,
-    and the leaves' cell tuples in visiting order when collect is set.
+    and the leaves' row-major cell tuples when collect is set.
     """
     adm, above, cells, pairs, neg = ctx.adm, ctx.above, ctx.cells, ctx.pairs, ctx.neg
     stop = ctx.n * ctx.n
@@ -332,8 +326,8 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
     untried = [0] * stop
     k = 0
     while k >= 0:
-        u1, u2, u3, u4, prev, other, nbr, lex = cells[k]
-        sym = grid[k]
+        cell, u1, u2, u3, u4, prev, other, nbr, lex = cells[k]
+        sym = grid[cell]
         if sym:
             # back at a placed cell: lift its symbol, go on with the rest
             keep = ~(1 << (sym - 1))
@@ -353,7 +347,7 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
                 if sign is not None:
                     cand &= masks[sign][grid[partner]]
         if not cand:
-            grid[k] = 0
+            grid[cell] = 0
             k -= 1
             continue
         # upwards from prev's symbol, wrapping to 1; after a lifted symbol
@@ -364,7 +358,7 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
         nodes += 1
         if nodes > budget:
             return count, twins, nodes, False, leaves
-        grid[k] = bit.bit_length()
+        grid[cell] = bit.bit_length()
         used[u1] |= bit
         used[u2] |= bit
         used[u3] |= bit
@@ -413,17 +407,13 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
     count, twins, nodes, complete, leaves = _walk(ctx, query.node_budget,
                                                   collect=query.mode != "count",
                                                   stop_first=query.mode == "exists")
-    if query.constraint == "sudoku":
-        # leaves hold the cells in visiting order; lay them out row by row
-        row_major = itemgetter(*ctx.pos)
-        leaves = [row_major(leaf) for leaf in leaves]
     if complete and query.mode != "exists":
         if twins:
             # a leaf with row 0 below c* stands for its transpose too
             count += twins
-            pairs = [(i, i * n) for i in range(n)]
             transpose = itemgetter(*[c * n + r for r in range(n) for c in range(n)])
-            leaves += [transpose(leaf) for leaf in leaves if _below_c_star(leaf, pairs, ctx.neg)]
+            leaves += [transpose(leaf) for leaf in leaves
+                       if _below_c_star(leaf, ctx.pairs, ctx.neg)]
         # each leaf stands for its orbit under u -> +-(u - 1) + s: 2n squares, n when n = 2
         maps = {(0, *[(sign * v + s) % n + 1 for v in range(n)])
                 for sign in (1, -1) for s in range(n)}

@@ -116,6 +116,10 @@ def test_validate_sudoku(golden):
 def test_validate_sudoku_shape_mismatch():
     with pytest.raises(ParameterError):
         validate_sudoku(SquareGrid([[1, 2], [2, 1]]), SudokuShape(3, 3))
+    # a shape is a SudokuShape, not a bare (a, b) pair
+    with pytest.raises(ParameterError):
+        validate_sudoku(SquareGrid([[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 1]]),
+                        (2, 2))
 
 
 def test_sudoku_verdict_transposes_with_swapped_shape(golden):

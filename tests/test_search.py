@@ -48,6 +48,9 @@ def test_query_validation():
         SearchQuery(n=4, constraint="plain", shape=SudokuShape(2, 2))
     with pytest.raises(ParameterError):
         SearchQuery(n=4, mode="guess")
+    # a shape is a SudokuShape, not a bare (a, b) pair
+    with pytest.raises(ParameterError):
+        SearchQuery(constraint="sudoku", shape=(3, 3))
     # shape alone is enough for sudoku queries
     q = SearchQuery(constraint="sudoku", shape=SudokuShape(2, 2), min_distance=1)
     assert q.n == 4
@@ -71,6 +74,12 @@ def test_query_orders_are_integers():
     for d in (2.0, "2", True, None):
         with pytest.raises(ParameterError):
             SearchQuery(n=5, min_distance=d)
+    # and the node budget: 2.5e3 would be echoed as 2500.0 and True would run one node
+    q = SearchQuery(n=5, min_distance=2, node_budget=np.int64(2500))
+    assert type(q.node_budget) is int and q.as_json_dict()["node_budget"] == 2500
+    for budget in (2.5e3, 2500.0, True, "100", None):
+        with pytest.raises(ParameterError):
+            SearchQuery(n=5, min_distance=2, node_budget=budget)
 
 
 def test_agrees_with_filtering_the_full_square_list():
@@ -275,6 +284,12 @@ def test_sudoku_witnesses_are_laid_out_row_by_row():
         first = run_search(SearchQuery(constraint="sudoku", shape=shape, min_distance=d,
                                        mode="exists"))
         assert first.witnesses[0] in result.witnesses
+    # a starved walk's witnesses are row-major too, and unexpanded
+    starved = run_search(SearchQuery(constraint="sudoku", shape=SudokuShape(3, 3), min_distance=3,
+                                     mode="enumerate", node_budget=3000))
+    assert not starved.complete and starved.count == len(starved.witnesses) == 40
+    assert all(is_sudoku(w.row_tuples(), 3, 3) and min_adjacent_distance(w.row_tuples()) >= 3
+               for w in starved.witnesses)
 
 
 def test_budget_exhaustion_is_reported_not_silent():
@@ -322,7 +337,7 @@ def _sigma(s, n):
                             for a, b in ((2, 3), (3, 3), (3, 4), (3, 2), (4, 3), (1, 4),
                                          (4, 1), (2, 1), (2, 2))])
 def test_context_tables_match_their_definition(n, constraint, shape):
-    a, b = shape or (0, 0)
+    a, b = shape or (1, n)
     full = (1 << n) - 1
     lead = sum(1 << (t - 1) for t in range(1, n + 1) if t <= _sigma(t, n))
     strict = sum(1 << (t - 1) for t in range(1, n + 1) if t < _sigma(t, n))
@@ -342,15 +357,17 @@ def test_context_tables_match_their_definition(n, constraint, shape):
         assert ctx.adm == adm, d
         assert ctx.above == [sum(1 << (v - 1) for v in range(s + 1, n + 1))
                              for s in range(n + 1)]
-        assert ctx.pos == [at[divmod(i, n)] for i in range(n * n)]
         assert len(ctx.cells) == n * n
-        assert ctx.pairs == ([(at[0, i], at[i, 0]) for i in range(n)] if transposable else [])
+        # the walk's grid is row-major: pair i is cells i and i * n
+        assert ctx.pairs == ([(i, i * n) for i in range(n)] if transposable else [])
         # exists walks keep every square of a transposed pair
         probe = _Context(SearchQuery(n=n, constraint=constraint, min_distance=d, mode="exists",
                                      shape=SudokuShape(a, b) if shape else None))
-        assert probe.pairs == [] and probe.cells == [cell[:-1] + (0,) for cell in ctx.cells]
-        for k, (u1, u2, u3, u4, prev, other, nbr, lex) in enumerate(ctx.cells):
+        assert probe.pairs == []
+        assert list(probe.cells) == [cell[:-1] + (0,) for cell in ctx.cells]
+        for k, (cell, u1, u2, u3, u4, prev, other, nbr, lex) in enumerate(ctx.cells):
             r, c = order[k]
+            assert cell == r * n + c, (d, k)
             if constraint == "sudoku":
                 block = 2 * n + (r // a) * a + c // b
                 assert (u1, u2, u3, u4) == (r, n + c, block, block)
@@ -359,9 +376,10 @@ def test_context_tables_match_their_definition(n, constraint, shape):
                 assert (u1, u2, u3, u4) == (r, n + c, 2 * n + 2 * forward, 2 * n + 2 * back + 1)
             else:
                 assert (u1, u2, u3, u4) == (r, n + c, r, n + c)
-            left = at[r, c - 1] if c else spare
-            up = at[r - 1, c] if r else spare
-            assert all(j < k or j == spare for j in (left, up))
+            left = r * n + c - 1 if c else spare
+            up = (r - 1) * n + c if r else spare
+            # both neighbours are filled before the cell
+            assert all(j == spare or at[divmod(j, n)] < k for j in (left, up))
             # symbols are tried upwards from the left neighbour's, in column 0 the upper one's
             assert (prev, other) == ((left, up) if c else (up, spare))
             allowed = [full] * (n + 1)
@@ -372,10 +390,14 @@ def test_context_tables_match_their_definition(n, constraint, shape):
             elif (r, c) == (0, 2) and n % 2 == 0 and n > 2:
                 allowed[1 + n // 2] = strict
             assert nbr == [m & mask for m, mask in zip(adm, allowed)], (d, k)
-            # pair i = r + c is decided at the later of (0, i) and (i, 0): a column cell
-            # admits v with c*'s f(v) >= row 0's x, a row cell v <= f(x) for column 0's x
-            if transposable and (r == 0 or c == 0) and at[c, r] < k:
-                assert lex[:2] == (r + c, at[c, r]), (d, k)
+            # pair i = r + c is decided at its later cell, (0, i) for i < a and (i, 0)
+            # otherwise: a column cell admits v with c*'s f(v) >= row 0's x, a row cell
+            # v <= f(x) for column 0's x
+            i = r + c
+            later = (0, i) if i < a else (i, 0)
+            if transposable and i and (r, c) == later:
+                assert at[c, r] < k
+                assert lex[:2] == (i, c * n + r), (d, k)
                 for sign, f in star.items():
                     assert lex[2][sign][1:] == [
                         sum(1 << (v - 1) for v in range(1, n + 1)
