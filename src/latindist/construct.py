@@ -19,13 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from numbers import Integral
 
 import numpy as np
 
 from .errors import NonexistenceError, ParameterError
-from .grid import SquareGrid, SudokuShape, _validate
-from .modmath import mod1n
+from .grid import SquareGrid, SudokuShape, _order, _validate
 from .transform import transpose
 
 __all__ = [
@@ -35,28 +33,10 @@ __all__ = [
     "algorithm2",
     "known_bounds",
     "max_distance_square",
-    "pandiagonal_bounds",
     "pandiagonal_max",
-    "plain_bounds",
-    "predicted_inner_distance",
-    "row_offset",
     "shift_by_k",
-    "sudoku_bounds",
     "sudoku_square",
 ]
-
-
-def _order(n, what: str = "an order") -> int:
-    """An order, or another integer argument named by what, as a Python int.
-
-    numpy ints are integers; a bool, a float or a string is none, whatever it rounds to.
-    """
-    if type(n) is int:
-        # the common case, without the slower Integral check
-        return n
-    if not isinstance(n, Integral) or isinstance(n, bool):
-        raise ParameterError(f"{what} is an integer; got {n!r}")
-    return int(n)
 
 
 @dataclass(frozen=True)
@@ -95,8 +75,8 @@ class ShiftParams:
             raise ParameterError(f"gcd(|beta|={abs(self.beta)}, c={c}) must be 1")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "alpha", mod1n(self.alpha, self.n))
-        object.__setattr__(self, "beta", mod1n(self.beta, self.n))
+        object.__setattr__(self, "alpha", (self.alpha - 1) % self.n + 1)
+        object.__setattr__(self, "beta", (self.beta - 1) % self.n + 1)
 
     @property
     def R(self) -> int:
@@ -208,7 +188,7 @@ def pandiagonal_max(n: int) -> SquareGrid:
             f"no pandiagonal Latin square of order {n} exists (order must be 1 or 5 mod 6)")
     if n == 1:
         raise ParameterError("no inner distance is defined below order 2")
-    params = ShiftParams(n, r=mod1n(-(n - 3) // 2, n), c=(n - 1) // 2, alpha=n, beta=n)
+    params = ShiftParams(n, r=-(n - 3) // 2, c=(n - 1) // 2, alpha=n, beta=n)
     return _require(_shift_fill(params), pandiagonal=True)
 
 
@@ -286,8 +266,7 @@ def _sudoku_plan(a: int, b: int) -> tuple[str, ShiftParams | None]:
             # square blocks: the mirrored parameter set (both increments
             # negated, axes swapped) realizes the same distances; R == a
             # keeps the vertical offsets on the block seams
-            params = ShiftParams(n, r=mod1n(-(n - a) // 2, n), c=mod1n(-(n - 1) // 2, n),
-                                 alpha=-1, beta=n)
+            params = ShiftParams(n, r=-(n - a) // 2, c=-(n - 1) // 2, alpha=-1, beta=n)
         else:
             # the vertical increment is the largest value under n/2 coprime
             # to n, which depends on a mod 4

@@ -29,9 +29,7 @@ __all__ = [
     "SudokuShape",
     "ValidationReport",
     "Violation",
-    "block_of",
     "format_grid_text",
-    "grid_from_json",
     "grid_to_json",
     "parse_grid_json",
     "parse_grid_text",
@@ -39,6 +37,19 @@ __all__ = [
     "validate_pandiagonal",
     "validate_sudoku",
 ]
+
+
+def _order(n, what: str = "an order") -> int:
+    """An order, or another integer argument named by what, as a Python int.
+
+    numpy ints are integers; a bool, a float or a string is none, whatever it rounds to.
+    """
+    if type(n) is int:
+        # the common case, without the slower Integral check
+        return n
+    if not isinstance(n, Integral) or isinstance(n, bool):
+        raise ParameterError(f"{what} is an integer; got {n!r}")
+    return int(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,19 +92,8 @@ class SquareGrid:
     def n(self) -> int:
         return self.cells.shape[0]
 
-    def at(self, i: int, j: int) -> int:
-        """Symbol in cell (i, j), 1-based."""
-        n = self.n
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ParameterError(f"cell ({i}, {j}) outside 1..{n}")
-        return int(self.cells[i - 1, j - 1])
-
     def rows(self) -> list[list[int]]:
         return self.cells.tolist()
-
-    def row_tuples(self) -> tuple[tuple[int, ...], ...]:
-        """Hash/sort-friendly view: a tuple of row tuples."""
-        return tuple(map(tuple, self.cells.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SquareGrid):
@@ -119,14 +119,11 @@ class SudokuShape:
     b: int
 
     def __post_init__(self):
-        # bool is an Integral; a float or a string is no block side, whatever it rounds to
-        if not all(isinstance(s, Integral) and not isinstance(s, bool) for s in (self.a, self.b)):
-            raise ParameterError(f"block shape must be two integers, got ({self.a!r}, {self.b!r})")
+        # numpy sides become Python ints: the search builds bitmasks from n = a * b
+        object.__setattr__(self, "a", _order(self.a, "a block side"))
+        object.__setattr__(self, "b", _order(self.b, "a block side"))
         if self.a < 1 or self.b < 1:
             raise ParameterError(f"block shape must be positive, got ({self.a}, {self.b})")
-        # numpy sides become Python ints: the search builds bitmasks from n = a * b
-        object.__setattr__(self, "a", int(self.a))
-        object.__setattr__(self, "b", int(self.b))
 
     @property
     def n(self) -> int:
@@ -215,12 +212,12 @@ def _validate(grid: SquareGrid, shape: SudokuShape | None = None,
     return ValidationReport(verdict=not violations, violations=tuple(violations))
 
 
-def block_of(i: int, j: int, shape: SudokuShape) -> BlockAddress:
-    """Band/stack address of cell (i, j): (floor((i-1)/a), floor((j-1)/b))."""
-    n = shape.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ParameterError(f"cell ({i}, {j}) outside 1..{n}")
-    return BlockAddress((i - 1) // shape.a, (j - 1) // shape.b)
+def _check_tiling(grid: SquareGrid, shape: SudokuShape) -> None:
+    """Raise ParameterError unless shape is a SudokuShape whose blocks tile grid."""
+    if not isinstance(shape, SudokuShape):
+        raise ParameterError(f"shape must be a SudokuShape, got {shape!r}")
+    if shape.n != grid.n:
+        raise ParameterError(f"shape ({shape.a}, {shape.b}) does not tile an order-{grid.n} grid")
 
 
 def validate_latin(grid: SquareGrid) -> ValidationReport:
@@ -244,10 +241,7 @@ def validate_sudoku(grid: SquareGrid, shape: SudokuShape) -> ValidationReport:
 
     Block violations come band-major after the row and column ones.
     """
-    if not isinstance(shape, SudokuShape):
-        raise ParameterError(f"shape must be a SudokuShape, got {shape!r}")
-    if shape.n != grid.n:
-        raise ParameterError(f"shape ({shape.a}, {shape.b}) does not tile an order-{grid.n} grid")
+    _check_tiling(grid, shape)
     return _validate(grid, shape)
 
 
@@ -316,8 +310,14 @@ def parse_grid_text(text: str) -> SquareGrid:
 
 
 def grid_to_json(grid: SquareGrid, shape: SudokuShape | None = None) -> dict:
+    """The JSON document of a grid, with its block shape if one is given.
+
+    A shape that is not a SudokuShape tiling the grid is a ParameterError,
+    as in validate_sudoku: parse_grid_json would reject the document.
+    """
     doc: dict = {"order": grid.n, "cells": grid.rows()}
     if shape is not None:
+        _check_tiling(grid, shape)
         doc["shape"] = {"a": shape.a, "b": shape.b}
     return doc
 

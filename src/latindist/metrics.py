@@ -14,23 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UndefinedDistanceError
+from .errors import UndefinedDistanceError
 from .grid import SquareGrid
 
-__all__ = ["DistanceReport", "adjacent_distance", "inner_distance"]
-
-
-def adjacent_distance(u: int, v: int, n: int) -> int:
-    """Cyclic distance between symbols u and v modulo n.
-
-    Defined for u == v (returns 0) even though Latin adjacency never
-    produces it; search code compares arbitrary symbol pairs.
-    """
-    if n < 1:
-        raise ParameterError(f"order must be positive, got {n}")
-    if not (1 <= u <= n and 1 <= v <= n):
-        raise ParameterError(f"symbols must lie in [1, {n}], got {u}, {v}")
-    return min((u - v) % n, (v - u) % n)
+__all__ = ["DistanceReport", "inner_distance"]
 
 
 @dataclass(frozen=True, eq=False)

@@ -72,9 +72,9 @@ from operator import and_, itemgetter, or_
 
 import numpy as np
 
-from .construct import _order, known_bounds
+from .construct import known_bounds
 from .errors import NonexistenceError, ParameterError, SearchIncompleteError
-from .grid import SquareGrid, SudokuShape, _unit_labels
+from .grid import SquareGrid, SudokuShape, _order, _unit_labels
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",

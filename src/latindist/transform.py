@@ -15,13 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotReducibleError, ParameterError
-from .grid import SquareGrid, validate_latin
+from .grid import SquareGrid, _order, validate_latin
 
 __all__ = [
     "GridPermutation",
     "apply_permutation",
-    "is_back_circulant",
-    "is_circulant",
     "to_circulant_canonical",
     "transpose",
 ]
@@ -44,18 +42,17 @@ class GridPermutation:
         n = len(self.rows)
         if len(self.cols) != n or len(self.symbols) != n:
             raise ParameterError("row, column, and symbol permutations must have equal length")
-        for name, perm in (("rows", self.rows), ("cols", self.cols), ("symbols", self.symbols)):
+        for name in ("rows", "cols", "symbols"):
+            # numpy entries become Python ints; a float, a bool or a string is no index
+            what = f"an entry of {name}"
+            perm = tuple(_order(k, what) for k in getattr(self, name))
             if sorted(perm) != list(range(1, n + 1)):
                 raise ParameterError(f"{name} is not a permutation of 1..{n}")
+            object.__setattr__(self, name, perm)
 
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "GridPermutation":
-        ident = tuple(range(1, n + 1))
-        return cls(rows=ident, cols=ident, symbols=ident)
 
     def as_json_dict(self) -> dict:
         return {"rows": list(self.rows), "cols": list(self.cols), "symbols": list(self.symbols)}
@@ -88,11 +85,6 @@ def transpose(grid: SquareGrid) -> SquareGrid:
 def is_circulant(grid: SquareGrid) -> bool:
     """Each row is the one above shifted right by one (with wraparound)."""
     return bool(np.array_equal(grid.cells, np.roll(grid.cells, (1, 1), axis=(0, 1))))
-
-
-def is_back_circulant(grid: SquareGrid) -> bool:
-    """Each row is the one above shifted left by one (with wraparound)."""
-    return bool(np.array_equal(grid.cells, np.roll(grid.cells, (1, -1), axis=(0, 1))))
 
 
 def to_circulant_canonical(grid: SquareGrid) -> tuple[SquareGrid, GridPermutation]:

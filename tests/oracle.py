@@ -26,6 +26,11 @@ def all_latin_squares(n: int):
     yield from extend([])
 
 
+def row_tuples(grid):
+    """A library grid as the tuple of row tuples the functions here take."""
+    return tuple(map(tuple, grid.cells.tolist()))
+
+
 def min_adjacent_distance(rows) -> int:
     n = len(rows)
     best = n

@@ -10,14 +10,13 @@ from math import gcd
 import numpy as np
 
 from latindist import (SearchQuery, ShiftParams, SquareGrid, SudokuShape,
-                       adjacent_distance, algorithm1, format_grid_text,
-                       inner_distance, max_distance_square,
-                       max_distance_via_search, mod1n, pandiagonal_max,
-                       predicted_inner_distance, residue_orbit, run_search,
-                       shift_by_k, sudoku_square, to_circulant_canonical,
-                       transpose, validate_latin, validate_pandiagonal,
-                       validate_sudoku)
+                       algorithm1, format_grid_text, inner_distance,
+                       max_distance_square, max_distance_via_search,
+                       pandiagonal_max, run_search, shift_by_k, sudoku_square,
+                       to_circulant_canonical, transpose, validate_latin,
+                       validate_pandiagonal, validate_sudoku)
 from latindist.cli import main
+from latindist.construct import predicted_inner_distance
 
 from conftest import load_golden
 from oracle import count_by_filter
@@ -201,6 +200,11 @@ def test_acceptance_10_search_agrees_with_brute_force():
     _verdict(10, "counts equal filtering the explicit square lists (n=3,4)", failures)
 
 
+def _progression(start: int, step: int, n: int) -> list[int]:
+    """The n terms start, start + step, ... reduced into the symbols 1..n."""
+    return [(start - 1 + m * step) % n + 1 for m in range(n)]
+
+
 def test_acceptance_11_property_suites():
     failures = []
     for n in range(1, 31):
@@ -208,7 +212,7 @@ def test_acceptance_11_property_suites():
             if gcd(k, n) != 1:
                 continue
             for a in range(1, n + 1):
-                if set(residue_orbit(a, k, n)) != set(range(1, n + 1)):
+                if set(_progression(a, k, n)) != set(range(1, n + 1)):
                     failures.append(("orbit", n, k, a))
     for a in range(1, 13):
         for b in range(3, 14, 2):
@@ -217,7 +221,7 @@ def test_acceptance_11_property_suites():
                 failures.append(("gcd", a, b))
     for n in range(1, 21):
         for step in range(0, n + 1):
-            orbit = residue_orbit(1, step, n)
+            orbit = _progression(1, step, n)
             period = n // gcd(step, n)
             if any(orbit[m] != orbit[m % period] for m in range(n)):
                 failures.append(("period", n, step))
@@ -232,12 +236,13 @@ def test_acceptance_11_property_suites():
             failures.append(("transpose", grid.rows()))
         if direct.realized_classes != flipped.realized_classes:
             failures.append(("census", grid.rows()))
-        u, v, s = (int(rng.integers(1, n + 1)) for _ in range(3))
-        d = adjacent_distance(u, v, n)
-        if not 0 <= d <= n // 2:
-            failures.append(("range", u, v, n))
-        if d != adjacent_distance(v, u, n):
-            failures.append(("symmetry", u, v, n))
-        if d != adjacent_distance(mod1n(u + s, n), mod1n(v + s, n), n):
-            failures.append(("shift", u, v, s, n))
+        # the symbol maps the search relies on: translation u -> u + s and
+        # negation u -> 2 - u (mod n, symbols 1..n)
+        s = int(rng.integers(1, n + 1))
+        for name, cells in (("shift", (grid.cells - 1 + s) % n + 1),
+                            ("negation", (1 - grid.cells) % n + 1)):
+            mapped = inner_distance(SquareGrid(cells))
+            if (mapped.inner_distance, mapped.realized_classes) != (
+                    direct.inner_distance, direct.realized_classes):
+                failures.append((name, s, grid.rows()))
     _verdict(11, "number-theory sweeps and metric invariants hold", failures)

@@ -189,7 +189,7 @@ def test_search_enumerate_and_witness_file(capsys, tmp_path):
     assert code == 0 and doc["count"] == 576 == len(doc["witnesses"])
     blocks = [b for b in wpath.read_text().split("\n\n") if b.strip()]
     assert len(blocks) == 576
-    assert parse_grid_text(blocks[0]).at(1, 1) == 1
+    assert parse_grid_text(blocks[0]).cells[0, 0] == 1
 
 
 def test_canon_round_trip(capsys, monkeypatch):

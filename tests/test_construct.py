@@ -6,14 +6,15 @@ import pytest
 from latindist import (NonexistenceError, ParameterError, ShiftParams,
                        SquareGrid, SudokuShape, algorithm1, algorithm2,
                        inner_distance, known_bounds, max_distance_square,
-                       pandiagonal_bounds, pandiagonal_max, plain_bounds,
-                       predicted_inner_distance, row_offset,
-                       shift_by_k, sudoku_bounds, sudoku_square, transpose,
+                       pandiagonal_max, shift_by_k, sudoku_square, transpose,
                        validate_latin, validate_pandiagonal, validate_sudoku)
+from latindist.construct import (pandiagonal_bounds, plain_bounds,
+                                 predicted_inner_distance, row_offset,
+                                 sudoku_bounds)
 
 from latindist import construct as construct_module
 from latindist import grid as grid_module
-from oracle import is_sudoku, min_adjacent_distance
+from oracle import is_sudoku, min_adjacent_distance, row_tuples
 
 
 # --- parameter bundle --------------------------------------------------------
@@ -23,6 +24,9 @@ def test_shift_params_normalization():
     assert (p.r, p.c) == (4, 4)
     assert p.alpha == 8 and p.beta == 9
     assert p.R == 9 and p.C == 9
+    # offsets land in 1..n: a multiple of n reads n, not 0
+    p = ShiftParams(9, 5, 4, 18, -9)
+    assert (p.alpha, p.beta) == (9, 9)
 
 
 def test_shift_params_derived_periods():
@@ -143,6 +147,14 @@ def test_sudoku_a_odd_b(golden):
         assert inner_distance(g).inner_distance == (n - a) // 2, (a, b)
 
 
+def test_half_of_n_minus_a_shares_exactly_a_with_n():
+    # for odd widths b, gcd(a*b, (a*b - a)/2) comes out to a
+    for a in range(1, 13):
+        for b in range(3, 14, 2):
+            n = a * b
+            assert gcd(n, (n - a) // 2) == a, (a, b)
+
+
 def test_sudoku_square_single_row_blocks():
     assert sudoku_square(1, 5) == max_distance_square(5)
     assert sudoku_square(5, 1) == transpose(max_distance_square(5))
@@ -243,7 +255,7 @@ def test_sudoku_square_reaches_the_lower_bound_by_oracle():
     # the lower bound of the table is the distance the construction reaches
     shapes = [(a, b) for a in range(1, 61) for b in range(1, 61) if 2 <= a * b <= 60]
     for a, b in shapes:
-        rows = sudoku_square(a, b).row_tuples()
+        rows = row_tuples(sudoku_square(a, b))
         assert is_sudoku(rows, a, b), (a, b)
         assert min_adjacent_distance(rows) == sudoku_bounds(a, b).lower, (a, b)
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from latindist import (BlockAddress, GridFormatError, ParameterError,
-                       SquareGrid, SudokuShape, Violation, block_of,
-                       format_grid_text, grid_from_json, grid_to_json,
-                       max_distance_square,
-                       parse_grid_json, parse_grid_text, sudoku_square, transpose,
+                       SquareGrid, SudokuShape, Violation, format_grid_text,
+                       grid_to_json, max_distance_square, parse_grid_json,
+                       parse_grid_text, sudoku_square, transpose,
                        validate_latin, validate_pandiagonal, validate_sudoku)
+from latindist.grid import grid_from_json
 
 from oracle import is_latin, is_pandiagonal, is_sudoku
 from conftest import FIXTURE_DIR, random_grids
@@ -54,12 +54,8 @@ def test_grid_is_immutable_and_1_indexed():
     g = SquareGrid([[1, 2], [2, 1]])
     with pytest.raises(ValueError):
         g.cells[0, 0] = 2
-    assert g.at(1, 2) == 2
-    assert g.at(2, 1) == 2
-    with pytest.raises(ParameterError):
-        g.at(0, 1)
-    with pytest.raises(ParameterError):
-        g.at(1, 3)
+    assert g.cells[0, 1] == 2
+    assert g.cells[1, 0] == 2
 
 
 def test_grid_equality_and_hash():
@@ -140,23 +136,13 @@ def test_tiny_orders_are_valid_everywhere():
     assert validate_sudoku(two, SudokuShape(2, 1)).verdict
 
 
-def test_block_of():
-    assert block_of(1, 1, SudokuShape(3, 3)) == (0, 0)
-    assert block_of(4, 1, SudokuShape(3, 3)) == (1, 0)
-    assert block_of(2, 5, SudokuShape(2, 3)) == (0, 1)
-    with pytest.raises(ParameterError):
-        block_of(0, 1, SudokuShape(2, 2))
-    with pytest.raises(ParameterError):
-        block_of(1, 10, SudokuShape(3, 3))
-
-
-def test_block_of_covers_every_block():
-    shape = SudokuShape(2, 3)
-    seen = {block_of(i, j, shape) for i in range(1, 7) for j in range(1, 7)}
-    assert len(seen) == shape.a * shape.b
-    # b bands of a rows, a stacks of b columns
-    assert {addr.band for addr in seen} == set(range(shape.b))
-    assert {addr.stack for addr in seen} == set(range(shape.a))
+def test_sudoku_shape_sides_are_integers():
+    # numpy sides are stored as Python ints: the search builds bitmasks from n = a * b
+    shape = SudokuShape(np.int64(2), np.uint8(3))
+    assert shape == SudokuShape(2, 3) and type(shape.a) is int and type(shape.b) is int
+    for a, b in ((2.0, 3), (2, True), ("2", 3)):
+        with pytest.raises(ParameterError):
+            SudokuShape(a, b)
 
 
 def test_text_round_trip_and_comments():
@@ -282,6 +268,16 @@ def test_json_round_trip():
     assert back == g and shape == SudokuShape(1, 2)
     bare, no_shape = parse_grid_json(json.dumps(grid_to_json(g)))
     assert bare == g and no_shape is None
+
+
+def test_grid_to_json_rejects_a_shape_validate_sudoku_rejects():
+    # a document with such a shape would not parse back
+    g = max_distance_square(4)
+    for shape in ((2, 2), SudokuShape(3, 3)):
+        with pytest.raises(ParameterError):
+            validate_sudoku(g, shape)
+        with pytest.raises(ParameterError):
+            grid_to_json(g, shape)
 
 
 def test_json_parse_errors():

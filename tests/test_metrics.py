@@ -2,41 +2,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from latindist import (ParameterError, SquareGrid, UndefinedDistanceError,
-                       adjacent_distance, format_grid_text, inner_distance,
-                       mod1n, parse_grid_text, transpose)
+from latindist import (SquareGrid, UndefinedDistanceError, format_grid_text,
+                       inner_distance, parse_grid_text, transpose)
 
 from conftest import random_grids
 from oracle import min_adjacent_distance
-
-
-def test_adjacent_distance_examples():
-    assert adjacent_distance(1, 5, 9) == 4
-    assert adjacent_distance(2, 10, 10) == 2
-    for u in range(1, 8):
-        assert adjacent_distance(u, u, 7) == 0
-
-
-def test_adjacent_distance_rejects_out_of_range():
-    with pytest.raises(ParameterError):
-        adjacent_distance(0, 3, 5)
-    with pytest.raises(ParameterError):
-        adjacent_distance(1, 6, 5)
-    with pytest.raises(ParameterError):
-        adjacent_distance(1, 1, 0)
-
-
-@given(st.integers(1, 64), st.data())
-def test_adjacent_distance_properties(n, data):
-    u = data.draw(st.integers(1, n))
-    v = data.draw(st.integers(1, n))
-    s = data.draw(st.integers(-2 * n, 2 * n))
-    d = adjacent_distance(u, v, n)
-    assert 0 <= d <= n // 2
-    assert d == adjacent_distance(v, u, n)
-    assert d == adjacent_distance(mod1n(u + s, n), mod1n(v + s, n), n)
 
 
 def test_inner_distance_on_goldens(golden):
@@ -61,7 +32,8 @@ def test_report_census_and_argmin(golden):
     assert len(report.argmin_pairs) > 0
     for (i1, j1), (i2, j2) in report.argmin_pairs:
         assert abs(i1 - i2) + abs(j1 - j2) == 1
-        assert adjacent_distance(g.at(i1, j1), g.at(i2, j2), n) == report.inner_distance
+        u, v = g.cells[i1 - 1, j1 - 1], g.cells[i2 - 1, j2 - 1]
+        assert min((u - v) % n, (v - u) % n) == report.inner_distance
 
 
 def test_argmin_pair_count_matches_census():

@@ -9,7 +9,7 @@ from latindist import (NonexistenceError, ParameterError,
 from latindist.search import _Context
 from oracle import (all_latin_squares, band_column_order, count_by_filter, is_pandiagonal,
                     is_sudoku, min_adjacent_distance, row_major_prefix_count,
-                    sudoku_prefix_count)
+                    row_tuples, sudoku_prefix_count)
 
 
 def _count(n, d, constraint="plain", shape=None):
@@ -106,7 +106,7 @@ def test_witnesses_satisfy_the_query():
     for w in result.witnesses:
         assert validate_latin(w).verdict
         assert inner_distance(w).inner_distance >= 2
-    rows = [w.row_tuples() for w in result.witnesses]
+    rows = [row_tuples(w) for w in result.witnesses]
     assert rows == sorted(rows)
 
     result = run_search(SearchQuery(n=5, constraint="pandiagonal", min_distance=1,
@@ -155,7 +155,7 @@ def test_low_distance_probes_find_a_witness_early(n, constraint, shape, d):
                                     shape=SudokuShape(*shape) if shape else None,
                                     min_distance=d, mode="exists", node_budget=10**4))
     assert result.complete and result.count == 1
-    rows = result.witnesses[0].row_tuples()
+    rows = row_tuples(result.witnesses[0])
     assert min_adjacent_distance(rows) >= d
     assert is_sudoku(rows, *shape) if shape else is_pandiagonal(rows)
 
@@ -195,7 +195,7 @@ def test_complete_lists_are_closed_under_transposition_and_symbol_maps(n, constr
     # the walk keeps one square of each transposed pair; the list must hold both
     result = run_search(SearchQuery(n=n, constraint=constraint, min_distance=d, mode="enumerate",
                                     shape=SudokuShape(*shape) if shape else None))
-    rows = [w.row_tuples() for w in result.witnesses]
+    rows = [row_tuples(w) for w in result.witnesses]
     assert result.complete and len(rows) == result.count > 0
     keep = (lambda r: is_sudoku(r, *shape)) if shape else \
         is_pandiagonal if constraint == "pandiagonal" else (lambda r: True)
@@ -223,7 +223,7 @@ def test_enumeration_matches_the_oracle_in_order():
         want = [rows for rows in squares if keep(rows)]
         result = run_search(query)
         assert result.complete and result.count == len(want), query
-        assert [w.row_tuples() for w in result.witnesses] == want, query
+        assert [row_tuples(w) for w in result.witnesses] == want, query
 
 
 def test_nonexistence_is_proven_on_one_corner_symbol():
@@ -277,7 +277,7 @@ def test_sudoku_witnesses_are_laid_out_row_by_row():
         query = SearchQuery(constraint="sudoku", shape=shape, min_distance=d, mode="enumerate")
         result = run_search(query)
         assert result.complete and result.count == len(result.witnesses) > 0
-        rows = [w.row_tuples() for w in result.witnesses]
+        rows = [row_tuples(w) for w in result.witnesses]
         assert rows == sorted(rows)
         assert all(is_sudoku(r, shape.a, shape.b) and min_adjacent_distance(r) >= d
                    for r in rows)
@@ -288,7 +288,7 @@ def test_sudoku_witnesses_are_laid_out_row_by_row():
     starved = run_search(SearchQuery(constraint="sudoku", shape=SudokuShape(3, 3), min_distance=3,
                                      mode="enumerate", node_budget=3000))
     assert not starved.complete and starved.count == len(starved.witnesses) == 40
-    assert all(is_sudoku(w.row_tuples(), 3, 3) and min_adjacent_distance(w.row_tuples()) >= 3
+    assert all(is_sudoku(row_tuples(w), 3, 3) and min_adjacent_distance(row_tuples(w)) >= 3
                for w in starved.witnesses)
 
 
@@ -306,21 +306,21 @@ def test_starved_results_are_not_expanded_by_symmetry():
     starved = run_search(SearchQuery(n=6, min_distance=2, mode="enumerate", node_budget=1000))
     assert not starved.complete and 0 < starved.count < 35
     assert len(starved.witnesses) == starved.count
-    assert all(w.row_tuples()[0][0] == 1 for w in starved.witnesses)
+    assert all(row_tuples(w)[0][0] == 1 for w in starved.witnesses)
     counted = run_search(SearchQuery(n=6, min_distance=2, node_budget=1000))
     assert not counted.complete and counted.count == starved.count
     # a starved walk keeps the squares it placed before it stopped
     starved = run_search(SearchQuery(n=6, min_distance=1, mode="enumerate", node_budget=20_000))
     assert not starved.complete and starved.count > 0
     assert len(starved.witnesses) == starved.count
-    assert all(w.row_tuples()[0][0] == 1 for w in starved.witnesses)
+    assert all(row_tuples(w)[0][0] == 1 for w in starved.witnesses)
 
 
 def test_odd_orders_count_and_enumerate_every_latin_square():
     squares = list(all_latin_squares(3))
     result = run_search(SearchQuery(n=3, min_distance=1, mode="enumerate"))
     assert result.complete and result.count == len(squares) == 12
-    assert [w.row_tuples() for w in result.witnesses] == squares
+    assert [row_tuples(w) for w in result.witnesses] == squares
     # the number of Latin squares of order 5 (OEIS A002860)
     result = run_search(SearchQuery(n=5, min_distance=1))
     assert result.complete and result.count == 161_280
