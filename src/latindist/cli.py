@@ -198,13 +198,12 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    shape = None
-    if args.kind == "sudoku":
-        if args.a is None or args.b is None:
-            raise ParameterError("--kind sudoku needs --a and --b")
-        shape = SudokuShape(args.a, args.b)
-    elif args.n is None:
+    if args.kind == "sudoku" and (args.a is None or args.b is None):
+        raise ParameterError("--kind sudoku needs --a and --b")
+    if args.kind != "sudoku" and args.n is None:
         raise ParameterError(f"--kind {args.kind} needs --n")
+    # block sides given with another kind make a shape that SearchQuery rejects
+    shape = None if args.a is None and args.b is None else SudokuShape(args.a, args.b)
     query = SearchQuery(n=args.n, constraint=args.kind, shape=shape,
                         min_distance=args.min_dist, mode=args.mode,
                         node_budget=args.budget)

@@ -37,24 +37,26 @@ the same size.
 
 Count and enumerate walks also break transposition, which keeps plain,
 pandiagonal and (a, a)-Sudoku squares in their class and keeps their
-inner distance.  With c column 0 and c* the smaller of c and its negation
-(both start with 1), they keep a walked square only if its row 0 is
-lexicographically <= c*.  Its partner, the transpose or the negated
-transpose, whichever has row 0 <= its negation, has row 0 = c* and c*
-equal to the square's row 0, so of each pair with different rows 0 the
-walk keeps exactly one, and a square whose row 0 equals c* is kept with
-its partner or is its own.  This is a lex-leader predicate decided while
-the walk fills (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking
-predicates for search problems", KR 1996): row 0[i] is compared with
-c*[i] when the later of cells (0, i) and (i, 0) is placed, and the
-subtree is cut as soon as c*[i] < row 0[i] after pairs that tied.  That
-cell is (0, i) for i < a, inside the first band's first a columns, and
-(i, 0) otherwise.  The rule is one mask ANDed into that cell's
-candidates; every other cell only finds that it has none.  A complete
-leaf whose row 0 differs from c* stands for its partner too: a count
-weighs it 2, and an enumerate adds its transpose before the 2n symbol
-maps.  A starved walk returns its leaves unweighted.  Exists walks keep
-both squares of each pair.
+inner distance.  With c column 0 and -c its negation (both start with
+1), they keep a walked square only if its row 0 is lexicographically
+<= c and <= -c.  Its partner, the transpose or the negated transpose,
+whichever has row 0 <= its negation, has row 0 the smaller of c and -c
+and column 0 the square's row 0 or its negation, so of each pair whose
+row 0 differs from c and -c the walk keeps exactly one, and a square
+whose row 0 equals c or -c is kept with its partner or is its own.  This
+lex-leader predicate, one lex comparison per symmetry (Crawford,
+Ginsberg, Luks and Roy, "Symmetry-breaking predicates for search
+problems", KR 1996), is decided while the walk fills: tie bit 1 says
+row 0 equals c on the pairs so far, bit 2 that it equals -c, and when
+the later of cells (0, i) and (i, 0) is placed the subtree is cut if
+row 0[i] is above c[i] or -c[i] while that one's bit is set.  That cell
+is (0, i) for i < a, inside the first band's first a columns, and (i, 0)
+otherwise.  The rule is one mask ANDed into that cell's candidates;
+every other cell only finds that it has none.  A complete leaf with no
+tie bit left stands for its partner too: a count weighs it 2, and an
+enumerate adds its transpose before the 2n symbol maps.  A starved walk
+returns its leaves unweighted.  Exists walks keep both squares of each
+pair.
 
 One non-recursive walk over the visiting order does all of it: a query
 is a single walk from the empty grid under the query's node budget, and
@@ -99,11 +101,11 @@ class SearchQuery:
     node_budget caps the placements of the walk reduced by translation and
     negation (one square of each pair with symbol 1 in the corner), and in
     count and enumerate mode of plain, pandiagonal and (a, a)-Sudoku
-    squares also by transposition (row 0 <= c*; see the module docstring);
-    the search is complete iff that tree fits in it, and otherwise stops
-    after exactly node_budget + 1 placements.  n, min_distance and
-    node_budget are integers, numpy's included; a bool, float or string is
-    none of them.
+    squares also by transposition (row 0 <= column 0 and row 0 <= negated
+    column 0; see the module docstring); the search is complete iff that
+    tree fits in it, and otherwise stops after exactly node_budget + 1
+    placements.  n, min_distance and node_budget are integers, numpy's
+    included; a bool, float or string is none of them.
     """
 
     n: int | None = None
@@ -157,21 +159,21 @@ class SearchResult:
     """Outcome of one search.
 
     complete means the answer is definitive for the queried mode: the tree
-    up to the answer fit in the node budget.  A complete count or
-    enumerate covers every square: the walked squares and the transposed
-    partners of those whose row 0 is below c*, under all 2n symbol maps
-    (n when n = 2), witnesses sorted by their rows.  A result truncated by
-    the budget always comes back with complete=False, never silently, with
-    nodes_expanded == node_budget + 1, and unexpanded and unweighted in
-    every mode: its count and witnesses are only the squares the walk
-    itself placed before it stopped, in the order it met them, each with
-    symbol 1 in the corner, so an enumerate has len(witnesses) == count.
-    In exists mode the count is min(total, 1) because the search stops at
-    the first witness, which starts with symbol 1 and is the first square
-    of the query in the walk's visiting and symbol order (see the module
-    docstring), not the lexicographically first.  nodes_expanded counts the
-    walk reduced by translation and negation, and in count and enumerate
-    mode of plain, pandiagonal and (a, a)-Sudoku squares also by
+    up to the answer fit in the node budget.  A complete count or enumerate
+    covers every square: the walked squares and the transposed partners of
+    those whose row 0 is below column 0 and its negation, under all 2n
+    symbol maps (n when n = 2), witnesses sorted by their rows.  A result
+    truncated by the budget always comes back with complete=False, never
+    silently, with nodes_expanded == node_budget + 1, and unexpanded and
+    unweighted in every mode: its count and witnesses are only the squares
+    the walk itself placed before it stopped, in the order it met them,
+    each with symbol 1 in the corner, so an enumerate has
+    len(witnesses) == count.  In exists mode the count is min(total, 1) because the search
+    stops at the first witness, which starts with symbol 1 and is the first
+    square of the query in the walk's visiting and symbol order (see the
+    module docstring), not the lexicographically first.  nodes_expanded
+    counts the walk reduced by translation and negation, and in count and
+    enumerate mode of plain, pandiagonal and (a, a)-Sudoku squares also by
     transposition; in exists mode and for (a, b)-Sudoku with a != b it
     counts no transposition cut.
     """
@@ -210,14 +212,15 @@ class _Context:
     negation is the identity and restricts nothing.
 
     Count and enumerate walks of transposable classes (plain, pandiagonal
-    and (a, a)-Sudoku) also keep row 0 <= c*, the smaller of column 0 and
-    its negation; see the module docstring.  pairs[i] is (i, i*n), the
-    cells (0, i) and (i, 0), and neg[s] is -s.  lex is 0 but at the later
-    cell of each pair i >= 1, which is (0, i) for i < a and (i, 0)
-    otherwise; there it is (i, the pair's other cell, masks): masks[t][x]
-    is the mask the cell admits when the pairs before i tie in the state t
-    of `_tie_sign` and the other cell holds x.  Exists walks and (a, b)-Sudoku
-    with a != b have no pairs and no lex.
+    and (a, a)-Sudoku) also keep row 0 <= column 0 and row 0 <= negated
+    column 0; see the module docstring.  pairs[i] is (i, i*n), the cells
+    (0, i) and (i, 0), and neg[s] is -s.  lex is 0 but at the later cell of
+    each pair i >= 1, which is (0, i) for i < a and (i, 0) otherwise; there
+    it is (i, the pair's other cell, masks): masks[t][x] is the mask the
+    cell admits when the other cell holds x and the pairs before i leave
+    the tie bits t, bit 1 while row 0 equals column 0 and bit 2 while it
+    equals the negated column 0 (masks[0] is None: no tie, no cut).  Exists
+    walks and (a, b)-Sudoku with a != b have no pairs and no lex.
     """
 
     __slots__ = ("n", "adm", "above", "cells", "neg", "pairs")
@@ -261,18 +264,19 @@ class _Context:
         if query.mode != "exists" and (shape is None or shape.a == shape.b):
             self.pairs = [(i, i * n) for i in range(n)]
             self.neg = neg = [0] + [(1 - u) % n + 1 for u in range(1, n + 1)]
-            # c*[i] is f(c[i]): f(u) = min(u, -u) while c ties its negation, then u or -u.
-            # Masks are listed by _tie_sign's state: 0, 1 (identity), -1 (negation).  A
-            # column cell admits the v with f(v) >= row 0's symbol r (at_least[r] holds the
-            # v >= r, negated[r] the v with -v >= r),
+            # Masks are listed by tie bits: bit 1 compares row 0 with column 0, bit 2 with
+            # its negation.  A column cell, with row 0's symbol x, admits v >= x for bit 1
+            # and -v >= x for bit 2 (at_least[x] holds the v >= x, negated[x] the v with
+            # -v >= x),
             at_least = [full] + self.above[:n]
             negated = [full] + list(accumulate((1 << (neg[v] - 1) for v in range(n, 0, -1)),
                                                or_))[::-1]
-            col_masks = [list(map(and_, at_least, negated)), at_least, negated]
-            # and a row cell, the later one for i < a, v <= f(c[i]) (at_most[x] holds the v <= x)
+            col_masks = [None, at_least, negated, list(map(and_, at_least, negated))]
+            # and a row cell, the later one for i < a, with column 0's symbol y, v <= y for
+            # bit 1 and v <= -y for bit 2 (at_most[y] holds the v <= y)
             at_most = [full ^ m for m in self.above]
             neg_at_most = list(itemgetter(*neg)(at_most))
-            row_masks = [list(map(and_, at_most, neg_at_most)), at_most, neg_at_most]
+            row_masks = [None, at_most, neg_at_most, list(map(and_, at_most, neg_at_most))]
             for i in range(1, a):
                 lex[i] = (i, i * n, row_masks)
             for i in range(a, n):
@@ -280,22 +284,6 @@ class _Context:
         # visit band by band, each band column by column: row-major when a = 1
         order = np.arange(spare).reshape(-1, a, n).transpose(0, 2, 1).ravel().tolist()
         self.cells = itemgetter(*order)(list(zip(cell, u1, u2, u3, u4, prev, other, nbr, lex)))
-
-
-def _tie_sign(sign, r: int, c: int, neg: list[int]):
-    """The transposition state after pair i, from the state before it.
-
-    r and c are the symbols of cells (0, i) and (i, 0).  The state is None
-    once row 0 is below c*, and otherwise says how c* reads column 0: 0
-    while c and its negation tie (c* = c so far), 1 once c* = c, -1 once
-    c* is the negation of c.
-    """
-    if sign is None:
-        return None
-    if not sign:
-        m = neg[c]
-        return (c < m) - (c > m) if r == min(c, m) else None
-    return sign if r == (c if sign > 0 else neg[c]) else None
 
 
 def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
@@ -309,20 +297,21 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
     recursion limit.  Every placement counts as one node; a walk that
     needs more than budget nodes stops at node budget + 1.
 
-    Returns (count, twins, nodes, complete, leaves): count leaves, twins of
-    them with row 0 below c*, which stand for their transposed partner too,
-    and the leaves' row-major cell tuples when collect is set.
+    Returns (count, twins, nodes, complete, leaves, twin_leaves): count
+    leaves, twins of them with no tie bit left, which stand for their
+    transposed partner too, and, when collect is set, the row-major cell
+    tuples of the leaves and of the twins.
     """
     adm, above, cells, pairs, neg = ctx.adm, ctx.above, ctx.cells, ctx.pairs, ctx.neg
     stop = ctx.n * ctx.n
     grid = [0] * (stop + 1)
     used = [0] * (4 * ctx.n)
-    # ties[i]: the transposition state before pair i, set when its deciding cell is entered;
-    # pair 0 is the corner, where 1 ties its negation
-    ties = [0] * ctx.n
-    count = twins = 0
-    nodes = 0
+    # ties[i]: the tie bits before pair i, set at its deciding cell: bit 1 while row 0 equals
+    # column 0, bit 2 while it equals the negated column 0; the corner's 1 is its own negation
+    ties = [3] * ctx.n
+    count = twins = nodes = 0
     leaves: list[tuple[int, ...]] = []
+    twin_leaves: list[tuple[int, ...]] = []
     untried = [0] * stop
     k = 0
     while k >= 0:
@@ -340,12 +329,14 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
             sym = grid[prev]
             cand = nbr[sym] & adm[grid[other]] & ~(used[u1] | used[u2] | used[u3] | used[u4])
             if lex:
-                # the later cell of pair i: keep row 0 <= c* while the pairs before tie
+                # the later cell of pair i: keep row 0 <= column 0 and <= its negation
+                # while the pairs before tie them
                 i, partner, masks = lex
                 r, c = pairs[i - 1]
-                sign = ties[i] = _tie_sign(ties[i - 1], grid[r], grid[c], neg)
-                if sign is not None:
-                    cand &= masks[sign][grid[partner]]
+                x, y = grid[r], grid[c]
+                t = ties[i] = ties[i - 1] & ((x == y) | (x == neg[y]) << 1)
+                if t:
+                    cand &= masks[t][grid[partner]]
         if not cand:
             grid[cell] = 0
             k -= 1
@@ -357,7 +348,7 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
         untried[k] = cand ^ bit
         nodes += 1
         if nodes > budget:
-            return count, twins, nodes, False, leaves
+            return count, twins, nodes, False, leaves, twin_leaves
         grid[cell] = bit.bit_length()
         used[u1] |= bit
         used[u2] |= bit
@@ -366,23 +357,19 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
         k += 1
         if k == stop:
             count += 1
-            if pairs:
-                r, c = pairs[-1]
-                twins += _tie_sign(ties[-1], grid[r], grid[c], neg) is None
             if collect:
                 leaves.append(tuple(grid[:stop]))
+            if pairs:
+                r, c = pairs[-1]
+                x, y = grid[r], grid[c]
+                if not ties[-1] & ((x == y) | (x == neg[y]) << 1):
+                    twins += 1
+                    if collect:
+                        twin_leaves.append(leaves[-1])
             if stop_first:
                 break
             k -= 1
-    return count, twins, nodes, True, leaves
-
-
-def _below_c_star(leaf: tuple[int, ...], pairs, neg: list[int]) -> bool:
-    """Whether the row-major square's row 0 is below c*; pairs are its (0, i), (i, 0) indices."""
-    sign = 0
-    for r, c in pairs:
-        sign = _tie_sign(sign, leaf[r], leaf[c], neg)
-    return sign is None
+    return count, twins, nodes, True, leaves, twin_leaves
 
 
 def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
@@ -403,17 +390,12 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
     if workers != 1:
         raise ParameterError(f"the search runs in one process: workers must be 1, got {workers}")
     n = query.n
-    ctx = _Context(query)
-    count, twins, nodes, complete, leaves = _walk(ctx, query.node_budget,
-                                                  collect=query.mode != "count",
-                                                  stop_first=query.mode == "exists")
+    count, twins, nodes, complete, leaves, twin_leaves = _walk(
+        _Context(query), query.node_budget, query.mode != "count", query.mode == "exists")
     if complete and query.mode != "exists":
-        if twins:
-            # a leaf with row 0 below c* stands for its transpose too
-            count += twins
-            transpose = itemgetter(*[c * n + r for r in range(n) for c in range(n)])
-            leaves += [transpose(leaf) for leaf in leaves
-                       if _below_c_star(leaf, ctx.pairs, ctx.neg)]
+        # a leaf whose row 0 is below column 0 and its negation stands for its transpose too
+        count += twins
+        leaves += map(itemgetter(*[c * n + r for r in range(n) for c in range(n)]), twin_leaves)
         # each leaf stands for its orbit under u -> +-(u - 1) + s: 2n squares, n when n = 2
         maps = {(0, *[(sign * v + s) % n + 1 for v in range(n)])
                 for sign in (1, -1) for s in range(n)}
@@ -434,7 +416,10 @@ def max_distance_via_search(kind: str, size, *, node_budget: int = DEFAULT_NODE_
     raised instead of a guess.
     """
     if kind == "sudoku":
-        shape = size if isinstance(size, SudokuShape) else SudokuShape(*size)
+        pair = isinstance(size, (tuple, list)) and len(size) == 2
+        if not (pair or isinstance(size, SudokuShape)):
+            raise ParameterError(f"a sudoku size is a SudokuShape or an (a, b) pair, got {size!r}")
+        shape = SudokuShape(*size) if pair else size
         entry = known_bounds(kind, a=shape.a, b=shape.b)
         n = shape.n
     elif kind in ("plain", "pandiagonal"):

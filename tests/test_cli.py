@@ -174,6 +174,18 @@ def test_search_subcommand(capsys):
     assert json.loads(out)["count"] == 0
 
 
+def test_search_rejects_block_sides_outside_sudoku(capsys):
+    # plain 6 d=2 counts 672 squares and (2, 3)-Sudoku 48: block sides are never dropped
+    for argv, message in [(["--n", "6", "--a", "2", "--b", "3"], "only applies to sudoku"),
+                          (["--kind", "pandiagonal", "--n", "7", "--a", "1"], "block side"),
+                          (["--kind", "sudoku", "--a", "2"], "--kind sudoku needs --a and --b")]:
+        code, out, err = run_cli(capsys, ["search", *argv, "--min-dist", "2"])
+        assert code == 2 and out == "" and err.startswith("latindist: ") and message in err, argv
+    code, out, _ = run_cli(capsys, ["search", "--kind", "sudoku", "--a", "2", "--b", "3",
+                                    "--min-dist", "2"])
+    assert code == 0 and json.loads(out)["count"] == 48
+
+
 def test_search_exists_beyond_the_recursion_limit(capsys):
     code, out, err = run_cli(capsys, ["search", "--n", "33", "--min-dist", "16",
                                       "--mode", "exists"])

@@ -212,15 +212,16 @@ def test_complete_lists_are_closed_under_transposition_and_symbol_maps(n, constr
 def test_enumeration_matches_the_oracle_in_order():
     squares = list(all_latin_squares(4))
     assert len(squares) == 576
-    cases = [(SearchQuery(n=4, min_distance=1, mode="enumerate"), lambda rows: True),
+    # at n = 2 negation is the identity, so both tie bits always move together
+    cases = [(SearchQuery(n=2, min_distance=1, mode="enumerate"), list(all_latin_squares(2))),
+             (SearchQuery(n=4, min_distance=1, mode="enumerate"), squares),
              (SearchQuery(n=4, min_distance=2, mode="enumerate"),
-              lambda rows: min_adjacent_distance(rows) >= 2),
+              [rows for rows in squares if min_adjacent_distance(rows) >= 2]),
              (SearchQuery(constraint="sudoku", shape=SudokuShape(2, 2), min_distance=1,
-                          mode="enumerate"), lambda rows: is_sudoku(rows, 2, 2)),
+                          mode="enumerate"), [rows for rows in squares if is_sudoku(rows, 2, 2)]),
              (SearchQuery(n=4, constraint="pandiagonal", min_distance=1, mode="enumerate"),
-              is_pandiagonal)]
-    for query, keep in cases:
-        want = [rows for rows in squares if keep(rows)]
+              [rows for rows in squares if is_pandiagonal(rows)])]
+    for query, want in cases:
         result = run_search(query)
         assert result.complete and result.count == len(want), query
         assert [row_tuples(w) for w in result.witnesses] == want, query
@@ -346,8 +347,8 @@ def test_context_tables_match_their_definition(n, constraint, shape):
     at = {cell: k for k, cell in enumerate(order)}
     spare = n * n
     transposable = constraint != "sudoku" or a == b
-    # c* reads column 0 through min(u, -u) while it ties its negation, then u or -u
-    star = {0: lambda v: min(v, _sigma(v, n)), 1: lambda v: v, -1: lambda v: _sigma(v, n)}
+    # tie bit 1 compares row 0 with column 0, bit 2 with the negated column 0
+    images = {1: lambda v: v, 2: lambda v: _sigma(v, n)}
     for d in sorted({1, 2, n // 4, n // 2, n // 2 + 1} - {0}):
         ctx = _Context(SearchQuery(n=n, constraint=constraint, min_distance=d,
                                    shape=SudokuShape(a, b) if shape else None))
@@ -391,18 +392,21 @@ def test_context_tables_match_their_definition(n, constraint, shape):
                 allowed[1 + n // 2] = strict
             assert nbr == [m & mask for m, mask in zip(adm, allowed)], (d, k)
             # pair i = r + c is decided at its later cell, (0, i) for i < a and (i, 0)
-            # otherwise: a column cell admits v with c*'s f(v) >= row 0's x, a row cell
-            # v <= f(x) for column 0's x
+            # otherwise: with tie bits t, a column cell admits v with v >= row 0's x for
+            # bit 1 and -v >= x for bit 2, a row cell v <= column 0's x for bit 1 and
+            # v <= -x for bit 2; t = 3 admits what both bits admit, t = 0 cuts nothing
             i = r + c
             later = (0, i) if i < a else (i, 0)
             if transposable and i and (r, c) == later:
                 assert at[c, r] < k
                 assert lex[:2] == (i, c * n + r), (d, k)
-                for sign, f in star.items():
-                    assert lex[2][sign][1:] == [
+                assert len(lex[2]) == 4 and lex[2][0] is None
+                for t in (1, 2, 3):
+                    assert lex[2][t][1:] == [
                         sum(1 << (v - 1) for v in range(1, n + 1)
-                            if (f(v) >= x if c == 0 else v <= f(x)))
-                        for x in range(1, n + 1)], (d, k, sign)
+                            if all(f(v) >= x if c == 0 else v <= f(x)
+                                   for bit, f in images.items() if t & bit))
+                        for x in range(1, n + 1)], (d, k, t)
             else:
                 assert lex == 0, (d, k)
 
@@ -421,7 +425,8 @@ def test_max_distance_via_search():
     assert max_distance_via_search("sudoku", (np.int32(2), np.int64(3))) == 2
     for kind, size in [("plain", 5.9), ("plain", "7"), ("pandiagonal", 7.0), ("pandiagonal", "7"),
                        ("sudoku", (True, 3)), ("sudoku", (2.0, 3)), ("sudoku", ("2", 3)),
-                       ("sudoku", (2, 3.5))]:
+                       ("sudoku", (2, 3.5)), ("sudoku", 6), ("sudoku", (2, 3, 4)),
+                       ("sudoku", "23")]:
         with pytest.raises(ParameterError):
             max_distance_via_search(kind, size)
 
