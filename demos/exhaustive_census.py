@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Counting every square above a distance floor, exactly.
 
-The search fills cells row by row (Sudoku squares band by band, each band
-column by column), filtering candidates through occupancy bitmasks and a
-distance table against the two placed neighbours.  Near
-the distance ceiling each symbol has at most a couple of admissible
-neighbours, so complete enumeration is cheap, and it independently
-confirms what the constructions promise.
+The plain and Sudoku counts here stack whole rows: the permutations of
+1..n with every adjacent pair at distance at least d, listed once, each
+row filtering the rows that may go under it through bitsets for column
+clashes, vertical distance and, for Sudoku squares, block clashes (the
+pandiagonal ones fill cell by cell).  Near the distance ceiling each
+symbol has at most a couple of admissible neighbours, so there are few
+rows and complete enumeration is cheap, and it independently confirms
+what the constructions promise.
 
-The nodes printed are the placements of the reduced walk: symbol 1 in
-the corner, row 0 no greater than its negation, and, in these count and
-enumerate queries, row 0 no greater than column 0 and no greater than
-the negated column 0, which keeps one square of each transposed pair.
-The counts add the transposed partners and all 2n symbol maps back.
+The nodes printed are the row placements of the reduced walk: symbol 1
+in the corner, row 0 no greater than its negation, and row 0 no greater
+than column 0 and no greater than the negated column 0, which keeps one
+square of each transposed pair.  The counts add the transposed partners
+and all 2n symbol maps back.
 """
 
 import time

@@ -1,33 +1,48 @@
 """Exhaustive backtracking enumeration of constrained Latin squares.
 
-This is the independent oracle for counts, maxima, and nonexistence: it
-fills cells one at a time, keeping per-row/column (and per-block or
-per-diagonal) occupancy bitmasks, and filters every candidate symbol
-against a precomputed admissibility table dist(u, v) >= d for the two
-already-placed neighbours (left and up).  At distances near n/2 each
-symbol admits at most a handful of neighbours, so the tree collapses and
-even order-9 runs finish in milliseconds.
+This is the independent oracle for counts, maxima, and nonexistence.  It
+has two walks, both depth-first from the empty grid under one node budget.
 
-Cells are visited band by band, each band column by column.  A Sudoku
-band is a rows, so the first a*b cells visited are a block and the first
-a*n a band: a walk that cannot complete either backtracks inside it
-instead of under whole rows of the square.  Plain and pandiagonal bands
-are one row, so those squares are visited row by row.  The left and upper
-neighbours are visited earlier in every such order, and the walk's grid
-is indexed by the row-major cell whatever the order, so each square
-comes back laid out row by row.  Candidates are tried cyclically upwards
-from the left neighbour's symbol (in column 0 the upper neighbour's, at
-the corner from 1), so a row tends to go on by the smallest admissible
-step, as a shift square does, and an exists probe below the maximum
-often meets a witness after little more than n*n nodes instead of
-wandering.
+The row walk answers count and enumerate queries of plain and Sudoku
+squares whose admissible rows, the permutations of 1..n with every
+adjacent pair at cyclic distance >= d, number at most _ROW_CAP.  numpy
+lists those rows once in lexicographic order, and the walk stacks whole
+rows on each other: sets of rows are Python ints with one bit per row,
+and a row's column clashes, vertical distances and block clashes with
+the rows below it are each one AND with a mask it works out when it is
+first placed.  Near the ceiling a row admits few rows under it, so plain
+8 d=3 takes 656 row placements where the cell walk takes 7 253, and plain
+9 d=3 0.4 s where it takes 12 s.  A node is a row placement.
+
+The cell walk answers everything else: exists probes, pandiagonal
+squares (their diagonal clashes depend on how far apart two rows are)
+and queries with more rows than the cap, where stacking them lost to
+filling cells.  It fills cells one at a time, keeping per-row/column (and
+per-block or per-diagonal) occupancy bitmasks, and filters every
+candidate symbol against a precomputed admissibility table
+dist(u, v) >= d for the two already-placed neighbours (left and up).  A
+node is a cell placement.
+
+The cell walk visits cells band by band, each band column by column.  A
+Sudoku band is a rows, so the first a*b cells visited are a block and
+the first a*n a band: a walk that cannot complete either backtracks
+inside it instead of under whole rows of the square.  Plain and
+pandiagonal bands are one row, so those squares are visited row by row.
+The left and upper neighbours are visited earlier in every such order,
+and the walk's grid is indexed by the row-major cell whatever the order,
+so each square comes back laid out row by row.  Candidates are tried
+cyclically upwards from the left neighbour's symbol (in column 0 the
+upper neighbour's, at the corner from 1), so a row tends to go on by the
+smallest admissible step, as a shift square does, and an exists probe
+below the maximum often meets a witness after little more than n*n nodes
+instead of wandering.
 
 The symbol maps u -> +-(u - 1) + s (mod n, symbols 1..n) keep every
 constraint and distance: the constraints depend only on cell positions,
 and the cyclic distance is unchanged by translation and negation.  For
 n >= 3 no map but the identity fixes every symbol, so each orbit has 2n
 squares, and exactly two of them, S and its negation, have symbol 1 in
-the corner.  The walk visits only the lexicographically smaller of the
+the corner.  Both walks visit only the lexicographically smaller of the
 two (row 0 decides it by cell (0, 2) at the latest), and a complete
 count or enumerate adds the other 2n - 1 maps back afterwards.  For
 n = 2 negation is a translation and the orbit has n squares.  This is
@@ -49,17 +64,17 @@ Ginsberg, Luks and Roy, "Symmetry-breaking predicates for search
 problems", KR 1996), is decided while the walk fills: tie bit 1 says
 row 0 equals c on the pairs so far, bit 2 that it equals -c, and when
 the later of cells (0, i) and (i, 0) is placed the subtree is cut if
-row 0[i] is above c[i] or -c[i] while that one's bit is set.  That cell
-is (0, i) for i < a, inside the first band's first a columns, and (i, 0)
-otherwise.  The rule is one mask ANDed into that cell's candidates;
-every other cell only finds that it has none.  A complete leaf with no
-tie bit left stands for its partner too: a count weighs it 2, and an
-enumerate adds its transpose before the 2n symbol maps.  A starved walk
-returns its leaves unweighted.  Exists walks keep both squares of each
-pair.
+row 0[i] is above c[i] or -c[i] while that one's bit is set.  The row
+walk places row 0 first, so that cell is always (i, 0), and the rule is
+a filter on the first symbol of row i.  In the cell walk it is (0, i) for
+i < a, inside the first band's first a columns, and (i, 0) otherwise;
+the rule is one mask ANDed into that cell's candidates, and every other
+cell only finds that it has none.  A complete leaf with no tie bit left
+stands for its partner too: a count weighs it 2, and an enumerate adds
+its transpose before the 2n symbol maps.  A starved walk returns its
+leaves unweighted.  Exists walks keep both squares of each pair.
 
-One non-recursive walk over the visiting order does all of it: a query
-is a single walk from the empty grid under the query's node budget, and
+Each query is one non-recursive walk under the query's node budget, and
 exists mode stops at its first witness.  The budget is exact: a query is
 complete iff its tree (in exists mode, up to the first witness) fits in
 node_budget placements, and a walk that does not fit stops at placement
@@ -69,7 +84,8 @@ node_budget + 1.  A complete witness list is sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, chain, repeat
 from operator import and_, itemgetter, or_
 
 import numpy as np
@@ -88,6 +104,14 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 10**9
 
+# Count and enumerate queries of plain and Sudoku squares stack whole rows when their
+# admissible rows number at most _ROW_CAP and the row walk's tables, n * n sets of one bit
+# per row each, hold at most _TABLE_BITS bits.  Stacking won at 6 094 rows (plain 11 d=4)
+# and lost to filling cells at 20 640 (Sudoku (2,5) d=3); the table cap keeps orders of a
+# few hundred near the ceiling, 2n rows, from building tables of hundreds of megabytes.
+_ROW_CAP = 2**13
+_TABLE_BITS = 2**23
+
 _CONSTRAINTS = ("plain", "pandiagonal", "sudoku")
 _MODES = ("count", "enumerate", "exists")
 
@@ -104,8 +128,11 @@ class SearchQuery:
     squares also by transposition (row 0 <= column 0 and row 0 <= negated
     column 0; see the module docstring); the search is complete iff that
     tree fits in it, and otherwise stops after exactly node_budget + 1
-    placements.  n, min_distance and node_budget are integers, numpy's
-    included; a bool, float or string is none of them.
+    placements.  A placement is a whole row in count and enumerate mode of
+    plain and Sudoku squares with at most _ROW_CAP admissible rows, and a
+    cell otherwise: in exists mode, for pandiagonal squares and above the
+    cap.  n, min_distance and node_budget are integers, numpy's included;
+    a bool, float or string is none of them.
     """
 
     n: int | None = None
@@ -168,20 +195,37 @@ class SearchResult:
     unweighted in every mode: its count and witnesses are only the squares
     the walk itself placed before it stopped, in the order it met them,
     each with symbol 1 in the corner, so an enumerate has
-    len(witnesses) == count.  In exists mode the count is min(total, 1) because the search
-    stops at the first witness, which starts with symbol 1 and is the first
-    square of the query in the walk's visiting and symbol order (see the
-    module docstring), not the lexicographically first.  nodes_expanded
-    counts the walk reduced by translation and negation, and in count and
-    enumerate mode of plain, pandiagonal and (a, a)-Sudoku squares also by
-    transposition; in exists mode and for (a, b)-Sudoku with a != b it
-    counts no transposition cut.
+    len(witnesses) == count.  The row walk meets them in row order: each
+    is lexicographically above the one before.  In exists mode the count is
+    min(total, 1) because the search stops at the first witness, which
+    starts with symbol 1 and is the first square of the query in the cell
+    walk's visiting and symbol order (see the module docstring), not the
+    lexicographically first.  nodes_expanded counts the walk reduced by
+    translation and negation, and in count and enumerate mode of plain,
+    pandiagonal and (a, a)-Sudoku squares also by transposition; in exists
+    mode and for (a, b)-Sudoku with a != b it counts no transposition cut.
+    Its nodes are row placements in count and enumerate mode of plain and
+    Sudoku squares with at most _ROW_CAP admissible rows, cell placements
+    otherwise.
     """
 
     count: int
     witnesses: tuple[SquareGrid, ...]
     nodes_expanded: int
     complete: bool
+
+
+def _column_masks(sets: list[int], neg: list[int]) -> list:
+    """The lex-leader masks of a cell in column 0, listed by tie bits.
+
+    sets[v] is the set of candidates that put symbol v in the cell (sets[0]
+    is empty) and neg[v] is -v.  With row 0's symbol x in the same pair,
+    masks[t][x] holds the candidates with v >= x for tie bit 1 and -v >= x
+    for bit 2, both for t = 3; masks[0] is None: no tie, no cut.
+    """
+    at_least = list(accumulate(sets[::-1], or_))[::-1]
+    negated = list(accumulate(itemgetter(*neg[::-1])(sets), or_))[::-1]
+    return [None, at_least, negated, list(map(and_, at_least, negated))]
 
 
 class _Context:
@@ -266,12 +310,8 @@ class _Context:
             self.neg = neg = [0] + [(1 - u) % n + 1 for u in range(1, n + 1)]
             # Masks are listed by tie bits: bit 1 compares row 0 with column 0, bit 2 with
             # its negation.  A column cell, with row 0's symbol x, admits v >= x for bit 1
-            # and -v >= x for bit 2 (at_least[x] holds the v >= x, negated[x] the v with
-            # -v >= x),
-            at_least = [full] + self.above[:n]
-            negated = [full] + list(accumulate((1 << (neg[v] - 1) for v in range(n, 0, -1)),
-                                               or_))[::-1]
-            col_masks = [None, at_least, negated, list(map(and_, at_least, negated))]
+            # and -v >= x for bit 2,
+            col_masks = _column_masks([0] + [1 << v for v in range(n)], neg)
             # and a row cell, the later one for i < a, with column 0's symbol y, v <= y for
             # bit 1 and v <= -y for bit 2 (at_most[y] holds the v <= y)
             at_most = [full ^ m for m in self.above]
@@ -372,16 +412,161 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
     return count, twins, nodes, True, leaves, twin_leaves
 
 
+def _far(n: int, d: int):
+    """far[u, v] says symbols u and v of 1..n lie at cyclic distance >= d; row 0 is False."""
+    symbols = np.arange(n + 1)
+    gap = (symbols[:, None] - symbols) % n
+    far = np.minimum(gap, n - gap) >= d
+    far[0] = False
+    return far
+
+
+def _rows(n: int, d: int):
+    """Every permutation of 1..n with each adjacent pair at cyclic distance >= d.
+
+    The rows come as an (R, n) array in lexicographic order, or None when R
+    passes _ROW_CAP or the row walk's tables would pass _TABLE_BITS.  The
+    rows starting with 1 grow one column at a time, kept in lexicographic
+    order by np.nonzero, and translating them by each symbol gives the
+    rest.  Dead ends can leave more prefixes than rows, 17 times more at
+    plain 20 d=9, so the listing gives up as soon as its prefixes pass eight
+    times the cap.
+    """
+    cap = min(_ROW_CAP, _TABLE_BITS // (n * n))
+    x = np.arange(n)
+    far = _far(n, d)[1:, 1:]
+    rows = np.zeros((1, n), np.intp)
+    last = rows[:, 0]
+    free = x[None] != 0
+    for k in range(1, n):
+        prefix, last = (far[last] & free).nonzero()
+        if len(prefix) * n > 8 * cap:
+            return None
+        rows = rows.take(prefix, 0)
+        rows[:, k] = last
+        free = free.take(prefix, 0)
+        free[np.arange(len(last)), last] = False
+    if len(rows) * n > cap:
+        return None
+    rows = ((rows + x[:, None, None]) % n).reshape(-1, n)
+    return rows[np.lexsort(rows.T[::-1])] + 1
+
+
+def _row_walk(rows, d: int, shape: SudokuShape | None, budget: int, collect: bool):
+    """Depth-first stacking of whole rows from _rows, for count and enumerate queries.
+
+    A set of rows is a Python int with bit r for row r.  at[j][s] holds the
+    rows with symbol s in column j, below[j][s] those whose column j symbol
+    is at distance >= d from s, and, for Sudoku squares, within[j][s] those
+    with s in the block columns of column j.  A row admits under it the AND
+    of below[j][s] over its cells, and excludes the OR of at[j][s] from the
+    rows below it and, within its band, the OR of within[j][s]; the walk
+    works these masks out once for each row it places.  Row 0 starts with 1
+    and is no greater than its negation.  For plain and (a, a)-Sudoku
+    squares, row i >= 1 starts with a symbol y that keeps row 0 <= column 0
+    and <= its negation: y >= row 0[i] while tie bit 1 says row 0 equals
+    column 0 so far, -y >= row 0[i] while bit 2 says it equals the negated
+    column 0.  Rows are tried in lexicographic order, and every row placed
+    counts as one node; a walk that needs more than budget nodes stops at
+    node budget + 1.  Returns _walk's tuple.
+    """
+    total, n = rows.shape
+    if not total:
+        return 0, 0, 0, True, [], []
+    a, b = (shape.a, shape.b) if shape is not None else (1, n)
+    # at and below as (n, n + 1) sets of R bits, bit r little-endian in byte r // 8; symbol
+    # 0 holds no row and pads each table so that it is indexed by the symbol itself
+    symbols = np.arange(n + 1)
+    bits = np.packbits(np.stack((rows.T[:, None] == symbols[:, None],
+                                 _far(n, d)[:, rows.T].swapaxes(0, 1))),
+                       axis=-1, bitorder="little")
+    width = bits.shape[-1]
+    bits = bits.reshape(-1, width)
+    if a > 1:
+        # the OR of at over each block's b columns, one table per block column
+        blocks = np.bitwise_or.reduce(bits[:n * (n + 1)].reshape(n // b, b, n + 1, width), axis=1)
+        bits = np.concatenate((bits, blocks.reshape(-1, width)))
+    if width <= 8:
+        # sets of up to 64 rows are machine words, which numpy turns into ints in one call
+        words = np.zeros((len(bits), 8), np.uint8)
+        words[:, :width] = bits
+        sets = words.view("<u8").ravel().tolist()
+    else:
+        sets = list(map(int.from_bytes, bits.view(f"V{width}").ravel().tolist(), repeat("little")))
+    tables = [sets[i:i + n + 1] for i in range(0, len(sets), n + 1)]
+    at, below = tables[:n], tables[n:2 * n]
+    within = [tables[2 * n + j // b] for j in range(n)] if a > 1 else None
+    syms = rows.tolist()
+    neg = [0] + [(1 - u) % n + 1 for u in range(1, n + 1)]
+    transposable = shape is None or a == b
+    # the first-symbol filter of rows 1.., by tie bits
+    firsts = _column_masks(at[0], neg)
+    # the rows starting with 1 come first, total // n of them
+    lead = sum(1 << r for r in range(total // n) if syms[r] <= [neg[u] for u in syms[r]])
+    masks: list[tuple[int, int, int] | None] = [None] * total
+    count = twins = nodes = 0
+    leaves: list[tuple[int, ...]] = []
+    twin_leaves: list[tuple[int, ...]] = []
+    # per level: the untried rows, the row placed, the rows that the rows above exclude in
+    # their columns and within the band, and the tie bits once the level's row is placed
+    untried = [lead] + [0] * (n - 1)
+    picked = [0] * n
+    cols = [0] * n
+    band = [0] * n
+    ties = [3 if transposable else 0] * n
+    i = 0
+    while i >= 0:
+        cand = untried[i]
+        if not cand:
+            i -= 1
+            continue
+        bit = cand & -cand
+        untried[i] = cand ^ bit
+        nodes += 1
+        if nodes > budget:
+            return count, twins, nodes, False, leaves, twin_leaves
+        r = picked[i] = bit.bit_length() - 1
+        row = syms[r]
+        if i:
+            x, y = top[i], row[0]
+            ties[i] = ties[i - 1] & ((x == y) | (x == neg[y]) << 1)
+        else:
+            top = row
+        if i == n - 1:
+            count += 1
+            if collect:
+                leaves.append(tuple(chain.from_iterable(map(syms.__getitem__, picked))))
+            if transposable and not ties[i]:
+                twins += 1
+                if collect:
+                    twin_leaves.append(leaves[-1])
+            continue
+        if masks[r] is None:
+            masks[r] = (reduce(and_, map(list.__getitem__, below, row)),
+                        reduce(or_, map(list.__getitem__, at, row)),
+                        reduce(or_, map(list.__getitem__, within, row)) if within else 0)
+        admits, clash, block = masks[r]
+        t = ties[i]
+        i += 1
+        cols[i] = cols[i - 1] | clash
+        band[i] = band[i - 1] | block if i % a else 0
+        cand = admits & ~(cols[i] | band[i])
+        untried[i] = cand & firsts[t][top[i]] if t else cand
+    return count, twins, nodes, True, leaves, twin_leaves
+
+
 def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
     """Count, enumerate, or probe existence of grids matching the query.
 
-    One walk from the empty grid under query.node_budget answers it: the
-    candidate set of every cell is filtered by the Latin (and block or
-    diagonal) occupancy masks and by the distance table against the left
-    and upper neighbours, so the distance floor prunes while building, not
-    after.  Witnesses are laid out row by row whatever the visiting order;
-    a complete witness list is sorted by rows, and an exists witness is
-    the first in visiting order.
+    One walk from the empty grid under query.node_budget answers it, and
+    the distance floor prunes while building, not after.  Count and
+    enumerate queries of plain and Sudoku squares with at most _ROW_CAP
+    admissible rows stack whole rows; every other query fills cells, each
+    filtered by the Latin (and block or diagonal) occupancy masks and by
+    the distance table against the left and upper neighbours.  Witnesses
+    are laid out row by row whatever the walk; a complete witness list is
+    sorted by rows, and an exists witness is the first in the cell walk's
+    visiting order.
 
     The search runs in one process, so workers must be 1.  It stays a
     second parameter because callers pass it positionally, as in
@@ -389,9 +574,13 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
     """
     if workers != 1:
         raise ParameterError(f"the search runs in one process: workers must be 1, got {workers}")
-    n = query.n
-    count, twins, nodes, complete, leaves, twin_leaves = _walk(
-        _Context(query), query.node_budget, query.mode != "count", query.mode == "exists")
+    n, d, mode = query.n, query.min_distance, query.mode
+    rows = _rows(n, d) if mode != "exists" and query.constraint != "pandiagonal" else None
+    if rows is None:
+        walked = _walk(_Context(query), query.node_budget, mode != "count", mode == "exists")
+    else:
+        walked = _row_walk(rows, d, query.shape, query.node_budget, mode != "count")
+    count, twins, nodes, complete, leaves, twin_leaves = walked
     if complete and query.mode != "exists":
         # a leaf whose row 0 is below column 0 and its negation stands for its transpose too
         count += twins

@@ -6,7 +6,9 @@ package's validators, metric, and search engine without sharing code
 paths with them.
 """
 
-from itertools import permutations
+from functools import lru_cache
+from itertools import pairwise, permutations
+from operator import eq
 
 
 def all_latin_squares(n: int):
@@ -197,3 +199,85 @@ def sudoku_prefix_count(a: int, b: int, d: int):
         return [("row", r), ("col", c), ("block", r // a, c // b)]
 
     return _prefix_count(a * b, d, band_column_order(a, b), units_of, a == b)
+
+
+def _near(n: int, d: int):
+    """The pairs of symbols of 1..n at cyclic distance below d."""
+    return {(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+            if min((u - v) % n, (v - u) % n) < d}
+
+
+@lru_cache(maxsize=None)
+def admissible_rows(n: int, d: int):
+    """The permutations of 1..n whose side neighbours lie at cyclic distance >= d,
+    in the lexicographic order itertools.permutations lists them."""
+    near = _near(n, d)
+    return tuple(row for row in permutations(range(1, n + 1)) if near.isdisjoint(pairwise(row)))
+
+
+def row_prefixes(n: int, d: int, shape=None):
+    """The partial squares the count and enumerate row walk places, in its order.
+
+    The walk stacks admissible_rows(n, d) top to bottom, trying them in
+    their order.  A stack is kept if no column holds a symbol twice, every
+    two vertically adjacent symbols lie at distance >= d, no (a, b) block of
+    a Sudoku shape holds a symbol twice, row 0 starts with 1 and is not
+    lexicographically greater than its negation u -> 2 - u (mod n), and, for
+    plain and (a, a)-Sudoku squares, with R and C the symbols of row 0 and
+    of column 0 in positions 1..i-1 of a stack of i rows, R <= C and R <= -C.
+    Yields each kept stack as a tuple of row tuples.
+    """
+    a, b = shape if shape else (1, n)
+    transposable = shape is None or a == b
+    rows = admissible_rows(n, d)
+    near = _near(n, d)
+
+    def fits(stack, row):
+        i = len(stack)
+        if i == 0:
+            return row[0] == 1 and row <= tuple(_negation(u, n) for u in row)
+        if not near.isdisjoint(zip(stack[-1], row)):
+            return False
+        if any(any(map(eq, row, prev)) for prev in stack):
+            return False
+        band = stack[i - i % a:]
+        for c in range(0, n, b):
+            if set(row[c:c + b]) & {u for prev in band for u in prev[c:c + b]}:
+                return False
+        if transposable:
+            r = stack[0][1:i + 1]
+            c = tuple(prev[0] for prev in stack[1:]) + (row[0],)
+            return r <= c and r <= tuple(_negation(u, n) for u in c)
+        return True
+
+    def extend(stack):
+        for row in rows:
+            if fits(stack, row):
+                stack.append(row)
+                yield tuple(stack)
+                if len(stack) < n:
+                    yield from extend(stack)
+                stack.pop()
+
+    yield from extend([])
+
+
+def row_prefix_count(n: int, d: int, shape=None):
+    """(prefixes, squares) of the row walk; see row_prefixes.
+
+    prefixes is the number of stacks it places; squares the number of
+    squares with symbol 1 in the corner and row 0 no greater than its
+    negation that its complete stacks stand for: a plain or (a, a)-Sudoku
+    square whose row 0 differs from column 0 and from its negation stands
+    for its transposed partner too, and counts twice.
+    """
+    a, b = shape if shape else (1, n)
+    prefixes = squares = 0
+    for stack in row_prefixes(n, d, shape):
+        prefixes += 1
+        if len(stack) == n:
+            r = stack[0]
+            c = tuple(row[0] for row in stack)
+            twin = (shape is None or a == b) and r != c and r != tuple(_negation(u, n) for u in c)
+            squares += 2 if twin else 1
+    return prefixes, squares

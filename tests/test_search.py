@@ -1,3 +1,6 @@
+import time
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -6,10 +9,10 @@ from latindist import (NonexistenceError, ParameterError,
                        inner_distance, max_distance_via_search, run_search,
                        validate_latin, validate_pandiagonal, validate_sudoku)
 
-from latindist.search import _Context
+from latindist.search import _Context, _rows, _walk
 from oracle import (all_latin_squares, band_column_order, count_by_filter, is_pandiagonal,
-                    is_sudoku, min_adjacent_distance, row_major_prefix_count,
-                    row_tuples, sudoku_prefix_count)
+                    is_sudoku, min_adjacent_distance, row_major_prefix_count, row_prefix_count,
+                    row_prefixes, row_tuples, sudoku_prefix_count)
 
 
 def _count(n, d, constraint="plain", shape=None):
@@ -27,6 +30,37 @@ def test_counts_above_the_ceiling_are_zero():
     for n, d in [(4, 2), (5, 3), (6, 3), (7, 4)]:
         result = _count(n, d)
         assert result.complete and result.count == 0, (n, d)
+
+
+@pytest.mark.parametrize("n, d, shape, want",
+                         [(n, n // 2 - 1, None, want) for n, want in
+                          [(6, 672), (8, 2_720), (10, 6_960), (12, 17_616), (14, 35_392),
+                           (16, 70_208)]]
+                         + [(7, 2, None, 31_080), (9, 3, None, 328_788), (8, 2, (2, 4), 604_864)])
+def test_counts_the_cell_walk_found(n, d, shape, want):
+    # even ceilings, one notch below odd ones, and a Sudoku square one notch below its
+    # maximum: each count was found by the cell walk, which took up to 12 s on them
+    result = _count(n, d, "sudoku" if shape else "plain", SudokuShape(*shape) if shape else None)
+    assert result.complete and result.count == want
+
+
+def test_both_sides_of_the_row_cap():
+    # above order 63 the rows are still listed: 202 rows of order 101, stacked into the
+    # 4n squares at the odd ceiling
+    assert len(_rows(101, 50)) == 202
+    result = _count(101, 50)
+    assert result.complete and result.count == 404
+    # order 301 has 602 rows at its ceiling, but two tables of 301 * 301 sets of 602 bits
+    # each would pass the table cap
+    assert _rows(301, 150) is None
+    # plain 16 d=6 has far more rows than the cap: the listing gives up at once and
+    # the cell walk starves one node past a budget of 10
+    assert _rows(16, 6) is None
+    started = time.perf_counter()
+    result = run_search(SearchQuery(constraint="sudoku", shape=SudokuShape(4, 4), min_distance=6,
+                                    node_budget=10))
+    assert time.perf_counter() - started < 1
+    assert not result.complete and result.nodes_expanded == 11
 
 
 def test_pandiagonal_and_sudoku_counts():
@@ -161,13 +195,17 @@ def test_low_distance_probes_find_a_witness_early(n, constraint, shape, d):
 
 
 def test_complete_queries_expand_the_same_tree():
-    # the set-based counter walks row by row under the corner, negation and
-    # transposition rules; squares counts the squares with symbol 1 in the corner
-    # and row 0 no greater than its negation, a twin for each leaf whose row 0 is below c*
-    for n, constraint, d, nodes, squares in [(6, "plain", 2, 1_300, 56),
-                                             (8, "plain", 3, 7_253, 170),
+    # plain squares are stacked row by row, as the set-based row counter stacks them under
+    # the corner, negation and transposition rules; squares counts the squares with symbol
+    # 1 in the corner and row 0 no greater than its negation, a twin for each leaf whose
+    # row 0 is below column 0 and its negation.  Pandiagonal squares are filled cell by
+    # cell, as the set-based cell counter fills them.
+    for n, constraint, d, nodes, squares in [(6, "plain", 2, 165, 56),
+                                             (8, "plain", 3, 656, 170),
                                              (13, "pandiagonal", 5, 11_199, 4)]:
-        assert row_major_prefix_count(n, d, constraint) == (nodes, squares)
+        tree = row_prefix_count(n, d) if constraint == "plain" else \
+            row_major_prefix_count(n, d, constraint)
+        assert tree == (nodes, squares)
         for mode in ("count", "enumerate"):
             query = SearchQuery(n=n, constraint=constraint, min_distance=d, mode=mode)
             result = run_search(query)
@@ -175,17 +213,36 @@ def test_complete_queries_expand_the_same_tree():
             assert result.count == 2 * n * squares, query
 
 
-@pytest.mark.parametrize("a, b, d, nodes",
-                         [(2, 2, 1, 212), (2, 3, 2, 136), (3, 2, 2, 119), (2, 4, 3, 254),
-                          (2, 5, 4, 384), (3, 3, 3, 5_932), (3, 3, 4, 6)])
-def test_sudoku_walk_matches_the_set_based_prefix_count(a, b, d, nodes):
-    # Sudoku squares are walked band by band, each band column by column; square
-    # blocks also keep one square of each transposed pair
-    prefixes, squares = sudoku_prefix_count(a, b, d)
-    assert prefixes == nodes
-    result = run_search(SearchQuery(constraint="sudoku", shape=SudokuShape(a, b), min_distance=d))
-    assert result.complete and result.nodes_expanded == nodes
+def _cell_walk(query):
+    """The cell walk's count of a query run_search answers with the row walk."""
+    count, twins, nodes, complete, _, _ = _walk(_Context(query), query.node_budget, False, False)
+    assert complete
+    return nodes, count + twins
+
+
+@pytest.mark.parametrize("n, d, nodes, squares", [(6, 2, 1_300, 56), (8, 3, 7_253, 170)])
+def test_the_cell_walk_expands_the_set_based_cell_tree(n, d, nodes, squares):
+    # the cell walk still fills count and enumerate queries of plain squares with too
+    # many rows; on small ones it must expand the tree of the set-based cell counter
+    assert row_major_prefix_count(n, d) == (nodes, squares)
+    assert _cell_walk(SearchQuery(n=n, min_distance=d)) == (nodes, squares)
+
+
+@pytest.mark.parametrize("a, b, d, cells, rows", [
+    pytest.param(a, b, d, cells, rows, id=f"{a}-{b}-{d}-{cells}")
+    for a, b, d, cells, rows in [(2, 2, 1, 212, 53), (2, 3, 2, 136, 23), (3, 2, 2, 119, 19),
+                                 (2, 4, 3, 254, 35), (2, 5, 4, 384, 47), (3, 3, 3, 5_932, 601),
+                                 (3, 3, 4, 6, 1)]])
+def test_sudoku_walk_matches_the_set_based_prefix_count(a, b, d, cells, rows):
+    # run_search stacks rows; the cell walk goes band by band, each band column by
+    # column.  Square blocks also keep one square of each transposed pair.
+    prefixes, squares = row_prefix_count(a * b, d, (a, b))
+    assert prefixes == rows
+    query = SearchQuery(constraint="sudoku", shape=SudokuShape(a, b), min_distance=d)
+    result = run_search(query)
+    assert result.complete and result.nodes_expanded == rows
     assert result.count == 2 * a * b * squares
+    assert sudoku_prefix_count(a, b, d) == _cell_walk(query) == (cells, squares)
 
 
 @pytest.mark.parametrize("n, constraint, shape, d",
@@ -244,16 +301,17 @@ def test_nonexistence_is_proven_on_one_corner_symbol():
 
 
 def test_complete_iff_the_tree_fits_the_budget():
-    # plain 6 d=2 is a tree of 1 300 nodes
+    # plain 6 d=2 is a tree of 165 row placements
+    assert row_prefix_count(6, 2) == (165, 56)
     for query, complete in [(SearchQuery(n=6, min_distance=1, node_budget=5000), False),
-                            (SearchQuery(n=6, min_distance=2, node_budget=1300), True),
-                            (SearchQuery(n=6, min_distance=2, node_budget=1299), False)]:
+                            (SearchQuery(n=6, min_distance=2, node_budget=165), True),
+                            (SearchQuery(n=6, min_distance=2, node_budget=164), False)]:
         assert run_search(query).complete == complete, query
 
 
 @pytest.mark.parametrize("query", [
     SearchQuery(n=6, min_distance=1, node_budget=5000),
-    SearchQuery(n=6, min_distance=2, mode="enumerate", node_budget=1299),
+    SearchQuery(n=6, min_distance=2, mode="enumerate", node_budget=164),
     SearchQuery(n=6, min_distance=1, node_budget=100_000),
     SearchQuery(n=8, min_distance=2, mode="exists", node_budget=10),
     SearchQuery(constraint="sudoku", shape=SudokuShape(3, 6), min_distance=7, mode="exists",
@@ -273,7 +331,7 @@ def test_run_search_takes_workers_positionally_and_only_one():
 
 
 def test_sudoku_witnesses_are_laid_out_row_by_row():
-    # the band-column walk meets the leaves in visiting order; every one comes back row-major
+    # every witness comes back row-major and a complete list sorted
     for shape, d in [(SudokuShape(2, 3), 2), (SudokuShape(2, 4), 3)]:
         query = SearchQuery(constraint="sudoku", shape=shape, min_distance=d, mode="enumerate")
         result = run_search(query)
@@ -285,12 +343,14 @@ def test_sudoku_witnesses_are_laid_out_row_by_row():
         first = run_search(SearchQuery(constraint="sudoku", shape=shape, min_distance=d,
                                        mode="exists"))
         assert first.witnesses[0] in result.witnesses
-    # a starved walk's witnesses are row-major too, and unexpanded
+    # a starved walk's witnesses are the squares it stacked in its first budget rows, in
+    # that order, and unexpanded
+    placed = list(islice(row_prefixes(9, 3, (3, 3)), 300))
     starved = run_search(SearchQuery(constraint="sudoku", shape=SudokuShape(3, 3), min_distance=3,
-                                     mode="enumerate", node_budget=3000))
-    assert not starved.complete and starved.count == len(starved.witnesses) == 40
-    assert all(is_sudoku(row_tuples(w), 3, 3) and min_adjacent_distance(row_tuples(w)) >= 3
-               for w in starved.witnesses)
+                                     mode="enumerate", node_budget=300))
+    assert not starved.complete
+    assert [row_tuples(w) for w in starved.witnesses] == [s for s in placed if len(s) == 9]
+    assert starved.count == len(starved.witnesses) == 45
 
 
 def test_budget_exhaustion_is_reported_not_silent():
@@ -302,13 +362,15 @@ def test_budget_exhaustion_is_reported_not_silent():
 
 def test_starved_results_are_not_expanded_by_symmetry():
     # only what the walk placed: no symbol map or transposition is applied to a
-    # partial result (plain 6 d=2 has 672 squares; the walk places 35 in 1 300 nodes,
+    # partial result (plain 6 d=2 has 672 squares; the walk stacks 35 in 165 rows,
     # and 21 of them stand for a transposed twin too)
-    starved = run_search(SearchQuery(n=6, min_distance=2, mode="enumerate", node_budget=1000))
-    assert not starved.complete and 0 < starved.count < 35
-    assert len(starved.witnesses) == starved.count
+    placed = list(islice(row_prefixes(6, 2), 100))
+    starved = run_search(SearchQuery(n=6, min_distance=2, mode="enumerate", node_budget=100))
+    assert not starved.complete
+    assert [row_tuples(w) for w in starved.witnesses] == [s for s in placed if len(s) == 6]
+    assert starved.count == len(starved.witnesses) == 20
     assert all(row_tuples(w)[0][0] == 1 for w in starved.witnesses)
-    counted = run_search(SearchQuery(n=6, min_distance=2, node_budget=1000))
+    counted = run_search(SearchQuery(n=6, min_distance=2, node_budget=100))
     assert not counted.complete and counted.count == starved.count
     # a starved walk keeps the squares it placed before it stopped
     starved = run_search(SearchQuery(n=6, min_distance=1, mode="enumerate", node_budget=20_000))
