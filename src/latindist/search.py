@@ -5,8 +5,17 @@ has two walks, both depth-first from the empty grid under one node budget.
 
 The row walk answers count and enumerate queries of plain and Sudoku
 squares whose admissible rows, the permutations of 1..n with every
-adjacent pair at cyclic distance >= d, number at most _ROW_CAP.  numpy
-lists those rows once in lexicographic order, and the walk stacks whole
+adjacent pair at cyclic distance >= d, pass the row-walk rule, which
+the rest of this module refers to.  With cap = min(_ROW_CAP, _TABLE_BITS
+// (n*n)), a query stacks rows iff its R admissible rows number at most
+cap and, while _rows grows the rows that start with 1 one column at a
+time, n times the prefixes at no column pass 8 * cap.  _ROW_CAP is
+2**13 = 8 192 rows; the table term keeps the walk's n*n sets of R bits
+within _TABLE_BITS = 2**23 bits and is the smaller from n = 33 on (822
+rows at n = 101); the prefix term stops a listing whose dead ends would
+outgrow the cap.  The rule reads only n and d, so a Sudoku query stacks
+rows iff the plain query of the same order and distance does.  numpy
+lists the rows once in lexicographic order, and the walk stacks whole
 rows on each other: sets of rows are Python ints with one bit per row,
 and a row's column clashes, vertical distances and block clashes with
 the rows below it are each one AND with a mask it works out when it is
@@ -16,12 +25,12 @@ first placed.  Near the ceiling a row admits few rows under it, so plain
 
 The cell walk answers everything else: exists probes, pandiagonal
 squares (their diagonal clashes depend on how far apart two rows are)
-and queries with more rows than the cap, where stacking them lost to
-filling cells.  It fills cells one at a time, keeping per-row/column (and
-per-block or per-diagonal) occupancy bitmasks, and filters every
-candidate symbol against a precomputed admissibility table
-dist(u, v) >= d for the two already-placed neighbours (left and up).  A
-node is a cell placement.
+and queries that the row-walk rule turns away, such as Sudoku (3,4)
+d=4, where stacking rows lost to filling cells.  It fills cells one at a
+time, keeping per-row/column (and per-block or per-diagonal) occupancy
+bitmasks, and filters every candidate symbol against a precomputed
+admissibility table dist(u, v) >= d for the two already-placed
+neighbours (left and up).  A node is a cell placement.
 
 The cell walk visits cells band by band, each band column by column.  A
 Sudoku band is a rows, so the first a*b cells visited are a block and
@@ -104,11 +113,11 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 10**9
 
-# Count and enumerate queries of plain and Sudoku squares stack whole rows when their
-# admissible rows number at most _ROW_CAP and the row walk's tables, n * n sets of one bit
-# per row each, hold at most _TABLE_BITS bits.  Stacking won at 6 094 rows (plain 11 d=4)
-# and lost to filling cells at 20 640 (Sudoku (2,5) d=3); the table cap keeps orders of a
-# few hundred near the ceiling, 2n rows, from building tables of hundreds of megabytes.
+# The row-walk rule of the module docstring.  _ROW_CAP is provisional: stacking rows won at
+# 3 920 rows (Sudoku (2,4) d=2) and 6 094 (plain 11 d=4), went either way at 20 640
+# (Sudoku (2,5) d=3), and lost at 57 060 (Sudoku (3,5) d=6) and 106 848 ((3,4) d=4); no
+# plain or Sudoku count query has between 6 094 and 19 006 rows.  _TABLE_BITS keeps orders
+# of a few hundred near the ceiling, 2n rows, from building hundreds of megabytes.
 _ROW_CAP = 2**13
 _TABLE_BITS = 2**23
 
@@ -129,10 +138,11 @@ class SearchQuery:
     column 0; see the module docstring); the search is complete iff that
     tree fits in it, and otherwise stops after exactly node_budget + 1
     placements.  A placement is a whole row in count and enumerate mode of
-    plain and Sudoku squares with at most _ROW_CAP admissible rows, and a
-    cell otherwise: in exists mode, for pandiagonal squares and above the
-    cap.  n, min_distance and node_budget are integers, numpy's included;
-    a bool, float or string is none of them.
+    plain and Sudoku squares that pass the row-walk rule of the module
+    docstring, and a cell otherwise: in exists mode, for pandiagonal
+    squares and for queries the rule turns away.  n, min_distance and
+    node_budget are integers, numpy's included; a bool, float or string is
+    none of them.
     """
 
     n: int | None = None
@@ -205,8 +215,8 @@ class SearchResult:
     pandiagonal and (a, a)-Sudoku squares also by transposition; in exists
     mode and for (a, b)-Sudoku with a != b it counts no transposition cut.
     Its nodes are row placements in count and enumerate mode of plain and
-    Sudoku squares with at most _ROW_CAP admissible rows, cell placements
-    otherwise.
+    Sudoku squares that pass the row-walk rule of the module docstring,
+    cell placements otherwise.
     """
 
     count: int
@@ -424,13 +434,12 @@ def _far(n: int, d: int):
 def _rows(n: int, d: int):
     """Every permutation of 1..n with each adjacent pair at cyclic distance >= d.
 
-    The rows come as an (R, n) array in lexicographic order, or None when R
-    passes _ROW_CAP or the row walk's tables would pass _TABLE_BITS.  The
+    The rows come as an (R, n) array in lexicographic order, or None when
+    the row-walk rule of the module docstring turns the query away.  The
     rows starting with 1 grow one column at a time, kept in lexicographic
     order by np.nonzero, and translating them by each symbol gives the
     rest.  Dead ends can leave more prefixes than rows, 17 times more at
-    plain 20 d=9, so the listing gives up as soon as its prefixes pass eight
-    times the cap.
+    plain 20 d=9, hence the rule's prefix term, checked at every column.
     """
     cap = min(_ROW_CAP, _TABLE_BITS // (n * n))
     x = np.arange(n)
@@ -486,13 +495,7 @@ def _row_walk(rows, d: int, shape: SudokuShape | None, budget: int, collect: boo
         # the OR of at over each block's b columns, one table per block column
         blocks = np.bitwise_or.reduce(bits[:n * (n + 1)].reshape(n // b, b, n + 1, width), axis=1)
         bits = np.concatenate((bits, blocks.reshape(-1, width)))
-    if width <= 8:
-        # sets of up to 64 rows are machine words, which numpy turns into ints in one call
-        words = np.zeros((len(bits), 8), np.uint8)
-        words[:, :width] = bits
-        sets = words.view("<u8").ravel().tolist()
-    else:
-        sets = list(map(int.from_bytes, bits.view(f"V{width}").ravel().tolist(), repeat("little")))
+    sets = list(map(int.from_bytes, bits.view(f"V{width}").ravel().tolist(), repeat("little")))
     tables = [sets[i:i + n + 1] for i in range(0, len(sets), n + 1)]
     at, below = tables[:n], tables[n:2 * n]
     within = [tables[2 * n + j // b] for j in range(n)] if a > 1 else None
@@ -560,13 +563,13 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
 
     One walk from the empty grid under query.node_budget answers it, and
     the distance floor prunes while building, not after.  Count and
-    enumerate queries of plain and Sudoku squares with at most _ROW_CAP
-    admissible rows stack whole rows; every other query fills cells, each
-    filtered by the Latin (and block or diagonal) occupancy masks and by
-    the distance table against the left and upper neighbours.  Witnesses
-    are laid out row by row whatever the walk; a complete witness list is
-    sorted by rows, and an exists witness is the first in the cell walk's
-    visiting order.
+    enumerate queries of plain and Sudoku squares that pass the row-walk
+    rule of the module docstring stack whole rows; every other query fills
+    cells, each filtered by the Latin (and block or diagonal) occupancy
+    masks and by the distance table against the left and upper neighbours.
+    Witnesses are laid out row by row whatever the walk; a complete witness
+    list is sorted by rows, and an exists witness is the first in the cell
+    walk's visiting order.
 
     The search runs in one process, so workers must be 1.  It stays a
     second parameter because callers pass it positionally, as in
