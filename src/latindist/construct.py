@@ -23,7 +23,7 @@ from math import gcd
 import numpy as np
 
 from .errors import NonexistenceError, ParameterError
-from .grid import SquareGrid, SudokuShape, _order, _validate
+from .grid import SquareGrid, SudokuShape, _cyclic_distance, _order, _validate
 from .transform import transpose
 
 __all__ = [
@@ -114,11 +114,6 @@ def algorithm1(params: ShiftParams) -> SquareGrid:
     return _require(_shift_fill(params))
 
 
-def _half_range(t: int, n: int) -> int:
-    t %= n
-    return min(t, n - t)
-
-
 def predicted_inner_distance(params: ShiftParams) -> int:
     """Inner distance of `algorithm1(params)` without building the grid.
 
@@ -129,12 +124,12 @@ def predicted_inner_distance(params: ShiftParams) -> int:
     enter the minimum.
     """
     n = params.n
-    classes = [_half_range(params.r, n), _half_range(params.c, n)]
+    diffs = [params.r, params.c]
     if params.R < n:
-        classes.append(_half_range(params.r + params.alpha, n))
+        diffs.append(params.r + params.alpha)
     if params.C < n:
-        classes.append(_half_range(params.c + params.beta, n))
-    return min(classes)
+        diffs.append(params.c + params.beta)
+    return int(min(_cyclic_distance(t % n, n) for t in diffs))
 
 
 def shift_by_k(n: int, k: int) -> SquareGrid:

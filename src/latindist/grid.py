@@ -3,7 +3,9 @@
 A plain Latin square has every symbol once in each row and each column; a
 pandiagonal (Knut-Vik) square also in each wrapped diagonal, and a Sudoku
 square also in each a x b block.  `_unit_labels` numbers these units once,
-for the validators here and for the search walk's occupancy masks.
+for the validators here and for the search walk's occupancy masks, and
+`_cyclic_distance` computes the adjacent distance of two symbols for the
+metric, the constructions and the search.
 
 Cells are addressed 1-based: (i, j) is row i from the top, column j from
 the left, matching the usual combinatorial convention.  A grid of order n
@@ -50,6 +52,16 @@ def _order(n, what: str = "an order") -> int:
     if not isinstance(n, Integral) or isinstance(n, bool):
         raise ParameterError(f"{what} is an integer; got {n!r}")
     return int(n)
+
+
+def _cyclic_distance(diff, n: int):
+    """min(diff mod n, -diff mod n), the distance of symbols u, v with u - v = diff.
+
+    diff is an int, which gives a numpy int, or an integer array, with
+    every |diff| <= n: abs is much cheaper than a remainder on arrays.
+    """
+    dist = abs(diff)
+    return np.minimum(dist, n - dist)
 
 
 @dataclass(frozen=True, eq=False)

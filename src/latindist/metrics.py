@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedDistanceError
-from .grid import SquareGrid
+from .grid import SquareGrid, _cyclic_distance
 
 __all__ = ["DistanceReport", "inner_distance"]
 
@@ -52,12 +52,6 @@ class DistanceReport:
             "classes": [{"distance": d, "pairs": c} for d, c in self.realized_classes],
             "argmin_pairs": self.argmin_pairs.tolist(),
         }
-
-
-def _cyclic_distance(diff: np.ndarray, n: int) -> np.ndarray:
-    """min((u-v) mod n, (v-u) mod n) for differences u - v in (-n, n)."""
-    dist = np.abs(diff)
-    return np.minimum(dist, n - dist, out=dist)
 
 
 def _fill_pairs(out: np.ndarray, hits: np.ndarray, step: tuple[int, int]) -> None:

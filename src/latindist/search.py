@@ -101,7 +101,7 @@ import numpy as np
 
 from .construct import known_bounds
 from .errors import NonexistenceError, ParameterError, SearchIncompleteError
-from .grid import SquareGrid, SudokuShape, _order, _unit_labels
+from .grid import SquareGrid, SudokuShape, _cyclic_distance, _order, _unit_labels
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -267,17 +267,17 @@ class _Context:
 
     Count and enumerate walks of transposable classes (plain, pandiagonal
     and (a, a)-Sudoku) also keep row 0 <= column 0 and row 0 <= negated
-    column 0; see the module docstring.  pairs[i] is (i, i*n), the cells
-    (0, i) and (i, 0), and neg[s] is -s.  lex is 0 but at the later cell of
-    each pair i >= 1, which is (0, i) for i < a and (i, 0) otherwise; there
-    it is (i, the pair's other cell, masks): masks[t][x] is the mask the
-    cell admits when the other cell holds x and the pairs before i leave
-    the tie bits t, bit 1 while row 0 equals column 0 and bit 2 while it
-    equals the negated column 0 (masks[0] is None: no tie, no cut).  Exists
-    walks and (a, b)-Sudoku with a != b have no pairs and no lex.
+    column 0; see the module docstring.  Pair i is the cells (0, i) and
+    (i, 0), row-major cells i and i*n; neg[s] is -s.  lex is 0 but at
+    the later cell of each pair i >= 1, which is (0, i) for i < a and (i, 0)
+    otherwise; there it is (i, the pair's other cell, masks): masks[t][x] is
+    the mask the cell admits when the other cell holds x and the pairs
+    before i leave the tie bits t, bit 1 while row 0 equals column 0 and bit
+    2 while it equals the negated column 0 (masks[0] is None: no tie, no
+    cut).  Exists walks and (a, b)-Sudoku with a != b have no neg, no lex.
     """
 
-    __slots__ = ("n", "adm", "above", "cells", "neg", "pairs")
+    __slots__ = ("n", "adm", "above", "cells", "neg")
 
     def __init__(self, query: SearchQuery):
         n, d, shape = query.n, query.min_distance, query.shape
@@ -314,9 +314,8 @@ class _Context:
         # bands of a rows, one row for plain and pandiagonal squares
         a = shape.a if shape is not None else 1
         lex = [0] * spare
-        self.pairs = self.neg = []
+        self.neg = []
         if query.mode != "exists" and (shape is None or shape.a == shape.b):
-            self.pairs = [(i, i * n) for i in range(n)]
             self.neg = neg = [0] + [(1 - u) % n + 1 for u in range(1, n + 1)]
             # Masks are listed by tie bits: bit 1 compares row 0 with column 0, bit 2 with
             # its negation.  A column cell, with row 0's symbol x, admits v >= x for bit 1
@@ -352,13 +351,13 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
     transposed partner too, and, when collect is set, the row-major cell
     tuples of the leaves and of the twins.
     """
-    adm, above, cells, pairs, neg = ctx.adm, ctx.above, ctx.cells, ctx.pairs, ctx.neg
-    stop = ctx.n * ctx.n
+    n, adm, above, cells, neg = ctx.n, ctx.adm, ctx.above, ctx.cells, ctx.neg
+    stop = n * n
     grid = [0] * (stop + 1)
-    used = [0] * (4 * ctx.n)
+    used = [0] * (4 * n)
     # ties[i]: the tie bits before pair i, set at its deciding cell: bit 1 while row 0 equals
     # column 0, bit 2 while it equals the negated column 0; the corner's 1 is its own negation
-    ties = [3] * ctx.n
+    ties = [3] * n
     count = twins = nodes = 0
     leaves: list[tuple[int, ...]] = []
     twin_leaves: list[tuple[int, ...]] = []
@@ -382,8 +381,7 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
                 # the later cell of pair i: keep row 0 <= column 0 and <= its negation
                 # while the pairs before tie them
                 i, partner, masks = lex
-                r, c = pairs[i - 1]
-                x, y = grid[r], grid[c]
+                x, y = grid[i - 1], grid[(i - 1) * n]
                 t = ties[i] = ties[i - 1] & ((x == y) | (x == neg[y]) << 1)
                 if t:
                     cand &= masks[t][grid[partner]]
@@ -409,9 +407,9 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
             count += 1
             if collect:
                 leaves.append(tuple(grid[:stop]))
-            if pairs:
-                r, c = pairs[-1]
-                x, y = grid[r], grid[c]
+            if neg:
+                # a transposable walk: the leaf is a twin if the last pair leaves no tie
+                x, y = grid[n - 1], grid[stop - n]
                 if not ties[-1] & ((x == y) | (x == neg[y]) << 1):
                     twins += 1
                     if collect:
@@ -425,8 +423,7 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
 def _far(n: int, d: int):
     """far[u, v] says symbols u and v of 1..n lie at cyclic distance >= d; row 0 is False."""
     symbols = np.arange(n + 1)
-    gap = (symbols[:, None] - symbols) % n
-    far = np.minimum(gap, n - gap) >= d
+    far = _cyclic_distance(symbols[:, None] - symbols, n) >= d
     far[0] = False
     return far
 
@@ -584,15 +581,16 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
     else:
         walked = _row_walk(rows, d, query.shape, query.node_budget, mode != "count")
     count, twins, nodes, complete, leaves, twin_leaves = walked
-    if complete and query.mode != "exists":
-        # a leaf whose row 0 is below column 0 and its negation stands for its transpose too
-        count += twins
-        leaves += map(itemgetter(*[c * n + r for r in range(n) for c in range(n)]), twin_leaves)
-        # each leaf stands for its orbit under u -> +-(u - 1) + s: 2n squares, n when n = 2
-        maps = {(0, *[(sign * v + s) % n + 1 for v in range(n)])
-                for sign in (1, -1) for s in range(n)}
-        count *= len(maps)
-        leaves = sorted(tuple(map(m.__getitem__, leaf)) for m in maps for leaf in leaves)
+    if complete and mode != "exists":
+        # a leaf whose row 0 is below column 0 and its negation stands for its transpose too,
+        # and each leaf for its orbit under u -> +-(u - 1) + s: 2n squares, n when n = 2
+        count = (count + twins) * (n if n == 2 else 2 * n)
+        if mode == "enumerate":
+            leaves += map(itemgetter(*[c * n + r for r in range(n) for c in range(n)]),
+                          twin_leaves)
+            maps = {(0, *[(sign * v + s) % n + 1 for v in range(n)])
+                    for sign in (1, -1) for s in range(n)}
+            leaves = sorted(tuple(map(m.__getitem__, leaf)) for m in maps for leaf in leaves)
     witnesses = tuple(SquareGrid([w[i:i + n] for i in range(0, n * n, n)]) for w in leaves)
     return SearchResult(count=count, witnesses=witnesses, nodes_expanded=nodes, complete=complete)
 

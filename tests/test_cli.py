@@ -186,6 +186,15 @@ def test_search_rejects_block_sides_outside_sudoku(capsys):
     assert code == 0 and json.loads(out)["count"] == 48
 
 
+def test_kinds_without_their_sizes_exit_2(capsys, monkeypatch):
+    text = format_grid_text(load_golden("order9_sudoku_3x3.txt"))
+    code, out, err = run_cli(capsys, ["check", "--kind", "sudoku"], stdin=text,
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (2, "") and "--kind sudoku needs --a and --b" in err
+    code, out, err = run_cli(capsys, ["search", "--kind", "plain", "--min-dist", "2"])
+    assert (code, out) == (2, "") and "--kind plain needs --n" in err
+
+
 def test_search_exists_beyond_the_recursion_limit(capsys):
     code, out, err = run_cli(capsys, ["search", "--n", "33", "--min-dist", "16",
                                       "--mode", "exists"])
@@ -357,6 +366,14 @@ def test_cli_start_up_does_not_import_multiprocessing():
     # the search runs in one process; a process pool would only slow every CLI start-up
     proc = _run_python("-c", "import latindist.cli, sys; "
                              "assert 'multiprocessing' not in sys.modules, 'imported'")
+    assert proc.returncode == 0, proc.stderr
+    # nor does an enumerate pull in numpy.ma, which np.unique(axis=0) or np.pad would load
+    proc = _run_python("-c", "import sys; from latindist.cli import main; "
+                             "code = main(['search', '--n', '5', '--min-dist', '2', "
+                             "'--mode', 'enumerate']); "
+                             "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'; "
+                             "assert 'multiprocessing' not in sys.modules, 'imported'; "
+                             "sys.exit(code)")
     assert proc.returncode == 0, proc.stderr
 
 

@@ -118,6 +118,14 @@ def test_shift_by_k_requires_coprime_shift():
         shift_by_k(9, 6)
 
 
+def test_constructor_orders_below_two():
+    assert shift_by_k(1, 1).rows() == [[1]]
+    with pytest.raises(ParameterError, match="order must be positive, got 0"):
+        shift_by_k(0, 1)
+    with pytest.raises(ParameterError, match="order must be positive, got 0"):
+        pandiagonal_max(0)
+
+
 def test_pandiagonal_max(golden):
     assert pandiagonal_max(11) == golden("order11_pandiagonal.txt")
     g = pandiagonal_max(5)
@@ -336,7 +344,16 @@ def test_sudoku_bounds_shape_symmetric():
             assert sudoku_bounds(a, b) == sudoku_bounds(b, a), (a, b)
 
 
+def test_bounds_reject_order_one():
+    with pytest.raises(ParameterError, match="below order 2"):
+        pandiagonal_bounds(1)
+    with pytest.raises(ParameterError, match="below order 2"):
+        sudoku_bounds(1, 1)
+
+
 def test_known_bounds_dispatch_errors():
+    with pytest.raises(ParameterError, match="pandiagonal bounds need an order n"):
+        known_bounds("pandiagonal")
     with pytest.raises(ParameterError):
         known_bounds("plain")
     with pytest.raises(ParameterError):

@@ -36,7 +36,8 @@ def test_counts_above_the_ceiling_are_zero():
                          [(n, n // 2 - 1, None, want) for n, want in
                           [(6, 672), (8, 2_720), (10, 6_960), (12, 17_616), (14, 35_392),
                            (16, 70_208)]]
-                         + [(7, 2, None, 31_080), (9, 3, None, 328_788), (8, 2, (2, 4), 604_864)])
+                         + [(7, 2, None, 31_080), (9, 3, None, 328_788), (8, 2, (2, 4), 604_864),
+                            (18, 8, None, 121_680), (20, 9, None, 208_880)])
 def test_counts_the_cell_walk_found(n, d, shape, want):
     # even ceilings, one notch below odd ones, and a Sudoku square one notch below its
     # maximum: each count was found by the cell walk, which took up to 12 s on them
@@ -82,6 +83,10 @@ def test_query_validation():
         SearchQuery(n=4, constraint="plain", shape=SudokuShape(2, 2))
     with pytest.raises(ParameterError):
         SearchQuery(n=4, mode="guess")
+    with pytest.raises(ParameterError, match="constraint must be one of"):
+        SearchQuery(n=5, constraint="latin")
+    with pytest.raises(ParameterError, match="node_budget must be positive, got 0"):
+        SearchQuery(n=5, node_budget=0)
     # a shape is a SudokuShape, not a bare (a, b) pair
     with pytest.raises(ParameterError):
         SearchQuery(constraint="sudoku", shape=(3, 3))
@@ -421,12 +426,12 @@ def test_context_tables_match_their_definition(n, constraint, shape):
         assert ctx.above == [sum(1 << (v - 1) for v in range(s + 1, n + 1))
                              for s in range(n + 1)]
         assert len(ctx.cells) == n * n
-        # the walk's grid is row-major: pair i is cells i and i * n
-        assert ctx.pairs == ([(i, i * n) for i in range(n)] if transposable else [])
+        # transposable walks negate symbols to compare row 0 with the negated column 0
+        assert ctx.neg == ([0] + [_sigma(v, n) for v in range(1, n + 1)] if transposable else [])
         # exists walks keep every square of a transposed pair
         probe = _Context(SearchQuery(n=n, constraint=constraint, min_distance=d, mode="exists",
                                      shape=SudokuShape(a, b) if shape else None))
-        assert probe.pairs == []
+        assert probe.neg == []
         assert list(probe.cells) == [cell[:-1] + (0,) for cell in ctx.cells]
         for k, (cell, u1, u2, u3, u4, prev, other, nbr, lex) in enumerate(ctx.cells):
             r, c = order[k]
