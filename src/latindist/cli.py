@@ -5,7 +5,8 @@ commands read a file path or stdin; everything is deterministic, so
 generated output is byte-identical across runs.
 
 Exit codes: 0 success / verified-true, 1 verified-false (failed check or
-irreducible grid), 2 usage, parse or file error, 3 provable nonexistence.
+irreducible grid), 2 usage, parse or file error, 3 provable nonexistence,
+4 internal error (a constructor or the bounds table failed its own check).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_NONEXISTENT = 3
+EXIT_INTERNAL = 4
 MAX_TEXT_PAIRS = 100  # minimal pairs listed by dist in text mode
 
 
@@ -257,6 +259,10 @@ def main(argv: list[str] | None = None) -> int:
             OSError, UnicodeDecodeError) as exc:
         print(f"latindist: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        # a constructor's self-check or an inconsistent bounds entry: a bug, not bad input
+        print(f"latindist: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -281,3 +281,69 @@ def row_prefix_count(n: int, d: int, shape=None):
             twin = (shape is None or a == b) and r != c and r != tuple(_negation(u, n) for u in c)
             squares += 2 if twin else 1
     return prefixes, squares
+
+
+def first_bands(n: int, d: int, a: int = 1, b: int | None = None):
+    """The first bands an exists walk of order n completes, in the order it meets them.
+
+    A band is the first a rows of an (a, b)-Sudoku square, or row 0 of a
+    plain or pandiagonal one (a = 1, b = n).  Its cells are filled column
+    by column, each column top to bottom, and each cell tries the symbols
+    cyclically upwards from its prev neighbour's: the left one, the upper
+    one in column 0, and 0 at the corner, so 1 first.  A filled cell shares
+    no symbol with its row, column or block and lies at cyclic distance >= d
+    from its left and upper neighbours, the corner holds 1, and the filled
+    part of row 0 is not lexicographically greater than its negation.
+    Yields each band as a tuple of a row tuples.
+    """
+    b = b or n
+    order = band_column_order(a, b)[:a * n]
+    near = _near(n, d)
+    grid = {}
+    units = {}
+
+    def extend(k):
+        if k == len(order):
+            yield tuple(tuple(grid[r, c] for c in range(n)) for r in range(a))
+            return
+        r, c = order[k]
+        left, up = grid.get((r, c - 1)), grid.get((r - 1, c))
+        start = left if c else up or 0
+        cell_units = (("row", r), ("col", c), ("block", c // b))
+        taken = set().union(*(units.get(unit, ()) for unit in cell_units))
+        for i in range(n):
+            s = (start + i) % n + 1
+            if s in taken or (left, s) in near or (up, s) in near or (k == 0 and s != 1):
+                continue
+            if r == 0:
+                row = tuple(grid[0, j] for j in range(c)) + (s,)
+                if row > tuple(_negation(u, n) for u in row):
+                    continue
+            grid[r, c] = s
+            for unit in cell_units:
+                units.setdefault(unit, set()).add(s)
+            yield from extend(k + 1)
+            for unit in cell_units:
+                units[unit].discard(s)
+            del grid[r, c]
+
+    yield from extend(0)
+
+
+def mirror_images(band, n: int):
+    """The band with its columns reversed, under both maps u -> +-(u - x) + 1 that put
+    symbol 1 in the corner (x the symbol the reversal brings there)."""
+    x = band[0][-1]
+    return {tuple(tuple((sign * (u - x)) % n + 1 for u in row[::-1]) for row in band)
+            for sign in (1, -1)}
+
+
+def mirror_cuts(bands, n: int):
+    """For each band of a list in walk order, whether one of its mirror images came
+    before it: the mirror rule as a memo of the bands seen so far."""
+    seen = set()
+    cuts = []
+    for band in bands:
+        cuts.append(not seen.isdisjoint(mirror_images(band, n)))
+        seen.add(band)
+    return cuts

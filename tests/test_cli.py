@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from latindist import (SudokuShape, format_grid_text, max_distance_square, parse_grid_json,
-                       parse_grid_text, shift_by_k)
+from latindist import (SquareGrid, SudokuShape, format_grid_text, max_distance_square,
+                       parse_grid_json, parse_grid_text, shift_by_k, validate_latin)
 from latindist.cli import main
 
 from conftest import FIXTURE_DIR, load_golden
@@ -62,6 +62,28 @@ def test_gen_exit_codes(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, ["gen", "--algo", "maxdist"])
     assert code == 2 and "--n" in err
+
+
+def test_internal_errors_exit_4_without_a_traceback(capsys, monkeypatch):
+    # a constructor whose self-check fails, and a bounds entry with lower > upper, are bugs:
+    # exit 4 with one line on stderr, not a traceback
+    import latindist.construct as construct
+
+    def failing(grid, shape=None, pandiagonal=False):
+        return validate_latin(SquareGrid([[1, 1], [1, 1]]))
+
+    def inconsistent(n):
+        return construct.BoundsEntry("plain", n, None, None, 5, 4, False, True, ("broken",))
+
+    monkeypatch.setattr(construct, "_validate", failing)
+    monkeypatch.setattr(construct, "plain_bounds", inconsistent)
+    for argv in (["gen", "--algo", "maxdist", "--n", "7"],
+                 ["gen", "--algo", "pandiagonal", "--n", "5"],
+                 ["bounds", "--kind", "plain", "--n", "10"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 4 and out == "", argv
+        assert err.startswith("latindist: internal error: ") and err.count("\n") == 1, argv
+        assert "Traceback" not in err and "internal bug" in err, argv
 
 
 def test_gen_is_deterministic(capsys):

@@ -6,13 +6,14 @@ import pytest
 
 from latindist import (NonexistenceError, ParameterError,
                        SearchIncompleteError, SearchQuery, SudokuShape,
-                       inner_distance, max_distance_via_search, run_search,
+                       inner_distance, known_bounds, max_distance_via_search, run_search,
                        validate_latin, validate_pandiagonal, validate_sudoku)
 
-from latindist.search import _Context, _rows, _walk
-from oracle import (all_latin_squares, band_column_order, count_by_filter, is_pandiagonal,
-                    is_sudoku, min_adjacent_distance, row_major_prefix_count, row_prefix_count,
-                    row_prefixes, row_tuples, sudoku_prefix_count)
+from latindist.search import _Context, _mirror_tables, _rows, _walk
+from oracle import (all_latin_squares, band_column_order, count_by_filter, first_bands,
+                    is_pandiagonal, is_sudoku, min_adjacent_distance, mirror_cuts, mirror_images,
+                    row_major_prefix_count, row_prefix_count, row_prefixes, row_tuples,
+                    sudoku_prefix_count)
 
 
 def _count(n, d, constraint="plain", shape=None):
@@ -178,12 +179,89 @@ def test_exists_mode_answers_beyond_the_recursion_limit():
 
 
 def test_exists_mode_spends_the_whole_budget_on_one_walk():
-    # no (3, 6)-Sudoku square reaches d = 7: the walk proves it in 386 365 nodes
+    # no (3, 6)-Sudoku square reaches d = 7: the walk proves it in 241 073 nodes, 386 365
+    # without the mirror cut (test_the_mirror_cut_removes_the_subtrees_of_mirrored_bands)
     result = run_search(SearchQuery(constraint="sudoku", shape=SudokuShape(3, 6), min_distance=7,
                                     mode="exists", node_budget=10**6))
     assert result.complete and result.count == 0 and not result.witnesses
-    assert result.nodes_expanded == 386_365
+    assert result.nodes_expanded == 241_073
     assert max_distance_via_search("sudoku", (3, 6), node_budget=10**6) == 6
+
+
+def _uncut_walk(query, band=None):
+    """_walk's tuple for an exists query with the mirror cut taken out of its context,
+    and, if band is given, with the first band's cells admitting band's symbols alone."""
+    ctx = _Context(query)
+    n, a = query.n, query.shape.a if query.shape else 1
+    cells = [cell[:-1] + (0,) for cell in ctx.cells]
+    if band:
+        for k in range(a * n):
+            cell = cells[k]
+            bit = 1 << (band[cell[0] // n][cell[0] % n] - 1)
+            cells[k] = cell[:7] + ([m & bit for m in cell[7]], 0)
+    ctx.cells = tuple(cells)
+    return _walk(ctx, query.node_budget, True, True)
+
+
+def test_the_mirror_cut_removes_the_subtrees_of_mirrored_bands():
+    # (3, 6) d=7 has 26 first bands.  The walk without the cut expands 386 365 nodes; the
+    # cut skips each band one of whose mirror images came before it, so it saves the
+    # nodes that the uncut walk, pinned to that band, spends below it
+    query = SearchQuery(constraint="sudoku", shape=SudokuShape(3, 6), min_distance=7,
+                        mode="exists", node_budget=10**6)
+    assert _uncut_walk(query)[:4] == (0, 0, 386_365, True)
+    bands = list(first_bands(18, 7, 3, 6))
+    cuts = mirror_cuts(bands, 18)
+    assert len(bands) == 26 and sum(cuts) == 12
+    below = [_uncut_walk(query, band)[2] - 3 * 18 for band in bands]
+    saved = sum(nodes for nodes, cut in zip(below, cuts) if cut)
+    assert saved == 145_292
+    assert run_search(query).nodes_expanded == 386_365 - saved == 241_073
+
+
+@pytest.mark.parametrize("n, constraint, d, nodes", [
+    (22, "plain", 10, 484), (28, "plain", 13, 784), (33, "plain", 16, 1_089),
+    (41, "plain", 20, 1_681), (13, "pandiagonal", 5, 169)])
+def test_self_mirrored_first_rows_are_not_slowed(n, constraint, d, nodes):
+    # a shift square's row 0 is its own mirror image, so these probes place each cell once
+    first = next(first_bands(n, d))
+    assert first in mirror_images(first, n)
+    result = run_search(SearchQuery(n=n, constraint=constraint, min_distance=d, mode="exists"))
+    assert result.complete and result.count == 1 and result.nodes_expanded == nodes
+
+
+_SOUNDNESS = ([(n, "plain", None) for n in range(3, 9)]
+              + [(n, "pandiagonal", None) for n in (5, 7, 11)]
+              + [(a * b, "sudoku", (a, b)) for a, b in ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2),
+                                                        (3, 3))])
+
+
+@pytest.mark.parametrize("n, constraint, shape", _SOUNDNESS)
+def test_exists_agrees_with_count_at_every_distance(n, constraint, shape):
+    # from d = 1 to one above the upper bound: exists finds a square iff count does (a
+    # count starved after finding one still proves one), the witness passes the
+    # validators, and it is the uncut walk's witness after no more nodes
+    sudoku = SudokuShape(*shape) if shape else None
+    entry = known_bounds(constraint, n=n) if shape is None else \
+        known_bounds(constraint, a=shape[0], b=shape[1])
+    for d in range(1, entry.upper + 2):
+        counted = run_search(SearchQuery(n=n, constraint=constraint, shape=sudoku,
+                                         min_distance=d, node_budget=2 * 10**4))
+        assert counted.complete or counted.count, d
+        query = SearchQuery(n=n, constraint=constraint, shape=sudoku, min_distance=d,
+                            mode="exists", node_budget=10**5)
+        found = run_search(query)
+        assert found.complete and found.count == min(1, counted.count), d
+        count, _, nodes, complete, leaves, _ = _uncut_walk(query)
+        assert complete and count == found.count and nodes >= found.nodes_expanded, d
+        assert [row_tuples(w) for w in found.witnesses] == \
+            [tuple(leaf[i:i + n] for i in range(0, n * n, n)) for leaf in leaves], d
+        for w in found.witnesses:
+            assert validate_latin(w).verdict and inner_distance(w).inner_distance >= d
+            if constraint == "pandiagonal":
+                assert validate_pandiagonal(w).verdict
+            if sudoku:
+                assert validate_sudoku(w, sudoku).verdict
 
 
 @pytest.mark.parametrize("n, constraint, shape, d",
@@ -428,11 +506,16 @@ def test_context_tables_match_their_definition(n, constraint, shape):
         assert len(ctx.cells) == n * n
         # transposable walks negate symbols to compare row 0 with the negated column 0
         assert ctx.neg == ([0] + [_sigma(v, n) for v in range(1, n + 1)] if transposable else [])
-        # exists walks keep every square of a transposed pair
+        # exists walks keep every square of a transposed pair; the first cell of band 1,
+        # if there is one, checks the first band's mirror image
         probe = _Context(SearchQuery(n=n, constraint=constraint, min_distance=d, mode="exists",
                                      shape=SudokuShape(a, b) if shape else None))
         assert probe.neg == []
-        assert list(probe.cells) == [cell[:-1] + (0,) for cell in ctx.cells]
+        cells = list(probe.cells)
+        if a < n:
+            assert order[a * n] == (a, 0) and cells[a * n][-1] == (n, a)
+            cells[a * n] = cells[a * n][:-1] + (0,)
+        assert cells == [cell[:-1] + (0,) for cell in ctx.cells]
         for k, (cell, u1, u2, u3, u4, prev, other, nbr, lex) in enumerate(ctx.cells):
             r, c = order[k]
             assert cell == r * n + c, (d, k)
@@ -476,6 +559,20 @@ def test_context_tables_match_their_definition(n, constraint, shape):
                         for x in range(1, n + 1)], (d, k, t)
             else:
                 assert lex == 0, (d, k)
+
+
+@pytest.mark.parametrize("n, a", [(2, 1), (7, 1), (12, 1), (6, 2), (6, 3), (12, 3), (12, 4)])
+def test_mirror_tables_match_their_definition(n, a):
+    # the first band's cells in visiting order, column by column; the cells that
+    # reversing the columns puts there; their prev neighbours (the left one, the upper
+    # one in column 0, the spare cell n*n at the corner); and i -> i mod n + 1
+    band = [(r, c) for c in range(n) for r in range(a)]
+    read, mirror, prevs, cyc = _mirror_tables(n, a)
+    grid = list(range(n * n + 1))
+    assert read(grid) == tuple(r * n + c for r, c in band)
+    assert mirror(grid) == tuple(r * n + n - 1 - c for r, c in band)
+    assert prevs == tuple(r * n + c - 1 if c else (r - 1) * n if r else n * n for r, c in band)
+    assert cyc == [i % n + 1 for i in range(2 * n + 1)]
 
 
 def test_max_distance_via_search():
