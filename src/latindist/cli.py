@@ -82,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--min-dist", type=int, required=True)
     search.add_argument("--mode", choices=["count", "enumerate", "exists"], default="count")
     search.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-    search.add_argument("--witnesses-out", help="write witnesses as a multi-grid text file")
+    search.add_argument("--witnesses-out",
+                        help="write witnesses as a multi-grid text file (enumerate or exists)")
     search.add_argument("--out")
 
     canon = sub.add_parser("canon", help="reduce a shift-structured square to circulant form")
@@ -204,6 +205,9 @@ def _cmd_search(args) -> int:
         raise ParameterError("--kind sudoku needs --a and --b")
     if args.kind != "sudoku" and args.n is None:
         raise ParameterError(f"--kind {args.kind} needs --n")
+    if args.witnesses_out and args.mode == "count":
+        raise ParameterError("--witnesses-out needs --mode enumerate or exists: a count keeps "
+                             "no squares")
     # block sides given with another kind make a shape that SearchQuery rejects
     shape = None if args.a is None and args.b is None else SudokuShape(args.a, args.b)
     query = SearchQuery(n=args.n, constraint=args.kind, shape=shape,

@@ -114,7 +114,7 @@ node_budget + 1.  A complete witness list is sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate, chain, repeat
 from operator import and_, itemgetter, or_
 
@@ -153,13 +153,11 @@ class SearchQuery:
     min_distance may exceed floor(n/2); the count is then simply 0.
 
     node_budget caps the placements of the walk reduced by translation and
-    negation (one square of each pair with symbol 1 in the corner), and in
+    negation (one square of each pair with symbol 1 in the corner), in
     count and enumerate mode of plain, pandiagonal and (a, a)-Sudoku
-    squares also by transposition (row 0 <= column 0 and row 0 <= negated
-    column 0; see the module docstring), and in exists mode by the mirror
-    cut (a first band whose mirror image the walk met and refuted before is
-    skipped; see the module docstring); the search is complete iff that
-    tree fits in it, and otherwise stops after exactly node_budget + 1
+    squares also by the transposition rule of the module docstring, and in
+    exists mode by its mirror cut; the search is complete iff that tree
+    fits in it, and otherwise stops after exactly node_budget + 1
     placements.  A placement is a whole row in count and enumerate mode of
     plain and Sudoku squares that pass the row-walk rule of the module
     docstring, and a cell otherwise: in exists mode, for pandiagonal
@@ -220,36 +218,42 @@ class SearchResult:
 
     complete means the answer is definitive for the queried mode: the tree
     up to the answer fit in the node budget.  A complete count or enumerate
-    covers every square: the walked squares and the transposed partners of
-    those whose row 0 is below column 0 and its negation, under all 2n
-    symbol maps (n when n = 2), witnesses sorted by their rows.  A result
-    truncated by the budget always comes back with complete=False, never
-    silently, with nodes_expanded == node_budget + 1, and unexpanded and
-    unweighted in every mode: its count and witnesses are only the squares
-    the walk itself placed before it stopped, in the order it met them,
-    each with symbol 1 in the corner, so an enumerate has
-    len(witnesses) == count.  The row walk meets them in row order: each
-    is lexicographically above the one before.  In exists mode the count is
+    covers every square: the walked squares and the partners that the
+    transposition rule of the module docstring lets them stand for, under
+    all 2n symbol maps (n when n = 2), witnesses sorted by their rows.  A
+    result truncated by the budget always comes back with complete=False,
+    never silently, with nodes_expanded == node_budget + 1, and unexpanded
+    and unweighted in every mode: its count and witnesses are only the
+    squares the walk itself placed before it stopped, in the order it met
+    them, each with symbol 1 in the corner, so an enumerate has
+    len(witnesses) == count.  The row walk meets them in row order: each is
+    lexicographically above the one before.  In exists mode the count is
     min(total, 1) because the search stops at the first witness, which
     starts with symbol 1 and is the first square of the query in the cell
     walk's visiting and symbol order (see the module docstring), not the
-    lexicographically first.  nodes_expanded counts the walk reduced by
-    translation and negation, and in count and enumerate mode of plain,
-    pandiagonal and (a, a)-Sudoku squares also by transposition; in exists
-    mode and for (a, b)-Sudoku with a != b it counts no transposition cut.
-    In exists mode it is reduced by the mirror cut instead: the walk skips
-    a first band whose mirror image it met and refuted before, so a
-    refutation can take fewer nodes than the whole reduced tree, and the
-    first witness is the one the walk would meet without the cut.
+    lexicographically first.  nodes_expanded counts the placements of the
+    reduced walk that SearchQuery.node_budget caps: under the mirror cut of
+    the module docstring a refutation can take fewer nodes than the whole
+    tree, and the first witness is the one the walk would meet without it.
     Its nodes are row placements in count and enumerate mode of plain and
-    Sudoku squares that pass the row-walk rule of the module docstring,
-    cell placements otherwise.
+    Sudoku squares that pass the row-walk rule of the module docstring, cell
+    placements otherwise.
     """
 
     count: int
     witnesses: tuple[SquareGrid, ...]
     nodes_expanded: int
     complete: bool
+
+
+def _negation(n: int) -> list[int]:
+    """neg[s] is -s, the negation 2 - s (mod n, symbols 1..n) of symbol s; neg[0] is 0."""
+    return [0] + [(1 - u) % n + 1 for u in range(1, n + 1)]
+
+
+def _transposable(shape: SudokuShape | None) -> bool:
+    """Whether transposition keeps the class: plain, pandiagonal and (a, a)-Sudoku squares."""
+    return shape is None or shape.a == shape.b
 
 
 def _column_masks(sets: list[int], neg: list[int]) -> list:
@@ -287,24 +291,27 @@ class _Context:
     symbol, then from 1.  nbr[s] is the mask the cell admits beside a prev
     holding s: adm itself for most cells, adm with the lex-leader rule
     folded in for the first cells of row 0.  The corner admits symbol 1
-    alone (translation), and cell (0, 1) admits s only if s <= -s, where -s
-    is the negation 2 - s (mod n, symbols 1..n).  For even n, -s = s at
-    s = 1 + n/2, and then cell (0, 2) admits t only if t < -t.  For n = 2
-    negation is the identity and restricts nothing.
+    alone (translation), and cell (0, 1) admits s only if s <= -s (see
+    _negation).  For even n, -s = s at s = 1 + n/2, and then cell (0, 2)
+    admits t only if t < -t.  For n = 2 negation is the identity and
+    restricts nothing.
 
-    Count and enumerate walks of transposable classes (plain, pandiagonal
-    and (a, a)-Sudoku) also keep row 0 <= column 0 and row 0 <= negated
-    column 0; see the module docstring.  Pair i is the cells (0, i) and
-    (i, 0), row-major cells i and i*n; neg[s] is -s.  lex is 0 but at
-    the later cell of each pair i >= 1, which is (0, i) for i < a and (i, 0)
-    otherwise; there it is (i, the pair's other cell, masks): masks[t][x] is
-    the mask the cell admits when the other cell holds x and the pairs
-    before i leave the tie bits t, bit 1 while row 0 equals column 0 and bit
-    2 while it equals the negated column 0 (masks[0] is None: no tie, no
-    cut).  Other count and enumerate walks, of (a, b)-Sudoku with a != b,
-    have no neg and no lex.  Exists walks have no neg, and their lex is 0
-    but at the first cell of band 1, (a, 0), if there is one (a < n); there
-    it is (n, a), _mirror_met's arguments after the grid.
+    Count and enumerate walks of transposable classes apply the
+    transposition rule of the module docstring.  Pair i is the cells (0, i)
+    and (i, 0), row-major cells i and i*n; neg is _negation(n).  lex is 0
+    but at the later cell of each pair i >= 1, which is (0, i) for i < a and
+    (i, 0) otherwise; there it is (i, the pair's other cell, masks):
+    masks[t][x] is the mask the cell admits when the other cell holds x and
+    the pairs before i leave the tie bits t, bit 1 while row 0 equals column
+    0 and bit 2 while it equals the negated column 0 (masks[0] is None: no
+    tie, no cut).  Other count and enumerate walks, of (a, b)-Sudoku with a
+    != b, have no neg and no lex.  Exists walks have no neg, and their lex
+    is 0 but at the first cell of band 1, (a, 0), if there is one (a < n);
+    there it is (n, a, band, mirror, prevs), _mirror_met's arguments after
+    the grid, for the mirror cut of the module docstring.  band reads the
+    first band's symbols from the grid in visiting order, mirror the
+    symbols of the cells that reversing the columns puts in their place,
+    and prevs lists the band cells' prev.
     """
 
     __slots__ = ("n", "adm", "above", "cells", "neg")
@@ -332,25 +339,30 @@ class _Context:
         prev[n::n] = cell[:-n:n]
         other = [spare] * n + cell[:-n]
         other[::n] = [spare] * n
-        # symbols x + 1 with x <= -x (mod n), and with x < -x
-        lead = sum(1 << x for x in range(n) if x <= -x % n)
-        strict = sum(1 << x for x in range(n) if x < -x % n)
+        neg = _negation(n)
+        # the symbols s <= -s, and s < -s
+        lead = sum(1 << (s - 1) for s in range(1, n + 1) if s <= neg[s])
+        strict = sum(1 << (s - 1) for s in range(1, n + 1) if s < neg[s])
         nbr = [adm] * spare
         nbr[0] = [m & 1 for m in adm]
         nbr[1] = [m & lead for m in adm]
         if n % 2 == 0 and n > 2:
             nbr[2] = adm[:]
             nbr[2][1 + n // 2] &= strict
-        # bands of a rows, one row for plain and pandiagonal squares
+        # bands of a rows, one row for plain and pandiagonal squares, visited band by band,
+        # each band column by column: row-major when a = 1
         a = shape.a if shape is not None else 1
+        order = np.arange(spare).reshape(-1, a, n).transpose(0, 2, 1).ravel().tolist()
         lex = [0] * spare
         self.neg = []
         if query.mode == "exists":
             if a < n:
                 # the first cell of band 1, (a, 0), checks the first band's mirror image
-                lex[a * n] = (n, a)
-        elif shape is None or shape.a == shape.b:
-            self.neg = neg = [0] + [(1 - u) % n + 1 for u in range(1, n + 1)]
+                band = order[:a * n]
+                mirror = [c + n - 1 - 2 * (c % n) for c in band]
+                lex[a * n] = (n, a, itemgetter(*band), itemgetter(*mirror), itemgetter(*band)(prev))
+        elif _transposable(shape):
+            self.neg = neg
             # Masks are listed by tie bits: bit 1 compares row 0 with column 0, bit 2 with
             # its negation.  A column cell, with row 0's symbol x, admits v >= x for bit 1
             # and -v >= x for bit 2,
@@ -364,44 +376,19 @@ class _Context:
                 lex[i] = (i, i * n, row_masks)
             for i in range(a, n):
                 lex[i * n] = (i, i, col_masks)
-        # visit band by band, each band column by column: row-major when a = 1
-        order = np.arange(spare).reshape(-1, a, n).transpose(0, 2, 1).ravel().tolist()
         self.cells = itemgetter(*order)(list(zip(cell, u1, u2, u3, u4, prev, other, nbr, lex)))
 
 
-@lru_cache(maxsize=64)
-def _mirror_tables(n: int, a: int):
-    """The tables _mirror_met reads for order n and bands of a rows.
-
-    band and mirror read the first band's symbols from the walk's grid, in
-    visiting order (column by column, each column top to bottom), and the
-    symbols of the cells that reversing the columns puts in their place;
-    prevs lists the band cells' prev neighbours (the left one, the upper
-    one in column 0, the spare cell n*n at the corner), and cyc[i] is i mod
-    n + 1.
-    """
-    band = [r * n + c for c in range(n) for r in range(a)]
-    mirror = [r * n + n - 1 - c for c in range(n) for r in range(a)]
-    prevs = tuple(cell - 1 if cell % n else cell - n if cell else n * n for cell in band)
-    return itemgetter(*band), itemgetter(*mirror), prevs, [i % n + 1 for i in range(2 * n + 1)]
-
-
-def _mirror_met(grid: list[int], n: int, a: int) -> bool:
+def _mirror_met(grid: list[int], n: int, a: int, band, mirror, prevs) -> bool:
     """Whether an exists walk met the mirror image of its first band before the band.
 
-    The image reverses the band's columns and maps its symbols by u ->
-    +-(u - x) + 1, x the symbol of cell (0, n - 1), with the sign that
-    keeps row 0 <= its negation, as the walk does.  The walk meets complete
-    bands in lexicographic order of their candidate ranks, (v - p - 1) mod
-    n for symbol v beside a prev holding p, so at the first cell where the
-    image differs from the band the smaller rank came first.
+    This is the mirror cut of the module docstring, on the tables that
+    _Context lists for it.
     """
-    band, mirror, prevs, cyc = _mirror_tables(n, a)
     x = grid[n - 1]
     symbols = mirror(grid)
-    # u -> (u - x) mod n + 1 and u -> (x - u) mod n + 1, each a slice of cyc
-    image = tuple(map(cyc[n - x:2 * n - x + 1].__getitem__, symbols))
-    negated = tuple(map(cyc[n + x:x - 1:-1].__getitem__, symbols))
+    image = tuple([(u - x) % n + 1 for u in symbols])
+    negated = tuple([(x - u) % n + 1 for u in symbols])
     if image[::a] > negated[::a]:
         image = negated
     walked = band(grid)
@@ -517,21 +504,23 @@ def _far(n: int, d: int):
 def _rows(n: int, d: int):
     """Every permutation of 1..n with each adjacent pair at cyclic distance >= d.
 
-    The rows come as an (R, n) array in lexicographic order, or None when
-    the row-walk rule of the module docstring turns the query away.  The
-    rows starting with 1 grow one column at a time, kept in lexicographic
-    order by np.nonzero, and translating them by each symbol gives the
-    rest.  Dead ends can leave more prefixes than rows, 17 times more at
-    plain 20 d=9, hence the rule's prefix term, checked at every column.
+    Returns (rows, far): the rows as an (R, n) array in lexicographic order
+    and _far(n, d), which the row walk reads too; or None when the row-walk
+    rule of the module docstring turns the query away.  The rows starting
+    with 1 grow one column at a time, kept in lexicographic order by
+    np.nonzero, and translating them by each symbol gives the rest.  Dead
+    ends can leave more prefixes than rows, 17 times more at plain 20 d=9,
+    hence the rule's prefix term, checked at every column.
     """
     cap = min(_ROW_CAP, _TABLE_BITS // (n * n))
     x = np.arange(n)
-    far = _far(n, d)[1:, 1:]
+    far = _far(n, d)
+    steps = far[1:, 1:]  # far on the symbols 0..n-1 that the rows hold until the end
     rows = np.zeros((1, n), np.intp)
     last = rows[:, 0]
     free = x[None] != 0
     for k in range(1, n):
-        prefix, last = (far[last] & free).nonzero()
+        prefix, last = (steps[last] & free).nonzero()
         if len(prefix) * n > 8 * cap:
             return None
         rows = rows.take(prefix, 0)
@@ -541,26 +530,25 @@ def _rows(n: int, d: int):
     if len(rows) * n > cap:
         return None
     rows = ((rows + x[:, None, None]) % n).reshape(-1, n)
-    return rows[np.lexsort(rows.T[::-1])] + 1
+    return rows[np.lexsort(rows.T[::-1])] + 1, far
 
 
-def _row_walk(rows, d: int, shape: SudokuShape | None, budget: int, collect: bool):
+def _row_walk(rows, far, shape: SudokuShape | None, budget: int, collect: bool):
     """Depth-first stacking of whole rows from _rows, for count and enumerate queries.
 
-    A set of rows is a Python int with bit r for row r.  at[j][s] holds the
-    rows with symbol s in column j, below[j][s] those whose column j symbol
-    is at distance >= d from s, and, for Sudoku squares, within[j][s] those
-    with s in the block columns of column j.  A row admits under it the AND
-    of below[j][s] over its cells, and excludes the OR of at[j][s] from the
-    rows below it and, within its band, the OR of within[j][s]; the walk
-    works these masks out once for each row it places.  Row 0 starts with 1
-    and is no greater than its negation.  For plain and (a, a)-Sudoku
-    squares, row i >= 1 starts with a symbol y that keeps row 0 <= column 0
-    and <= its negation: y >= row 0[i] while tie bit 1 says row 0 equals
-    column 0 so far, -y >= row 0[i] while bit 2 says it equals the negated
-    column 0.  Rows are tried in lexicographic order, and every row placed
-    counts as one node; a walk that needs more than budget nodes stops at
-    node budget + 1.  Returns _walk's tuple.
+    rows and far are what _rows returns.  A set of rows is a Python int
+    with bit r for row r.  at[j][s] holds the rows with symbol s in column
+    j, below[j][s] those whose column j symbol is far from s, and, for
+    Sudoku squares, within[j][s] those with s in the block columns of
+    column j.  A row admits under it the AND of below[j][s] over its cells,
+    and excludes the OR of at[j][s] from the rows below it and, within its
+    band, the OR of within[j][s]; the walk works these masks out once for
+    each row it places.  Row 0 starts with 1 and is no greater than its
+    negation.  For plain and (a, a)-Sudoku squares the transposition rule
+    of the module docstring filters the first symbol of each row i >= 1.
+    Rows are tried in lexicographic order, and every row placed counts as
+    one node; a walk that needs more than budget nodes stops at node
+    budget + 1.  Returns _walk's tuple.
     """
     total, n = rows.shape
     if not total:
@@ -570,7 +558,7 @@ def _row_walk(rows, d: int, shape: SudokuShape | None, budget: int, collect: boo
     # 0 holds no row and pads each table so that it is indexed by the symbol itself
     symbols = np.arange(n + 1)
     bits = np.packbits(np.stack((rows.T[:, None] == symbols[:, None],
-                                 _far(n, d)[:, rows.T].swapaxes(0, 1))),
+                                 far[:, rows.T].swapaxes(0, 1))),
                        axis=-1, bitorder="little")
     width = bits.shape[-1]
     bits = bits.reshape(-1, width)
@@ -583,8 +571,8 @@ def _row_walk(rows, d: int, shape: SudokuShape | None, budget: int, collect: boo
     at, below = tables[:n], tables[n:2 * n]
     within = [tables[2 * n + j // b] for j in range(n)] if a > 1 else None
     syms = rows.tolist()
-    neg = [0] + [(1 - u) % n + 1 for u in range(1, n + 1)]
-    transposable = shape is None or a == b
+    neg = _negation(n)
+    transposable = _transposable(shape)
     # the first-symbol filter of rows 1.., by tie bits
     firsts = _column_masks(at[0], neg)
     # the rows starting with 1 come first, total // n of them
@@ -658,14 +646,14 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
     second parameter because callers pass it positionally, as in
     run_search(query, workers).
     """
-    if workers != 1:
+    if _order(workers, "workers") != 1:
         raise ParameterError(f"the search runs in one process: workers must be 1, got {workers}")
     n, d, mode = query.n, query.min_distance, query.mode
-    rows = _rows(n, d) if mode != "exists" and query.constraint != "pandiagonal" else None
-    if rows is None:
+    listed = _rows(n, d) if mode != "exists" and query.constraint != "pandiagonal" else None
+    if listed is None:
         walked = _walk(_Context(query), query.node_budget, mode != "count", mode == "exists")
     else:
-        walked = _row_walk(rows, d, query.shape, query.node_budget, mode != "count")
+        walked = _row_walk(*listed, query.shape, query.node_budget, mode != "count")
     count, twins, nodes, complete, leaves, twin_leaves = walked
     if complete and mode != "exists":
         # a leaf whose row 0 is below column 0 and its negation stands for its transpose too,

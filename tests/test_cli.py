@@ -235,6 +235,19 @@ def test_search_enumerate_and_witness_file(capsys, tmp_path):
     assert parse_grid_text(blocks[0]).cells[0, 0] == 1
 
 
+def test_witness_file_needs_a_mode_that_keeps_squares(capsys, tmp_path):
+    # a count keeps no squares: refused before the search, not an empty file
+    wpath = tmp_path / "witnesses.txt"
+    code, out, err = run_cli(capsys, ["search", "--n", "5", "--min-dist", "2",
+                                      "--witnesses-out", str(wpath)])
+    assert (code, out) == (2, "") and err.startswith("latindist: ") and err.count("\n") == 1
+    assert "--witnesses-out" in err and not wpath.exists()
+    code, out, _ = run_cli(capsys, ["search", "--n", "5", "--min-dist", "2", "--mode", "exists",
+                                    "--witnesses-out", str(wpath)])
+    assert code == 0 and json.loads(out)["count"] == 1
+    assert validate_latin(parse_grid_text(wpath.read_text())).verdict
+
+
 def test_canon_round_trip(capsys, monkeypatch):
     shifted = format_grid_text(shift_by_k(5, 3))
     code, out, _ = run_cli(capsys, ["canon", "--format", "json"], stdin=shifted,

@@ -9,7 +9,7 @@ from latindist import (NonexistenceError, ParameterError,
                        inner_distance, known_bounds, max_distance_via_search, run_search,
                        validate_latin, validate_pandiagonal, validate_sudoku)
 
-from latindist.search import _Context, _mirror_tables, _rows, _walk
+from latindist.search import _Context, _rows, _walk
 from oracle import (all_latin_squares, band_column_order, count_by_filter, first_bands,
                     is_pandiagonal, is_sudoku, min_adjacent_distance, mirror_cuts, mirror_images,
                     row_major_prefix_count, row_prefix_count, row_prefixes, row_tuples,
@@ -49,7 +49,8 @@ def test_counts_the_cell_walk_found(n, d, shape, want):
 def test_both_sides_of_the_row_cap():
     # above order 63 the rows are still listed: 202 rows of order 101, stacked into the
     # 4n squares at the odd ceiling
-    assert len(_rows(101, 50)) == 202
+    rows, _ = _rows(101, 50)
+    assert len(rows) == 202
     result = _count(101, 50)
     assert result.complete and result.count == 404
     # order 301 has 602 rows at its ceiling, but two tables of 301 * 301 sets of 602 bits
@@ -63,6 +64,12 @@ def test_both_sides_of_the_row_cap():
                                     node_budget=10))
     assert time.perf_counter() - started < 1
     assert not result.complete and result.nodes_expanded == 11
+    # so do the rows of order 15 at d=6, and the cell walk counts the (3, 5)- and
+    # (5, 3)-Sudoku squares, transposes of each other walked in bands of 3 and of 5 rows
+    assert _rows(15, 6) is None
+    for shape in (SudokuShape(3, 5), SudokuShape(5, 3)):
+        result = run_search(SearchQuery(constraint="sudoku", shape=shape, min_distance=6))
+        assert result.complete and result.count == 6_240, shape
 
 
 def test_pandiagonal_and_sudoku_counts():
@@ -408,7 +415,8 @@ def test_a_starved_walk_stops_one_node_past_the_budget(query):
 def test_run_search_takes_workers_positionally_and_only_one():
     query = SearchQuery(n=5, min_distance=2)
     assert run_search(query, 1) == run_search(query)
-    for workers in (0, 2):
+    # like every other integer argument of the search, workers is no bool, float or string
+    for workers in (0, 2, True, 1.0, "1"):
         with pytest.raises(ParameterError):
             run_search(query, workers)
 
@@ -513,7 +521,18 @@ def test_context_tables_match_their_definition(n, constraint, shape):
         assert probe.neg == []
         cells = list(probe.cells)
         if a < n:
-            assert order[a * n] == (a, 0) and cells[a * n][-1] == (n, a)
+            assert order[a * n] == (a, 0)
+            assert cells[a * n][-1][:2] == (n, a)
+            read, mirror, prevs = cells[a * n][-1][2:]
+            # the first band's cells in visiting order, column by column; the cells that
+            # reversing the columns puts there; their prev neighbours (the left one, the
+            # upper one in column 0, the spare cell n*n at the corner)
+            band = [(r, c) for c in range(n) for r in range(a)]
+            grid = list(range(n * n + 1))
+            assert read(grid) == tuple(r * n + c for r, c in band)
+            assert mirror(grid) == tuple(r * n + n - 1 - c for r, c in band)
+            assert prevs == tuple(r * n + c - 1 if c else (r - 1) * n if r else spare
+                                  for r, c in band)
             cells[a * n] = cells[a * n][:-1] + (0,)
         assert cells == [cell[:-1] + (0,) for cell in ctx.cells]
         for k, (cell, u1, u2, u3, u4, prev, other, nbr, lex) in enumerate(ctx.cells):
@@ -559,20 +578,6 @@ def test_context_tables_match_their_definition(n, constraint, shape):
                         for x in range(1, n + 1)], (d, k, t)
             else:
                 assert lex == 0, (d, k)
-
-
-@pytest.mark.parametrize("n, a", [(2, 1), (7, 1), (12, 1), (6, 2), (6, 3), (12, 3), (12, 4)])
-def test_mirror_tables_match_their_definition(n, a):
-    # the first band's cells in visiting order, column by column; the cells that
-    # reversing the columns puts there; their prev neighbours (the left one, the upper
-    # one in column 0, the spare cell n*n at the corner); and i -> i mod n + 1
-    band = [(r, c) for c in range(n) for r in range(a)]
-    read, mirror, prevs, cyc = _mirror_tables(n, a)
-    grid = list(range(n * n + 1))
-    assert read(grid) == tuple(r * n + c for r, c in band)
-    assert mirror(grid) == tuple(r * n + n - 1 - c for r, c in band)
-    assert prevs == tuple(r * n + c - 1 if c else (r - 1) * n if r else n * n for r, c in band)
-    assert cyc == [i % n + 1 for i in range(2 * n + 1)]
 
 
 def test_max_distance_via_search():
