@@ -484,6 +484,19 @@ def _sigma(s, n):
     return (2 - s - 1) % n + 1
 
 
+def _check_mirror_tables(lex, n, a):
+    assert lex[:2] == (n, a)
+    read, mirror, prevs = lex[2:]
+    # the first band's cells in visiting order, column by column; the cells that
+    # reversing the columns puts there; their prev neighbours (the left one, the upper
+    # one in column 0, the spare cell n*n at the corner)
+    band = [(r, c) for c in range(n) for r in range(a)]
+    grid = list(range(n * n + 1))
+    assert read(grid) == tuple(r * n + c for r, c in band)
+    assert mirror(grid) == tuple(r * n + n - 1 - c for r, c in band)
+    assert prevs == tuple(r * n + c - 1 if c else (r - 1) * n if r else n * n for r, c in band)
+
+
 @pytest.mark.parametrize("n, constraint, shape",
                          [(n, "plain", None) for n in range(2, 31)]
                          + [(n, "pandiagonal", None) for n in (5, 7, 13)]
@@ -522,17 +535,7 @@ def test_context_tables_match_their_definition(n, constraint, shape):
         cells = list(probe.cells)
         if a < n:
             assert order[a * n] == (a, 0)
-            assert cells[a * n][-1][:2] == (n, a)
-            read, mirror, prevs = cells[a * n][-1][2:]
-            # the first band's cells in visiting order, column by column; the cells that
-            # reversing the columns puts there; their prev neighbours (the left one, the
-            # upper one in column 0, the spare cell n*n at the corner)
-            band = [(r, c) for c in range(n) for r in range(a)]
-            grid = list(range(n * n + 1))
-            assert read(grid) == tuple(r * n + c for r, c in band)
-            assert mirror(grid) == tuple(r * n + n - 1 - c for r, c in band)
-            assert prevs == tuple(r * n + c - 1 if c else (r - 1) * n if r else spare
-                                  for r, c in band)
+            _check_mirror_tables(cells[a * n][-1], n, a)
             cells[a * n] = cells[a * n][:-1] + (0,)
         assert cells == [cell[:-1] + (0,) for cell in ctx.cells]
         for k, (cell, u1, u2, u3, u4, prev, other, nbr, lex) in enumerate(ctx.cells):
@@ -578,6 +581,19 @@ def test_context_tables_match_their_definition(n, constraint, shape):
                         for x in range(1, n + 1)], (d, k, t)
             else:
                 assert lex == 0, (d, k)
+
+
+@pytest.mark.parametrize("n, a", [(2, 1), (7, 1), (12, 1), (6, 2), (6, 3), (12, 3), (12, 4)])
+def test_mirror_tables_match_their_definition(n, a):
+    # an exists walk in bands of a rows keeps its mirror tables at cell (a, 0), the first
+    # cell of band 1: plain squares are walked in bands of one row, (a, b)-Sudoku squares
+    # in bands of a rows
+    shape = SudokuShape(a, n // a) if a > 1 else None
+    ctx = _Context(SearchQuery(n=n, constraint="sudoku" if shape else "plain", min_distance=1,
+                               mode="exists", shape=shape))
+    order = band_column_order(a, n // a) if shape else [divmod(k, n) for k in range(n * n)]
+    k = order.index((a, 0))
+    _check_mirror_tables(ctx.cells[k][-1], n, a)
 
 
 def test_max_distance_via_search():
