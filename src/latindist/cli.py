@@ -16,12 +16,14 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from .construct import (ShiftParams, algorithm1, algorithm2, known_bounds,
                         max_distance_square, pandiagonal_max, shift_by_k,
                         sudoku_square)
 from .errors import (GridFormatError, NonexistenceError, NotReducibleError,
                      ParameterError, UndefinedDistanceError)
-from .grid import (SudokuShape, format_grid_text, grid_to_json,
+from .grid import (SudokuShape, _grids_text, format_grid_text, grid_to_json,
                    parse_grid_json, parse_grid_text, validate_latin,
                    validate_pandiagonal, validate_sudoku)
 from .metrics import inner_distance
@@ -219,10 +221,12 @@ def _cmd_search(args) -> int:
     doc = {"query": query.as_json_dict(), "count": result.count,
            "complete": result.complete, "nodes": result.nodes_expanded,
            "elapsed_ms": round(elapsed_ms, 3)}
+    # the witnesses as one (W, n, n) array, converted to JSON rows and to text in one go each
+    stack = np.array([w.cells for w in result.witnesses], np.int64).reshape(-1, query.n, query.n)
     if args.mode == "enumerate":
-        doc["witnesses"] = [w.rows() for w in result.witnesses]
+        doc["witnesses"] = stack.tolist()
     if args.witnesses_out:
-        _emit("\n".join(format_grid_text(w) for w in result.witnesses), args.witnesses_out)
+        _emit(_grids_text(stack), args.witnesses_out)
     _emit(json.dumps(doc) + "\n", args.out)
     return EXIT_OK
 

@@ -18,6 +18,7 @@ import json
 import re
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from numbers import Integral
 from typing import NamedTuple
 
@@ -64,12 +65,20 @@ def _cyclic_distance(diff, n: int):
     return np.minimum(dist, n - dist)
 
 
+def _check_symbols(given: np.ndarray, n: int) -> None:
+    """Raise GridFormatError unless every entry of given lies in [1, n]."""
+    if given.min() < 1 or given.max() > n:
+        raise GridFormatError(f"symbols must lie in [1, {n}]")
+
+
 @dataclass(frozen=True, eq=False)
 class SquareGrid:
     """Immutable n x n array of symbols in [1, n].
 
     The backing numpy array is made read-only on construction, so grids
-    can be shared freely without copies.
+    can be shared freely without copies.  The witnesses of one search
+    share one read-only (W, n, n) array instead, each grid's cells a view
+    of it, so holding one witness keeps the whole array alive.
     """
 
     cells: np.ndarray
@@ -93,9 +102,7 @@ class SquareGrid:
                            for v in given.flat)
         if not integral:
             raise GridFormatError("grid entries must be integers")
-        n = given.shape[0]
-        if given.min() < 1 or given.max() > n:
-            raise GridFormatError(f"symbols must lie in [1, {n}]")
+        _check_symbols(given, given.shape[0])
         arr = given.astype(np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
@@ -117,6 +124,24 @@ class SquareGrid:
 
     def __repr__(self) -> str:
         return f"SquareGrid(n={self.n})"
+
+
+def _grids(stack: np.ndarray) -> tuple[SquareGrid, ...]:
+    """The SquareGrids of an integer (W, n, n) stack, in order, without W constructor calls.
+
+    The symbol range is checked once on the whole stack, with SquareGrid's
+    message; the stack is copied to one read-only int64 array, and each
+    grid's cells is a view of it.
+    """
+    if not len(stack):
+        return ()
+    _check_symbols(stack, stack.shape[1])
+    cells = stack.astype(np.int64)
+    cells.setflags(write=False)
+    grids = tuple(map(object.__new__, repeat(SquareGrid, len(cells))))
+    for grid, view in zip(grids, cells):
+        object.__setattr__(grid, "cells", view)
+    return grids
 
 
 @dataclass(frozen=True)
@@ -267,15 +292,29 @@ def format_grid_text(grid: SquareGrid) -> str:
     parse_grid_text reads it back.  It accepts any token int() reads, and
     its error for a bad token names the line that holds it.
     """
-    n = grid.n
+    return _grids_text(grid.cells[None])
+
+
+def _grids_text(stack: np.ndarray) -> str:
+    """The grids of an integer (W, n, n) stack in format_grid_text's format, a blank line apart.
+
+    The whole stack is converted at once: one gather through a table of
+    symbol strings, one pass that drops the padding.
+    """
+    if not len(stack):
+        return ""
+    n = stack.shape[1]
     width = len(str(n)) + 1
     # the decimal string of each symbol 0..n, NUL-padded, then a space
     table = np.arange(n + 1).astype(f"S{width}").view(np.uint8).reshape(n + 1, width)
     table[:, -1] = ord(" ")
-    text = table[grid.cells]
-    text[:, -1, -1] = ord("\n")
-    text = text.ravel()
-    return text[text != 0].tobytes().decode("ascii")
+    text = table[stack]
+    text[..., -1, -1] = ord("\n")
+    # and a newline after every grid, which leaves a blank line between two; the last
+    # grid's is dropped below
+    text = np.concatenate((text.reshape(len(stack), -1),
+                           np.full((len(stack), 1), ord("\n"), np.uint8)), axis=1).ravel()
+    return text[text != 0][:-1].tobytes().decode("ascii")
 
 
 def _int_rows(lines: list[str]) -> list[list[int]]:

@@ -122,7 +122,7 @@ import numpy as np
 
 from .construct import known_bounds
 from .errors import NonexistenceError, ParameterError, SearchIncompleteError
-from .grid import SquareGrid, SudokuShape, _cyclic_distance, _order, _unit_labels
+from .grid import SquareGrid, SudokuShape, _cyclic_distance, _grids, _order, _unit_labels
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -237,7 +237,9 @@ class SearchResult:
     tree, and the first witness is the one the walk would meet without it.
     Its nodes are row placements in count and enumerate mode of plain and
     Sudoku squares that pass the row-walk rule of the module docstring, cell
-    placements otherwise.
+    placements otherwise.  The witnesses share one read-only (W, n, n)
+    int64 array, each one's cells a view of it, so holding one witness
+    keeps the whole array alive.
     """
 
     count: int
@@ -655,18 +657,34 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
     else:
         walked = _row_walk(*listed, query.shape, query.node_budget, mode != "count")
     count, twins, nodes, complete, leaves, twin_leaves = walked
+    # one row of symbols per leaf, in the narrowest dtype; _grids widens it once
+    narrow = np.min_scalar_type(n)
+    stack = np.array(leaves, narrow).reshape(-1, n * n)
     if complete and mode != "exists":
         # a leaf whose row 0 is below column 0 and its negation stands for its transpose too,
         # and each leaf for its orbit under u -> +-(u - 1) + s: 2n squares, n when n = 2
         count = (count + twins) * (n if n == 2 else 2 * n)
         if mode == "enumerate":
-            leaves += map(itemgetter(*[c * n + r for r in range(n) for c in range(n)]),
-                          twin_leaves)
-            maps = {(0, *[(sign * v + s) % n + 1 for v in range(n)])
-                    for sign in (1, -1) for s in range(n)}
-            leaves = sorted(tuple(map(m.__getitem__, leaf)) for m in maps for leaf in leaves)
-    witnesses = tuple(SquareGrid([w[i:i + n] for i in range(0, n * n, n)]) for w in leaves)
-    return SearchResult(count=count, witnesses=witnesses, nodes_expanded=nodes, complete=complete)
+            partners = np.array(twin_leaves, narrow).reshape(-1, n, n).transpose(0, 2, 1)
+            stack = np.concatenate((stack, partners.reshape(-1, n * n)))
+            # row m of maps is the m-th symbol map, indexed by the symbol
+            maps = np.array(list(dict.fromkeys((0, *[(sign * v + s) % n + 1 for v in range(n)])
+                                               for sign in (1, -1) for s in range(n))), narrow)
+            stack = maps[:, stack].reshape(-1, n * n)
+            stack = stack[_lex_order(stack)]
+    return SearchResult(count=count, witnesses=_grids(stack.reshape(-1, n, n)),
+                        nodes_expanded=nodes, complete=complete)
+
+
+def _lex_order(stack: np.ndarray) -> np.ndarray:
+    """The order that sorts the rows of an unsigned integer stack as sorted() sorts tuples.
+
+    Each row's big-endian bytes are read as one bytes string, and numpy
+    sorts bytes strings byte by byte as unsigned values, so one argsort
+    compares whole rows.
+    """
+    rows = np.ascontiguousarray(stack, stack.dtype.newbyteorder(">"))
+    return np.argsort(rows.view(f"S{rows.itemsize * rows.shape[1]}").ravel(), kind="stable")
 
 
 def max_distance_via_search(kind: str, size, *, node_budget: int = DEFAULT_NODE_BUDGET) -> int:

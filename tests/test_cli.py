@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from latindist import (SquareGrid, SudokuShape, format_grid_text, max_distance_square,
-                       parse_grid_json, parse_grid_text, shift_by_k, validate_latin)
+from latindist import (SearchQuery, SquareGrid, SudokuShape, format_grid_text,
+                       max_distance_square, parse_grid_json, parse_grid_text, run_search,
+                       shift_by_k, validate_latin)
 from latindist.cli import main
 
 from conftest import FIXTURE_DIR, load_golden
@@ -248,6 +249,31 @@ def test_witness_file_needs_a_mode_that_keeps_squares(capsys, tmp_path):
     assert validate_latin(parse_grid_text(wpath.read_text())).verdict
 
 
+@pytest.mark.parametrize("argv, query", [
+    (["--n", "4", "--min-dist", "1", "--mode", "enumerate"],
+     SearchQuery(n=4, min_distance=1, mode="enumerate")),
+    # plain 4 d=2 and pandiagonal 4 have no squares: an empty file and an empty list
+    (["--n", "4", "--min-dist", "2", "--mode", "enumerate"],
+     SearchQuery(n=4, min_distance=2, mode="enumerate")),
+    (["--kind", "pandiagonal", "--n", "4", "--min-dist", "1", "--mode", "enumerate"],
+     SearchQuery(n=4, constraint="pandiagonal", min_distance=1, mode="enumerate")),
+    (["--kind", "sudoku", "--a", "2", "--b", "3", "--min-dist", "2", "--mode", "exists"],
+     SearchQuery(constraint="sudoku", shape=SudokuShape(2, 3), min_distance=2, mode="exists")),
+])
+def test_witness_outputs_match_the_grids_one_by_one(capsys, tmp_path, argv, query):
+    wpath = tmp_path / "witnesses.txt"
+    code, out, err = run_cli(capsys, ["search", *argv, "--witnesses-out", str(wpath)])
+    assert (code, err) == (0, "")
+    witnesses = run_search(query).witnesses
+    doc = json.loads(out)
+    assert doc["count"] == len(witnesses)
+    assert wpath.read_bytes() == "\n".join(format_grid_text(w) for w in witnesses).encode()
+    if query.mode == "enumerate":
+        assert doc["witnesses"] == [w.rows() for w in witnesses]
+    else:
+        assert "witnesses" not in doc
+
+
 def test_canon_round_trip(capsys, monkeypatch):
     shifted = format_grid_text(shift_by_k(5, 3))
     code, out, _ = run_cli(capsys, ["canon", "--format", "json"], stdin=shifted,
@@ -397,7 +423,7 @@ def _run_python(*args: str) -> subprocess.CompletedProcess:
                           timeout=60)
 
 
-def test_cli_start_up_does_not_import_multiprocessing():
+def test_cli_start_up_does_not_import_multiprocessing(tmp_path):
     # the search runs in one process; a process pool would only slow every CLI start-up
     proc = _run_python("-c", "import latindist.cli, sys; "
                              "assert 'multiprocessing' not in sys.modules, 'imported'")
@@ -410,6 +436,16 @@ def test_cli_start_up_does_not_import_multiprocessing():
                              "assert 'multiprocessing' not in sys.modules, 'imported'; "
                              "sys.exit(code)")
     assert proc.returncode == 0, proc.stderr
+    # nor does writing its witnesses to a file
+    wpath = tmp_path / "witnesses.txt"
+    proc = _run_python("-c", "import sys; from latindist.cli import main; "
+                             "code = main(['search', '--n', '5', '--min-dist', '2', "
+                             "'--mode', 'enumerate', '--witnesses-out', sys.argv[1]]); "
+                             "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'; "
+                             "assert 'multiprocessing' not in sys.modules, 'imported'; "
+                             "sys.exit(code)", str(wpath))
+    assert proc.returncode == 0, proc.stderr
+    assert len(wpath.read_text().split("\n\n")) == 20
 
 
 def test_search_has_no_workers_flag():

@@ -10,7 +10,7 @@ from latindist import (BlockAddress, GridFormatError, ParameterError,
                        grid_to_json, max_distance_square, parse_grid_json,
                        parse_grid_text, sudoku_square, transpose,
                        validate_latin, validate_pandiagonal, validate_sudoku)
-from latindist.grid import grid_from_json
+from latindist.grid import _grids, _grids_text, grid_from_json
 
 from oracle import is_latin, is_pandiagonal, is_sudoku
 from conftest import FIXTURE_DIR, random_grids
@@ -64,6 +64,24 @@ def test_grid_equality_and_hash():
     g3 = SquareGrid([[2, 1], [1, 2]])
     assert g1 == g2 and hash(g1) == hash(g2)
     assert g1 != g3
+
+
+def test_a_stack_of_grids_is_checked_once_and_copied():
+    stack = np.array([[[1, 2], [2, 1]], [[2, 1], [1, 2]]], np.uint8)
+    grids = _grids(stack)
+    assert grids == (SquareGrid([[1, 2], [2, 1]]), SquareGrid([[2, 1], [1, 2]]))
+    assert all(g.cells.dtype == np.int64 and not g.cells.flags.writeable for g in grids)
+    stack[0, 0, 0] = 2
+    assert grids[0].cells[0, 0] == 1
+    # out of range anywhere in the stack: SquareGrid's error, with its message
+    for bad in (0, 3):
+        stack[1, 1, 0] = bad
+        with pytest.raises(GridFormatError) as got:
+            _grids(stack)
+        with pytest.raises(GridFormatError) as want:
+            SquareGrid(stack[1])
+        assert str(got.value) == str(want.value) == "symbols must lie in [1, 2]"
+    assert _grids(np.zeros((0, 3, 3), np.int64)) == ()
 
 
 def test_validate_latin_on_goldens(golden):
@@ -181,6 +199,17 @@ def test_format_matches_the_per_row_join(golden):
     grids += [SquareGrid(rows) for rows in random_grids(seed=29, count=200)]
     for g in grids:
         assert format_grid_text(g) == loop_format(g), g.n
+
+
+def test_stack_text_is_the_grid_texts_joined():
+    # one conversion of a whole stack gives what joining the grids' texts gives
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 9, 10, 11, 100):
+        stack = rng.integers(1, n + 1, size=(4, n, n))
+        want = [loop_format(SquareGrid(cells)) for cells in stack]
+        assert _grids_text(stack) == "\n".join(want), n
+        assert _grids_text(stack[:1]) == want[0], n
+    assert _grids_text(np.zeros((0, 4, 4), np.int64)) == ""
 
 
 def loop_parse(text: str) -> SquareGrid:

@@ -1,3 +1,4 @@
+import hashlib
 import time
 from itertools import islice
 
@@ -5,11 +6,11 @@ import numpy as np
 import pytest
 
 from latindist import (NonexistenceError, ParameterError,
-                       SearchIncompleteError, SearchQuery, SudokuShape,
+                       SearchIncompleteError, SearchQuery, SquareGrid, SudokuShape,
                        inner_distance, known_bounds, max_distance_via_search, run_search,
                        validate_latin, validate_pandiagonal, validate_sudoku)
 
-from latindist.search import _Context, _rows, _walk
+from latindist.search import _Context, _lex_order, _row_walk, _rows, _walk
 from oracle import (all_latin_squares, band_column_order, count_by_filter, first_bands,
                     is_pandiagonal, is_sudoku, min_adjacent_distance, mirror_cuts, mirror_images,
                     row_major_prefix_count, row_prefix_count, row_prefixes, row_tuples,
@@ -478,6 +479,58 @@ def test_odd_orders_count_and_enumerate_every_latin_square():
     # the number of Latin squares of order 5 (OEIS A002860)
     result = run_search(SearchQuery(n=5, min_distance=1))
     assert result.complete and result.count == 161_280
+
+
+# the SHA-256 of the concatenated cells of plain 7 d=2's 31 080 squares, in list order
+PLAIN_7_D2_DIGEST = "83b864e48dd42745d6bc83a6c961e6deae031ac596d39e1fc949779f6cef8291"
+
+
+def test_a_large_enumeration_keeps_its_order():
+    result = run_search(SearchQuery(n=7, min_distance=2, mode="enumerate"))
+    assert result.complete and result.count == len(result.witnesses) == 31_080
+    digest = hashlib.sha256(b"".join(w.cells.tobytes() for w in result.witnesses))
+    assert digest.hexdigest() == PLAIN_7_D2_DIGEST
+
+
+def test_rows_sort_as_sorted_sorts_tuples():
+    # symbols above 255 take two bytes each, which must compare high byte first
+    rng = np.random.default_rng(5)
+    for dtype, top in ((np.uint8, 9), (np.uint16, 300)):
+        stack = rng.integers(1, top + 1, size=(500, 6)).astype(dtype)
+        stack[:200, :4] = stack[0, :4]
+        if top > 255:
+            stack[:50, 5] = 256  # a zero byte at the end of the row
+        rows = [tuple(row) for row in stack.tolist()]
+        assert [rows[i] for i in _lex_order(stack)] == sorted(rows), dtype
+
+
+@pytest.mark.parametrize("query", [
+    SearchQuery(n=5, min_distance=2, mode="enumerate"),  # the row walk
+    SearchQuery(n=7, constraint="pandiagonal", min_distance=2, mode="enumerate"),  # the cell walk
+    SearchQuery(n=2, min_distance=1, mode="enumerate"),
+    SearchQuery(constraint="sudoku", shape=SudokuShape(2, 3), min_distance=2, mode="exists"),
+    SearchQuery(n=6, min_distance=2, mode="enumerate", node_budget=100),
+    SearchQuery(n=7, constraint="pandiagonal", min_distance=2, mode="enumerate", node_budget=300),
+])
+def test_witnesses_are_read_only_views_of_one_array(query):
+    result = run_search(query)
+    n, witnesses = query.n, result.witnesses
+    assert len(witnesses) == result.count > 0
+    for w in witnesses:
+        assert w.cells.dtype == np.int64 and w.cells.shape == (n, n)
+        assert not w.cells.flags.writeable
+        assert w.cells.base is witnesses[0].cells.base is not None
+        grid = SquareGrid(w.rows())
+        assert w == grid and hash(w) == hash(grid)
+    rows = [row_tuples(w) for w in witnesses]
+    if result.complete and query.mode == "enumerate":
+        assert all(map(tuple.__lt__, rows, rows[1:]))
+    elif not result.complete:
+        # a starved list is the walk's own leaves, in the order it met them
+        listed = _rows(n, query.min_distance) if query.constraint == "plain" else None
+        walked = (_row_walk(*listed, None, query.node_budget, True) if listed
+                  else _walk(_Context(query), query.node_budget, True, False))
+        assert rows == [tuple(leaf[i:i + n] for i in range(0, n * n, n)) for leaf in walked[4]]
 
 
 def _sigma(s, n):
