@@ -156,18 +156,30 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _flag_shape(args) -> SudokuShape | None:
+    """The block shape --a and --b name, or None when neither is given.
+
+    Block sides given with another kind, or one side alone, are refused, not dropped.
+    """
+    if args.a is None and args.b is None:
+        return None
+    if args.kind != "sudoku":
+        raise ParameterError(f"a block shape only applies to sudoku, not {args.kind}")
+    if args.a is None or args.b is None:
+        raise ParameterError("--kind sudoku needs --a and --b")
+    return SudokuShape(args.a, args.b)
+
+
 def _cmd_check(args) -> int:
+    shape = _flag_shape(args)
     grid, embedded_shape = _parse_grid(_read_input(args.input), args.format)
     if args.kind == "latin":
         report = validate_latin(grid)
     elif args.kind == "pandiagonal":
         report = validate_pandiagonal(grid)
     else:
-        if args.a is not None and args.b is not None:
-            shape = SudokuShape(args.a, args.b)
-        elif embedded_shape is not None:
-            shape = embedded_shape
-        else:
+        shape = shape or embedded_shape
+        if shape is None:
             raise ParameterError("--kind sudoku needs --a and --b (or a JSON grid with a shape)")
         report = validate_sudoku(grid, shape)
     _emit(json.dumps(report.as_json_dict()) + "\n", args.out)
@@ -194,6 +206,9 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    shape = _flag_shape(args)
+    if shape is not None and args.n not in (None, shape.n):
+        raise ParameterError(f"order {args.n} does not match shape ({shape.a}, {shape.b})")
     if args.kind == "sudoku":
         entry = known_bounds("sudoku", a=args.a, b=args.b)
     else:

@@ -4,12 +4,12 @@ The workhorse is `algorithm1`, a doubly-periodic fill
     m[i][j] = 1 + (i-1)r + (j-1)c + alpha*floor((i-1)/R) + beta*floor((j-1)/C)  (mod n)
 whose vertical/horizontal increments r, c set the distance classes and
 whose offsets alpha, beta repair collisions whenever r or c shares a
-factor with n.  `algorithm2` is the one other fill: it needs a four-case
-row-offset rule to reach the maximum distance on (even, even) block
-shapes.  The remaining constructors choose parameters for these two.  For
-block shapes that choice is made once, in `_sudoku_plan`: `sudoku_square`
-builds the fill it names, and `sudoku_bounds` takes its lower bound from
-the distance that fill reaches.
+factor with n.  `algorithm2` is the one other fill: it adds a per-row
+offset that depends on the row's band, and so reaches the maximum
+distance on (even, even) block shapes.  The remaining constructors choose
+parameters for these two.  For block shapes that choice is made once, in
+`_sudoku_plan`: `sudoku_square` builds the fill it names, and
+`sudoku_bounds` takes its lower bound from the distance that fill reaches.
 
 Each constructor checks its output once, against all units of its own class,
 before returning; a failed check is an internal bug, not a caller error.
@@ -187,55 +187,36 @@ def pandiagonal_max(n: int) -> SquareGrid:
     return _require(_shift_fill(params), pandiagonal=True)
 
 
-# row-offset rule for the (even, even) fill ---------------------------------
-
-
-def row_offset(k: int, x: int) -> int:
-    """Extra vertical offset added when entering row k, for block height 2x.
-
-    Exactly one case applies to every k >= 1:
-      0   for the first row and all even rows,
-      -x  for the first row of every later band (k = 1 mod 2x, k > 1),
-      +1  for the remaining odd rows in even bands,
-      -1  for the remaining odd rows in odd bands.
-    """
-    if x < 2:
-        raise ParameterError(f"half-height must be at least 2, got {x}")
-    if k < 1:
-        raise ParameterError(f"row index must be positive, got {k}")
-    a = 2 * x
-    if k == 1 or k % 2 == 0:
-        return 0
-    if k % a == 1:
-        return -x
-    m = k % (2 * a)
-    if 1 < m < a:
-        return 1
-    # remaining odd rows necessarily fall in an odd band
-    assert a + 1 < m < 2 * a, (k, x)
-    return -1
-
-
 def algorithm2(x: int, y: int) -> SquareGrid:
     """A (2x, 2y)-Sudoku Latin square with inner distance 2xy - x = (n-a)/2.
 
     The plain shift fill cannot reach (n-a)/2 here: the horizontal
     increment shares only a/2 with n, so its offsets fire every two stacks
-    instead of every stack, and the vertical direction needs the four-case
-    row offsets to keep blocks collision-free.
+    instead of every stack, and the vertical direction needs an extra
+    offset on entering each row to keep blocks collision-free.  With the
+    rows cut into bands of a = 2x, numbered from 0, exactly one of four
+    cases applies to every row k >= 1:
+      0   for the first row and all even rows,
+      -x  for the first row of every later band,
+      +1  for the remaining odd rows in even bands,
+      -1  for the remaining odd rows in odd bands.
+    Summed down to 0-based row i, with (t, p) = divmod(i, a), the band and
+    the position in it, these offsets come to
+      -x*t + (x-1)*(t mod 2) + (-1)**t * floor(p/2).
     """
     x, y = _order(x, "a half-height"), _order(y, "a half-width")
     if x < 2:
         raise ParameterError(f"half-height must be at least 2, got {x} (height 2 has its own rule)")
     if y < x:
         raise ParameterError(f"needs x <= y, got ({x}, {y}); build ({y}, {x}) and transpose")
-    a, b = 2 * x, 2 * y
-    n = a * b
-    offsets = np.cumsum([row_offset(k, x) for k in range(1, n + 1)])
+    n = 4 * x * y
     i = np.arange(n).reshape(-1, 1)
     j = np.arange(n).reshape(1, -1)
-    vals = j * (2 * x * y - x) + j // (4 * y) + i * (2 * x * y) + offsets.reshape(-1, 1)
-    return _require(vals % n + 1, SudokuShape(a, b))
+    t, p = np.divmod(i, 2 * x)
+    odd = t % 2
+    offsets = -x * t + (x - 1) * odd + (1 - 2 * odd) * (p // 2)
+    vals = j * (2 * x * y - x) + j // (4 * y) + i * (2 * x * y) + offsets
+    return _require(vals % n + 1, SudokuShape(2 * x, 2 * y))
 
 
 # block shapes ----------------------------------------------------------------

@@ -1,6 +1,8 @@
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from latindist import (SearchQuery, SquareGrid, SudokuShape, format_grid_text,
-                       max_distance_square, parse_grid_json, parse_grid_text, run_search,
-                       shift_by_k, validate_latin)
+                       grid_to_json, max_distance_square, parse_grid_json, parse_grid_text,
+                       run_search, shift_by_k, sudoku_square, validate_latin)
 from latindist.cli import main
 
 from conftest import FIXTURE_DIR, load_golden
@@ -455,3 +457,44 @@ def test_search_has_no_workers_flag():
     assert proc.stderr.startswith("usage: latindist ")
     assert "unrecognized arguments: --workers 2" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_stray_block_flags_are_refused(capsys, monkeypatch):
+    # a lone side, sides given with another kind, or an order the shape does not make
+    # were dropped by check and bounds: refused, as search refuses them
+    embedded = json.dumps(grid_to_json(sudoku_square(2, 3), SudokuShape(2, 3)))
+    latin = format_grid_text(shift_by_k(6, 1))
+    for argv, stdin, message in [
+        (["check", "--kind", "sudoku", "--a", "3", "--format", "json"], embedded,
+         "--kind sudoku needs --a and --b"),
+        (["check", "--kind", "latin", "--a", "2", "--b", "3"], latin,
+         "a block shape only applies to sudoku, not latin"),
+        (["check", "--kind", "pandiagonal", "--b", "3"], latin,
+         "a block shape only applies to sudoku, not pandiagonal"),
+        (["bounds", "--kind", "sudoku", "--n", "7", "--a", "2", "--b", "3"], None,
+         "order 7 does not match shape (2, 3)"),
+        (["bounds", "--kind", "plain", "--n", "6", "--a", "2", "--b", "3"], None,
+         "a block shape only applies to sudoku, not plain"),
+        (["bounds", "--kind", "sudoku", "--a", "2"], None, "--kind sudoku needs --a and --b"),
+    ]:
+        code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (2, ""), argv
+        assert err == f"latindist: {message}\n", argv
+    # the flags' own cases still pass: the embedded shape alone, and an order that matches
+    code, out, _ = run_cli(capsys, ["check", "--kind", "sudoku", "--format", "json"],
+                           stdin=embedded, monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out)["verdict"] is True
+    code, out, _ = run_cli(capsys, ["bounds", "--kind", "sudoku", "--n", "6", "--a", "2",
+                                    "--b", "3"])
+    assert code == 0 and json.loads(out)["n"] == 6
+
+
+def test_console_script_resolves_to_main(capsys):
+    # Python 3.10 has no tomllib: read the [project.scripts] entry with a regex
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    target = re.search(r'^latindist\s*=\s*"([\w.]+):(\w+)"\s*$', scripts.group(1), re.M)
+    module, attr = target.groups()
+    assert getattr(importlib.import_module(module), attr) is main
+    code, out, _ = run_cli(capsys, ["bounds", "--kind", "plain", "--n", "5"])
+    assert code == 0 and json.loads(out)["lower"] == 2

@@ -9,8 +9,7 @@ from latindist import (NonexistenceError, ParameterError, ShiftParams,
                        pandiagonal_max, shift_by_k, sudoku_square, transpose,
                        validate_latin, validate_pandiagonal, validate_sudoku)
 from latindist.construct import (pandiagonal_bounds, plain_bounds,
-                                 predicted_inner_distance, row_offset,
-                                 sudoku_bounds)
+                                 predicted_inner_distance, sudoku_bounds)
 
 from latindist import construct as construct_module
 from latindist import grid as grid_module
@@ -177,30 +176,28 @@ def test_sudoku_square_parameter_errors():
 
 # --- the even-even fill ------------------------------------------------------
 
-def test_row_offset_example():
-    assert row_offset(5, 2) == -2
-    with pytest.raises(ParameterError):
-        row_offset(1, 1)  # block height 2 has its own rule
-    with pytest.raises(ParameterError):
-        row_offset(0, 2)
-
-
-def test_row_offset_cases_partition_all_rows():
-    # residue form must agree with the band-based description, for every row
+def test_algorithm2_row_offsets_follow_the_band_rule():
+    # the extra offset entering row k, read back from the first column of the grid,
+    # must agree with the band-based description of the four cases, for every row
     for x in range(2, 6):
         a = 2 * x
-        for k in range(1, 40 * x + 1):
-            band = (k - 1) // a
-            first_of_band = (k - 1) % a == 0
-            if k % 2 == 0 or k == 1:
-                want = 0
-            elif first_of_band:
-                want = -x
-            elif band % 2 == 0:
-                want = 1
-            else:
-                want = -1
-            assert row_offset(k, x) == want, (k, x)
+        for y in range(x, x + 3):
+            n = 4 * x * y
+            first = algorithm2(x, y).cells[:, 0].tolist()
+            assert first[0] == 1
+            for k in range(2, n + 1):
+                band = (k - 1) // a
+                first_of_band = (k - 1) % a == 0
+                if k % 2 == 0:
+                    want = 0
+                elif first_of_band:
+                    want = -x
+                elif band % 2 == 0:
+                    want = 1
+                else:
+                    want = -1
+                got = (first[k - 1] - first[k - 2] - 2 * x * y) % n
+                assert got == want % n, (x, y, k)
 
 
 def test_algorithm2(golden):

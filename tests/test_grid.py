@@ -64,6 +64,10 @@ def test_grid_equality_and_hash():
     g3 = SquareGrid([[2, 1], [1, 2]])
     assert g1 == g2 and hash(g1) == hash(g2)
     assert g1 != g3
+    # another type is left to compare itself, and is unequal
+    assert g1.__eq__([[1, 2], [2, 1]]) is NotImplemented
+    assert g1 != [[1, 2], [2, 1]] and not g1 == "SquareGrid(n=2)"
+    assert repr(g1) == "SquareGrid(n=2)"
 
 
 def test_a_stack_of_grids_is_checked_once_and_copied():
