@@ -176,15 +176,32 @@ def test_sudoku_square_parameter_errors():
 
 # --- the even-even fill ------------------------------------------------------
 
-def test_algorithm2_row_offsets_follow_the_band_rule():
-    # the extra offset entering row k, read back from the first column of the grid,
-    # must agree with the band-based description of the four cases, for every row
+def _row_offsets(x, y):
+    # the extra offset entering each row k >= 2 of algorithm2(x, y), read back from
+    # the first column of the grid, as a residue mod n
+    n = 4 * x * y
+    first = algorithm2(x, y).cells[:, 0].tolist()
+    assert first[0] == 1
+    return {k: (first[k - 1] - first[k - 2] - 2 * x * y) % n for k in range(2, n + 1)}
+
+
+def test_row_offset_example():
+    # row 5 opens the second band of block height 4, so it steps back by x = 2
+    n = 16
+    offsets = _row_offsets(2, 2)
+    assert offsets[5] == -2 % n
+    assert offsets[2] == 0 and offsets[3] == 1 and offsets[7] == -1 % n
+    with pytest.raises(ParameterError):
+        algorithm2(1, 1)  # block height 2 has its own rule
+
+
+def test_row_offset_cases_partition_all_rows():
+    # every row's offset must agree with the band-based description of the four cases
     for x in range(2, 6):
         a = 2 * x
         for y in range(x, x + 3):
             n = 4 * x * y
-            first = algorithm2(x, y).cells[:, 0].tolist()
-            assert first[0] == 1
+            offsets = _row_offsets(x, y)
             for k in range(2, n + 1):
                 band = (k - 1) // a
                 first_of_band = (k - 1) % a == 0
@@ -196,8 +213,7 @@ def test_algorithm2_row_offsets_follow_the_band_rule():
                     want = 1
                 else:
                     want = -1
-                got = (first[k - 1] - first[k - 2] - 2 * x * y) % n
-                assert got == want % n, (x, y, k)
+                assert offsets[k] == want % n, (x, y, k)
 
 
 def test_algorithm2(golden):
