@@ -2,7 +2,10 @@
 
 Subcommands: gen, check, dist, bounds, search, canon.  Grid-consuming
 commands read a file path or stdin; everything is deterministic, so
-generated output is byte-identical across runs.
+generated output is byte-identical across runs.  Each subcommand refuses
+the flags it does not use (`gen --algo maxdist --n 5 --r 3` exits 2), and
+a stdout closed by its reader (`| head`) ends the output quietly, with
+the command's own exit code.
 
 Exit codes: 0 success / verified-true, 1 verified-false (failed check or
 irreducible grid), 2 usage, parse or file error, 3 provable nonexistence,
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -40,59 +44,61 @@ EXIT_INTERNAL = 4
 MAX_TEXT_PAIRS = 100  # minimal pairs listed by dist in text mode
 
 
+# each --algo: the integer flags it takes, its builder, and the block shape its JSON carries
+_GEN_ALGOS = {
+    "shift": (("n", "r", "c", "alpha", "beta"), lambda *p: algorithm1(ShiftParams(*p)), None),
+    "shiftk": (("n", "k"), shift_by_k, None),
+    "maxdist": (("n",), max_distance_square, None),
+    "pandiagonal": (("n",), pandiagonal_max, None),
+    "sudoku": (("a", "b"), sudoku_square, SudokuShape),
+    "eveneven": (("x", "y"), algorithm2, lambda x, y: SudokuShape(2 * x, 2 * y)),
+}
+_GEN_FLAGS = tuple(dict.fromkeys(name for names, _, _ in _GEN_ALGOS.values() for name in names))
+_INT = {"type": int}
+_FORMAT = {"choices": ["text", "json"], "default": "text"}
+_CLASSES = ["plain", "pandiagonal", "sudoku"]
+
+
+def _add_command(sub, name: str, handler, help: str, grid: bool = False, **flags) -> None:
+    """Add a subcommand: its optional grid input, its flags in order, then --out.
+
+    Each keyword names a flag (kind=... adds --kind, min_dist=... --min-dist)
+    and holds its add_argument options.
+    """
+    command = sub.add_parser(name, help=help)
+    if grid:
+        command.add_argument("input", nargs="?", help="grid file (default: stdin)")
+    for flag, options in flags.items():
+        command.add_argument("--" + flag.replace("_", "-"), **options)
+    command.add_argument("--out")
+    command.set_defaults(handler=handler)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latindist",
         description="Construct, validate, measure, canonicalize, and search "
                     "Latin squares under the inner-distance metric.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate a grid and print it")
-    gen.add_argument("--algo", required=True,
-                     choices=["shift", "shiftk", "maxdist", "pandiagonal", "sudoku", "eveneven"])
-    for flag in ("--n", "--r", "--c", "--alpha", "--beta", "--k", "--a", "--b", "--x", "--y"):
-        gen.add_argument(flag, type=int)
-    gen.add_argument("--format", choices=["text", "json"], default="text")
-    gen.add_argument("--out")
-
-    check = sub.add_parser("check", help="validate a grid; exit 0 iff it passes")
-    check.add_argument("input", nargs="?", help="grid file (default: stdin)")
-    check.add_argument("--kind", required=True, choices=["latin", "pandiagonal", "sudoku"])
-    check.add_argument("--a", type=int)
-    check.add_argument("--b", type=int)
-    check.add_argument("--format", choices=["text", "json"], default="text",
-                       help="input format")
-    check.add_argument("--out")
-
-    dist = sub.add_parser("dist", help="inner distance and distance-class census")
-    dist.add_argument("input", nargs="?")
-    dist.add_argument("--format", choices=["text", "json"], default="text")
-    dist.add_argument("--out")
-
-    bounds = sub.add_parser("bounds", help="proven bounds for a square class")
-    bounds.add_argument("--kind", required=True, choices=["plain", "pandiagonal", "sudoku"])
-    bounds.add_argument("--n", type=int)
-    bounds.add_argument("--a", type=int)
-    bounds.add_argument("--b", type=int)
-    bounds.add_argument("--out")
-
-    search = sub.add_parser("search", help="exhaustively count/enumerate squares")
-    search.add_argument("--kind", choices=["plain", "pandiagonal", "sudoku"], default="plain")
-    search.add_argument("--n", type=int)
-    search.add_argument("--a", type=int)
-    search.add_argument("--b", type=int)
-    search.add_argument("--min-dist", type=int, required=True)
-    search.add_argument("--mode", choices=["count", "enumerate", "exists"], default="count")
-    search.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-    search.add_argument("--witnesses-out",
-                        help="write witnesses as a multi-grid text file (enumerate or exists)")
-    search.add_argument("--out")
-
-    canon = sub.add_parser("canon", help="reduce a shift-structured square to circulant form")
-    canon.add_argument("input", nargs="?")
-    canon.add_argument("--format", choices=["text", "json"], default="text")
-    canon.add_argument("--out")
-
+    _add_command(sub, "gen", _cmd_gen, "generate a grid and print it",
+                 algo={"required": True, "choices": list(_GEN_ALGOS)},
+                 **dict.fromkeys(_GEN_FLAGS, _INT), format=_FORMAT)
+    _add_command(sub, "check", _cmd_check, "validate a grid; exit 0 iff it passes", grid=True,
+                 kind={"required": True, "choices": ["latin", "pandiagonal", "sudoku"]},
+                 a=_INT, b=_INT, format=dict(_FORMAT, help="input format"))
+    _add_command(sub, "dist", _cmd_dist, "inner distance and distance-class census", grid=True,
+                 format=_FORMAT)
+    _add_command(sub, "bounds", _cmd_bounds, "proven bounds for a square class",
+                 kind={"required": True, "choices": _CLASSES}, n=_INT, a=_INT, b=_INT)
+    _add_command(sub, "search", _cmd_search, "exhaustively count/enumerate squares",
+                 kind={"choices": _CLASSES, "default": "plain"}, n=_INT, a=_INT, b=_INT,
+                 min_dist={"type": int, "required": True},
+                 mode={"choices": ["count", "enumerate", "exists"], "default": "count"},
+                 budget={"type": int, "default": DEFAULT_NODE_BUDGET},
+                 witnesses_out={"help": "write witnesses as a multi-grid text file "
+                                        "(enumerate or exists)"})
+    _add_command(sub, "canon", _cmd_canon,
+                 "reduce a shift-structured square to circulant form", grid=True, format=_FORMAT)
     return parser
 
 
@@ -105,7 +111,15 @@ def _read_input(path: str | None) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone: drop the rest, here and at the flush on exit, and keep the
+            # command's exit code
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -117,38 +131,16 @@ def _parse_grid(text: str, fmt: str):
     return parse_grid_text(text), None
 
 
-def _require(args, names: list[str], algo: str) -> list[int]:
-    values = []
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            raise ParameterError(f"--algo {algo} requires --{name}")
-        values.append(value)
-    return values
-
-
 def _cmd_gen(args) -> int:
-    shape = None
-    if args.algo == "shift":
-        n, r, c, alpha, beta = _require(args, ["n", "r", "c", "alpha", "beta"], "shift")
-        grid = algorithm1(ShiftParams(n, r, c, alpha, beta))
-    elif args.algo == "shiftk":
-        n, k = _require(args, ["n", "k"], "shiftk")
-        grid = shift_by_k(n, k)
-    elif args.algo == "maxdist":
-        (n,) = _require(args, ["n"], "maxdist")
-        grid = max_distance_square(n)
-    elif args.algo == "pandiagonal":
-        (n,) = _require(args, ["n"], "pandiagonal")
-        grid = pandiagonal_max(n)
-    elif args.algo == "sudoku":
-        a, b = _require(args, ["a", "b"], "sudoku")
-        grid = sudoku_square(a, b)
-        shape = SudokuShape(a, b)
-    else:  # eveneven
-        x, y = _require(args, ["x", "y"], "eveneven")
-        grid = algorithm2(x, y)
-        shape = SudokuShape(2 * x, 2 * y)
+    names, build, block_shape = _GEN_ALGOS[args.algo]
+    for name in _GEN_FLAGS:
+        given, needed = getattr(args, name) is not None, name in names
+        if given != needed:
+            verb = "requires" if needed else "does not take"
+            raise ParameterError(f"--algo {args.algo} {verb} --{name}")
+    values = [getattr(args, name) for name in names]
+    grid = build(*values)
+    shape = block_shape and block_shape(*values)
     if args.format == "json":
         _emit(json.dumps(grid_to_json(grid, shape)) + "\n", args.out)
     else:
@@ -156,22 +148,34 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _flag_shape(args) -> SudokuShape | None:
-    """The block shape --a and --b name, or None when neither is given.
+def _flag_class(args) -> tuple[int | None, SudokuShape | None]:
+    """The order and block shape that --kind, --n, --a and --b name.
 
-    Block sides given with another kind, or one side alone, are refused, not dropped.
+    Block sides given with another kind, one side alone, or an order the
+    shape does not make are refused, not dropped.  A command that reads a
+    grid takes the order, and a Sudoku shape the flags leave out, from the
+    grid; any other needs both from its flags.
     """
+    n = getattr(args, "n", None)  # check has no --n
     if args.a is None and args.b is None:
-        return None
+        if "input" not in args:
+            if args.kind == "sudoku":
+                raise ParameterError("--kind sudoku needs --a and --b")
+            if n is None:
+                raise ParameterError(f"--kind {args.kind} needs --n")
+        return n, None
     if args.kind != "sudoku":
         raise ParameterError(f"a block shape only applies to sudoku, not {args.kind}")
     if args.a is None or args.b is None:
         raise ParameterError("--kind sudoku needs --a and --b")
-    return SudokuShape(args.a, args.b)
+    shape = SudokuShape(args.a, args.b)
+    if n not in (None, shape.n):
+        raise ParameterError(f"order {n} does not match shape ({shape.a}, {shape.b})")
+    return shape.n, shape
 
 
 def _cmd_check(args) -> int:
-    shape = _flag_shape(args)
+    _, shape = _flag_class(args)
     grid, embedded_shape = _parse_grid(_read_input(args.input), args.format)
     if args.kind == "latin":
         report = validate_latin(grid)
@@ -206,30 +210,19 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    shape = _flag_shape(args)
-    if shape is not None and args.n not in (None, shape.n):
-        raise ParameterError(f"order {args.n} does not match shape ({shape.a}, {shape.b})")
-    if args.kind == "sudoku":
-        entry = known_bounds("sudoku", a=args.a, b=args.b)
-    else:
-        entry = known_bounds(args.kind, n=args.n)
+    n, _ = _flag_class(args)
+    entry = known_bounds(args.kind, n=n, a=args.a, b=args.b)
     _emit(json.dumps(entry.as_json_dict()) + "\n", args.out)
     return EXIT_OK
 
 
 def _cmd_search(args) -> int:
-    if args.kind == "sudoku" and (args.a is None or args.b is None):
-        raise ParameterError("--kind sudoku needs --a and --b")
-    if args.kind != "sudoku" and args.n is None:
-        raise ParameterError(f"--kind {args.kind} needs --n")
+    n, shape = _flag_class(args)
     if args.witnesses_out and args.mode == "count":
         raise ParameterError("--witnesses-out needs --mode enumerate or exists: a count keeps "
                              "no squares")
-    # block sides given with another kind make a shape that SearchQuery rejects
-    shape = None if args.a is None and args.b is None else SudokuShape(args.a, args.b)
-    query = SearchQuery(n=args.n, constraint=args.kind, shape=shape,
-                        min_distance=args.min_dist, mode=args.mode,
-                        node_budget=args.budget)
+    query = SearchQuery(n=n, constraint=args.kind, shape=shape, min_distance=args.min_dist,
+                        mode=args.mode, node_budget=args.budget)
     started = time.perf_counter()
     result = run_search(query)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -258,20 +251,10 @@ def _cmd_canon(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "check": _cmd_check,
-    "dist": _cmd_dist,
-    "bounds": _cmd_bounds,
-    "search": _cmd_search,
-    "canon": _cmd_canon,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except NonexistenceError as exc:
         print(f"latindist: {exc}", file=sys.stderr)
         return EXIT_NONEXISTENT

@@ -67,6 +67,30 @@ def test_gen_exit_codes(capsys):
     assert code == 2 and "--n" in err
 
 
+@pytest.mark.parametrize("argv, stray", [
+    (["--algo", "shift", "--n", "9", "--r", "5", "--c", "4", "--alpha", "9", "--beta", "9",
+      "--k", "1"], "k"),
+    (["--algo", "shiftk", "--n", "5", "--x", "2", "--k", "2"], "x"),
+    (["--algo", "maxdist", "--n", "5", "--r", "3"], "r"),
+    (["--algo", "pandiagonal", "--a", "1", "--n", "11"], "a"),
+    (["--algo", "sudoku", "--n", "9", "--a", "3", "--b", "3"], "n"),
+    (["--algo", "eveneven", "--x", "2", "--b", "4", "--y", "2"], "b"),
+])
+def test_gen_refuses_flags_its_algorithm_does_not_take(capsys, argv, stray):
+    code, out, err = run_cli(capsys, ["gen", *argv])
+    assert (code, out) == (2, "")
+    assert err == f"latindist: --algo {argv[1]} does not take --{stray}\n"
+    # the same line without the stray flag builds its grid, and without its last flag too
+    # it names the flag it misses
+    i = argv.index(f"--{stray}")
+    used = argv[:i] + argv[i + 2:]
+    code, out, err = run_cli(capsys, ["gen", *used])
+    assert (code, err) == (0, "") and parse_grid_text(out)
+    code, out, err = run_cli(capsys, ["gen", *used[:-2]])
+    assert (code, out) == (2, "")
+    assert err == f"latindist: --algo {argv[1]} requires {used[-2]}\n"
+
+
 def test_internal_errors_exit_4_without_a_traceback(capsys, monkeypatch):
     # a constructor whose self-check fails, and a bounds entry with lower > upper, are bugs:
     # exit 4 with one line on stderr, not a traceback
@@ -201,11 +225,14 @@ def test_search_subcommand(capsys):
 
 def test_search_rejects_block_sides_outside_sudoku(capsys):
     # plain 6 d=2 counts 672 squares and (2, 3)-Sudoku 48: block sides are never dropped
-    for argv, message in [(["--n", "6", "--a", "2", "--b", "3"], "only applies to sudoku"),
-                          (["--kind", "pandiagonal", "--n", "7", "--a", "1"], "block side"),
-                          (["--kind", "sudoku", "--a", "2"], "--kind sudoku needs --a and --b")]:
+    for argv, message in [
+        (["--n", "6", "--a", "2", "--b", "3"], "a block shape only applies to sudoku, not plain"),
+        (["--kind", "pandiagonal", "--n", "7", "--a", "1"],
+         "a block shape only applies to sudoku, not pandiagonal"),
+        (["--kind", "sudoku", "--a", "2"], "--kind sudoku needs --a and --b"),
+    ]:
         code, out, err = run_cli(capsys, ["search", *argv, "--min-dist", "2"])
-        assert code == 2 and out == "" and err.startswith("latindist: ") and message in err, argv
+        assert (code, out) == (2, "") and err == f"latindist: {message}\n", argv
     code, out, _ = run_cli(capsys, ["search", "--kind", "sudoku", "--a", "2", "--b", "3",
                                     "--min-dist", "2"])
     assert code == 0 and json.loads(out)["count"] == 48
@@ -417,12 +444,12 @@ def test_outputs_on_the_back_circulant_are_pinned(capsys, argv, want_code, want_
     assert (code, out, err) == (want_code, want_out, "")
 
 
-def _run_python(*args: str) -> subprocess.CompletedProcess:
+def _run_python(*args: str, **options) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=60)
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **options}
+    return subprocess.run([sys.executable, *args], env=env, text=True, timeout=60, **options)
 
 
 def test_cli_start_up_does_not_import_multiprocessing(tmp_path):
@@ -457,6 +484,22 @@ def test_search_has_no_workers_flag():
     assert proc.stderr.startswith("usage: latindist ")
     assert "unrecognized arguments: --workers 2" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, stdin, want_code", [
+    (["gen", "--algo", "maxdist", "--n", "200"], "", 0),
+    (["check", "--kind", "latin"], format_grid_text(max_distance_square(9)).replace("9", "8"), 1),
+], ids=["gen", "failed-check"])
+def test_a_closed_stdout_ends_the_output_quietly(argv, stdin, want_code):
+    # the read end is closed before the command starts, so every write to stdout fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_python("-X", "dev", "-W", "error", "-m", "latindist.cli", *argv,
+                           input=stdin, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (want_code, "")
 
 
 def test_stray_block_flags_are_refused(capsys, monkeypatch):

@@ -29,12 +29,13 @@ def test_quickstart_prints_what_its_comments_say():
 def test_command_lines_exit_zero():
     cli = f"{shlex.quote(sys.executable)} -m latindist.cli"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    # as the demos run: development mode, warnings raised as errors
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDEVMODE="1", PYTHONWARNINGS="error")
     lines = [line for line in _block("Command line", "sh").splitlines() if line.strip()]
     assert lines and all(line.startswith("latindist ") for line in lines)
     for line in lines:
         command = re.sub(r"\blatindist\b", lambda _: cli, line)
         proc = subprocess.run(["sh", "-c", command], env=env, capture_output=True, text=True,
                               timeout=60)
-        assert proc.returncode == 0, (line, proc.stderr)
+        assert (proc.returncode, proc.stderr) == (0, ""), line
         assert proc.stdout, line
