@@ -9,7 +9,8 @@ offset that depends on the row's band, and so reaches the maximum
 distance on (even, even) block shapes.  The remaining constructors choose
 parameters for these two.  For block shapes that choice is made once, in
 `_sudoku_plan`: `sudoku_square` builds the fill it names, and
-`sudoku_bounds` takes its lower bound from the distance that fill reaches.
+`known_bounds` takes its Sudoku lower bound from the distance that fill
+reaches.
 
 Each constructor checks its output once, against all units of its own class,
 before returning; a failed check is an internal bug, not a caller error.
@@ -327,75 +328,57 @@ class BoundsEntry:
         }
 
 
-def plain_bounds(n: int) -> BoundsEntry:
-    """Exact maximum inner distance over all Latin squares of order n."""
-    n = _order(n)
-    if n < 2:
-        raise ParameterError("no inner distance is defined below order 2")
-    if n == 2:
-        return BoundsEntry("plain", n, None, None, 1, 1, True, True, ("order-two-census",))
-    value = (n - 1) // 2
-    return BoundsEntry("plain", n, None, None, value, value, True, True,
-                       ("half-range-cap", "max-distance-shift-fill"))
+def known_bounds(kind: str, *, n: int | None = None,
+                 a: int | None = None, b: int | None = None) -> BoundsEntry:
+    """Best proven bounds on the maximum inner distance of one square class.
 
-
-def pandiagonal_bounds(n: int) -> BoundsEntry:
-    """Existence and exact maximum for pandiagonal Latin squares of order n."""
-    n = _order(n)
-    if n < 2:
-        raise ParameterError("no inner distance is defined below order 2")
-    if n % 6 not in (1, 5):
-        return BoundsEntry("pandiagonal", n, None, None, 0, 0, False, False,
-                           ("divisibility-existence",))
-    value = (n - 3) // 2
-    return BoundsEntry("pandiagonal", n, None, None, value, value, True, True,
-                       ("diagonal-increment-cap", "pandiagonal-shift-fill"))
-
-
-def sudoku_bounds(a: int, b: int) -> BoundsEntry:
-    """Best proven bounds for (a, b)-Sudoku Latin squares.
-
-    Shapes are normalized to a <= b (transposing swaps the shape and
-    preserves all distances), so (a, b) and (b, a) return the same entry.
-    For a >= 2 the lower bound is the distance `sudoku_square` reaches.
+    kind is plain or pandiagonal with an order n, or sudoku with a block
+    shape (a, b) and, optionally, the order a*b it makes; an argument the
+    kind does not use is refused, not dropped.  Shapes are normalized to
+    a <= b (transposing swaps the shape and preserves all distances), so
+    (a, b) and (b, a) return the same entry.  Blocks one row high follow the
+    plain rule; for a >= 2 the lower bound is the distance `sudoku_square`
+    reaches.
     """
-    shape = SudokuShape(a, b)
-    a, b = min(shape.a, shape.b), max(shape.a, shape.b)
-    n = a * b
+    if kind == "sudoku":
+        if a is None or b is None:
+            raise ParameterError("sudoku bounds need a block shape (a, b)")
+        shape = SudokuShape(a, b)
+        if n is not None and _order(n) != shape.n:
+            raise ParameterError(f"order {n} does not match shape ({shape.a}, {shape.b})")
+        n, (a, b) = shape.n, sorted((shape.a, shape.b))
+    elif kind in ("plain", "pandiagonal"):
+        if a is not None or b is not None:
+            raise ParameterError(f"a block shape only applies to sudoku, not {kind}")
+        if n is None:
+            raise ParameterError(f"{kind} bounds need an order n")
+        n = _order(n)
+    else:
+        raise ParameterError(f"unknown kind {kind!r}")
     if n < 2:
         raise ParameterError("no inner distance is defined below order 2")
-    if a == 1:
-        base = plain_bounds(b)
-        return BoundsEntry("sudoku", n, a, b, base.lower, base.upper, True, True,
-                           ("single-row-blocks",) + base.provenance)
+
+    if kind == "pandiagonal":
+        if n % 6 not in (1, 5):
+            return BoundsEntry(kind, n, None, None, 0, 0, False, False, ("divisibility-existence",))
+        value = (n - 3) // 2
+        return BoundsEntry(kind, n, None, None, value, value, True, True,
+                           ("diagonal-increment-cap", "pandiagonal-shift-fill"))
+    if kind == "plain" or a == 1:
+        prefix = ("single-row-blocks",) if a == 1 else ()
+        if n == 2:
+            return BoundsEntry(kind, n, a, b, 1, 1, True, True, prefix + ("order-two-census",))
+        value = (n - 1) // 2
+        return BoundsEntry(kind, n, a, b, value, value, True, True,
+                           prefix + ("half-range-cap", "max-distance-shift-fill"))
+
     lower_prov, params = _sudoku_plan(a, b)
     lower = (n - a) // 2 if params is None else predicted_inner_distance(params)
     if a == 2:
         # two-row blocks cap the distance at b - 1, and the plan's fill reaches it
-        return BoundsEntry("sudoku", n, a, b, lower, b - 1, lower == b - 1, True, (lower_prov,))
-
+        return BoundsEntry(kind, n, a, b, lower, b - 1, lower == b - 1, True, (lower_prov,))
     if a % 2 and b % 2 and a >= 5:
         upper, upper_prov = (n - 5) // 2, "odd-blocks-interior-cap"
     else:
         upper, upper_prov = (n - 3) // 2, "block-interior-cap"
-
-    return BoundsEntry("sudoku", n, a, b, lower, upper, lower == upper, True,
-                       (lower_prov, upper_prov))
-
-
-def known_bounds(kind: str, *, n: int | None = None,
-                 a: int | None = None, b: int | None = None) -> BoundsEntry:
-    """Dispatch to the bounds table by class kind: plain, pandiagonal, or sudoku."""
-    if kind == "plain":
-        if n is None:
-            raise ParameterError("plain bounds need an order n")
-        return plain_bounds(n)
-    if kind == "pandiagonal":
-        if n is None:
-            raise ParameterError("pandiagonal bounds need an order n")
-        return pandiagonal_bounds(n)
-    if kind == "sudoku":
-        if a is None or b is None:
-            raise ParameterError("sudoku bounds need a block shape (a, b)")
-        return sudoku_bounds(a, b)
-    raise ParameterError(f"unknown kind {kind!r}")
+    return BoundsEntry(kind, n, a, b, lower, upper, lower == upper, True, (lower_prov, upper_prov))

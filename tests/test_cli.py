@@ -99,14 +99,15 @@ def test_internal_errors_exit_4_without_a_traceback(capsys, monkeypatch):
     def failing(grid, shape=None, pandiagonal=False):
         return validate_latin(SquareGrid([[1, 1], [1, 1]]))
 
-    def inconsistent(n):
-        return construct.BoundsEntry("plain", n, None, None, 5, 4, False, True, ("broken",))
+    def overshooting(params):
+        # (3, 5) blocks cap the distance at 6
+        return 7
 
     monkeypatch.setattr(construct, "_validate", failing)
-    monkeypatch.setattr(construct, "plain_bounds", inconsistent)
+    monkeypatch.setattr(construct, "predicted_inner_distance", overshooting)
     for argv in (["gen", "--algo", "maxdist", "--n", "7"],
                  ["gen", "--algo", "pandiagonal", "--n", "5"],
-                 ["bounds", "--kind", "plain", "--n", "10"]):
+                 ["bounds", "--kind", "sudoku", "--a", "3", "--b", "5"]):
         code, out, err = run_cli(capsys, argv)
         assert code == 4 and out == "", argv
         assert err.startswith("latindist: internal error: ") and err.count("\n") == 1, argv
@@ -201,6 +202,7 @@ def test_bounds_outputs(capsys):
     (4, 6, 10, 10, ["even-even-row-offset-fill", "block-interior-cap"]),
     (3, 8, 9, 10, ["width-div4-shift-fill", "block-interior-cap"]),
     (3, 10, 10, 13, ["width-2mod4-shift-fill", "block-interior-cap"]),
+    (1, 2, 1, 1, ["single-row-blocks", "order-two-census"]),
 ])
 def test_sudoku_bounds_json_is_pinned(capsys, a, b, lower, upper, provenance):
     # one shape per branch of the construction plan and of the upper caps
@@ -209,6 +211,22 @@ def test_sudoku_bounds_json_is_pinned(capsys, a, b, lower, upper, provenance):
     assert json.loads(out) == {
         "kind": "sudoku", "a": a, "b": b, "n": a * b, "lower": lower, "upper": upper,
         "exact": lower == upper, "existence": True, "provenance": provenance}
+
+
+@pytest.mark.parametrize("kind, n, value, existence, provenance", [
+    ("plain", 2, 1, True, ["order-two-census"]),
+    ("plain", 9, 4, True, ["half-range-cap", "max-distance-shift-fill"]),
+    ("plain", 10, 4, True, ["half-range-cap", "max-distance-shift-fill"]),
+    ("pandiagonal", 11, 4, True, ["diagonal-increment-cap", "pandiagonal-shift-fill"]),
+    ("pandiagonal", 6, 0, False, ["divisibility-existence"]),
+])
+def test_order_bounds_json_is_pinned(capsys, kind, n, value, existence, provenance):
+    # each branch of the plain and pandiagonal rules; an empty class is exact about nothing
+    code, out, _ = run_cli(capsys, ["bounds", "--kind", kind, "--n", str(n)])
+    assert code == 0
+    assert json.loads(out) == {
+        "kind": kind, "a": None, "b": None, "n": n, "lower": value, "upper": value,
+        "exact": existence, "existence": existence, "provenance": provenance}
 
 
 def test_search_subcommand(capsys):

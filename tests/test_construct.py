@@ -8,12 +8,11 @@ from latindist import (NonexistenceError, ParameterError, ShiftParams,
                        inner_distance, known_bounds, max_distance_square,
                        pandiagonal_max, shift_by_k, sudoku_square, transpose,
                        validate_latin, validate_pandiagonal, validate_sudoku)
-from latindist.construct import (pandiagonal_bounds, plain_bounds,
-                                 predicted_inner_distance, sudoku_bounds)
+from latindist.construct import predicted_inner_distance
 
 from latindist import construct as construct_module
 from latindist import grid as grid_module
-from oracle import is_sudoku, min_adjacent_distance, row_tuples
+from oracle import is_latin, is_pandiagonal, is_sudoku, min_adjacent_distance, row_tuples
 
 
 # --- parameter bundle --------------------------------------------------------
@@ -273,12 +272,20 @@ def test_each_build_is_checked_once_against_its_class(monkeypatch):
 
 
 def test_sudoku_square_reaches_the_lower_bound_by_oracle():
-    # the lower bound of the table is the distance the construction reaches
+    # the lower bound of the table is the distance the construction reaches, in every class
     shapes = [(a, b) for a in range(1, 61) for b in range(1, 61) if 2 <= a * b <= 60]
     for a, b in shapes:
         rows = row_tuples(sudoku_square(a, b))
         assert is_sudoku(rows, a, b), (a, b)
-        assert min_adjacent_distance(rows) == sudoku_bounds(a, b).lower, (a, b)
+        assert min_adjacent_distance(rows) == known_bounds("sudoku", a=a, b=b).lower, (a, b)
+    for n in range(2, 61):
+        rows = row_tuples(max_distance_square(n))
+        assert is_latin(rows), n
+        assert min_adjacent_distance(rows) == known_bounds("plain", n=n).lower, n
+    for n in (n for n in range(2, 62) if gcd(n, 6) == 1):
+        rows = row_tuples(pandiagonal_max(n))
+        assert is_pandiagonal(rows), n
+        assert min_adjacent_distance(rows) == known_bounds("pandiagonal", n=n).lower, n
 
 
 # --- bounds table ------------------------------------------------------------
@@ -301,15 +308,13 @@ def test_pandiagonal_bounds():
 
 
 def test_bounds_orders_are_integers():
-    for kind, bounds in (("plain", plain_bounds), ("pandiagonal", pandiagonal_bounds)):
+    for kind in ("plain", "pandiagonal"):
         # a numpy order answers as the same Python int
         for n in (np.int64(11), np.int32(11), np.uint8(11)):
-            assert bounds(n) == known_bounds(kind, n=11)
-            assert type(bounds(n).n) is int
+            assert known_bounds(kind, n=n) == known_bounds(kind, n=11)
+            assert type(known_bounds(kind, n=n).n) is int
         # a float, a string or a bool is no order, whatever it rounds to
         for n in (5.9, 7.0, "7", True):
-            with pytest.raises(ParameterError):
-                bounds(n)
             with pytest.raises(ParameterError):
                 known_bounds(kind, n=n)
 
@@ -331,21 +336,21 @@ def test_constructor_arguments_are_integers(build, args):
 
 
 def test_sudoku_bounds_exact_cases():
-    assert (sudoku_bounds(5, 7).lower, sudoku_bounds(5, 7).upper,
-            sudoku_bounds(5, 7).exact) == (15, 15, True)
-    assert (sudoku_bounds(2, 9).lower, sudoku_bounds(2, 9).upper) == (8, 8)
-    assert sudoku_bounds(3, 3).upper == 3 and sudoku_bounds(3, 3).exact
-    assert sudoku_bounds(3, 4).upper == 4 and sudoku_bounds(3, 4).exact
-    assert sudoku_bounds(4, 4).upper == 6 and sudoku_bounds(4, 4).exact
-    assert sudoku_bounds(1, 9).upper == 4 and sudoku_bounds(1, 9).exact
+    e = known_bounds("sudoku", a=5, b=7)
+    assert (e.lower, e.upper, e.exact) == (15, 15, True)
+    e = known_bounds("sudoku", a=2, b=9)
+    assert (e.lower, e.upper) == (8, 8)
+    for a, b, upper in [(3, 3, 3), (3, 4, 4), (4, 4, 6), (1, 9, 4)]:
+        e = known_bounds("sudoku", a=a, b=b)
+        assert e.upper == upper and e.exact, (a, b)
 
 
 def test_sudoku_bounds_open_cases():
-    e = sudoku_bounds(7, 8)
+    e = known_bounds("sudoku", a=7, b=8)
     assert (e.lower, e.upper, e.exact) == (24, 26, False)
-    e = sudoku_bounds(7, 7)
+    e = known_bounds("sudoku", a=7, b=7)
     assert (e.lower, e.upper, e.exact) == (21, 22, False)
-    e = sudoku_bounds(3, 6)
+    e = known_bounds("sudoku", a=3, b=6)
     assert (e.lower, e.upper) == ((18 - min(12, 6)) // 2, (18 - 3) // 2) and not e.exact
 
 
@@ -354,14 +359,14 @@ def test_sudoku_bounds_shape_symmetric():
         for b in range(1, 9):
             if a * b < 2:
                 continue
-            assert sudoku_bounds(a, b) == sudoku_bounds(b, a), (a, b)
+            assert known_bounds("sudoku", a=a, b=b) == known_bounds("sudoku", a=b, b=a), (a, b)
 
 
 def test_bounds_reject_order_one():
     with pytest.raises(ParameterError, match="below order 2"):
-        pandiagonal_bounds(1)
+        known_bounds("pandiagonal", n=1)
     with pytest.raises(ParameterError, match="below order 2"):
-        sudoku_bounds(1, 1)
+        known_bounds("sudoku", a=1, b=1)
 
 
 def test_known_bounds_dispatch_errors():
@@ -373,6 +378,25 @@ def test_known_bounds_dispatch_errors():
         known_bounds("sudoku", a=3)
     with pytest.raises(ParameterError):
         known_bounds("magic", n=4)
+
+
+def test_known_bounds_refuses_arguments_its_kind_does_not_use():
+    # block sides are never dropped from a plain or pandiagonal query, nor is an order that
+    # the shape does not make: each used to answer for another class or another order
+    for kind in ("plain", "pandiagonal"):
+        for sides in ({"a": 2, "b": 3}, {"a": 1}, {"b": 5}):
+            with pytest.raises(ParameterError) as info:
+                known_bounds(kind, n=5, **sides)
+            assert str(info.value) == f"a block shape only applies to sudoku, not {kind}"
+    for a, b in [(2, 3), (3, 2)]:
+        with pytest.raises(ParameterError) as info:
+            known_bounds("sudoku", n=7, a=a, b=b)
+        assert str(info.value) == f"order 7 does not match shape ({a}, {b})"
+    with pytest.raises(ParameterError):
+        known_bounds("sudoku", n=6.0, a=2, b=3)
+    # the order a*b itself is accepted and changes nothing
+    for n in (6, np.int64(6)):
+        assert known_bounds("sudoku", n=n, a=3, b=2) == known_bounds("sudoku", a=2, b=3)
 
 
 def test_constructions_never_beat_the_proven_upper_bounds():

@@ -3,8 +3,12 @@ and the benchmark reach, and every module's `__all__` re-exported."""
 
 import importlib
 import importlib.util
+import re
+from pathlib import Path
 
 import latindist
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = """
     BoundsEntry ShiftParams algorithm1 algorithm2 known_bounds
@@ -41,3 +45,19 @@ def test_every_module_export_is_re_exported_by_the_package():
 
 def test_modmath_is_gone():
     assert importlib.util.find_spec("latindist.modmath") is None
+
+
+def test_readme_public_api_lists_each_module_export():
+    # one bullet per module, "- `module`: `name`, `name`, ... [prose]", in the README's
+    # "Public API" section, naming exactly that module's __all__
+    section = README.read_text().split("## Public API\n", 1)[1].split("\n## ", 1)[0]
+    assert f"`latindist` exports {len(PUBLIC)} names" in section
+    listed = {}
+    for bullet in re.findall(r"^- `(\w+)`: (.*?)(?=^- |\Z)", section, re.M | re.S):
+        module_name, body = bullet
+        items = (re.fullmatch(r"`(\w+)`", item.strip()) for item in body.split(","))
+        listed[module_name] = [m[1] for m in items if m]
+    assert sorted(listed) == sorted(MODULES)
+    for module_name, names in listed.items():
+        module = importlib.import_module(f"latindist.{module_name}")
+        assert sorted(names) == sorted(module.__all__), module_name
