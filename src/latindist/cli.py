@@ -5,7 +5,8 @@ commands read a file path or stdin; everything is deterministic, so
 generated output is byte-identical across runs.  Each subcommand refuses
 the flags it does not use (`gen --algo maxdist --n 5 --r 3` exits 2), and
 a stdout closed by its reader (`| head`) ends the output quietly, with
-the command's own exit code.
+the command's own exit code.  Start-up loads only `errors` and `grid`;
+each subcommand imports the modules it runs when it runs.
 
 Exit codes: 0 success / verified-true, 1 verified-false (failed check or
 irreducible grid), 2 usage, parse or file error, 3 provable nonexistence,
@@ -22,17 +23,11 @@ import time
 
 import numpy as np
 
-from .construct import (ShiftParams, algorithm1, algorithm2, known_bounds,
-                        max_distance_square, pandiagonal_max, shift_by_k,
-                        sudoku_square)
 from .errors import (GridFormatError, NonexistenceError, NotReducibleError,
                      ParameterError, UndefinedDistanceError)
-from .grid import (SudokuShape, _grids_text, format_grid_text, grid_to_json,
+from .grid import (SudokuShape, _grids_json, _grids_text, format_grid_text, grid_to_json,
                    parse_grid_json, parse_grid_text, validate_latin,
                    validate_pandiagonal, validate_sudoku)
-from .metrics import inner_distance
-from .search import DEFAULT_NODE_BUDGET, SearchQuery, run_search
-from .transform import to_circulant_canonical
 
 __all__ = ["main"]
 
@@ -44,14 +39,17 @@ EXIT_INTERNAL = 4
 MAX_TEXT_PAIRS = 100  # minimal pairs listed by dist in text mode
 
 
-# each --algo: the integer flags it takes, its builder, and the block shape its JSON carries
+# each --algo: the integer flags it takes, its builder over the construct module, which
+# only gen loads, and the block shape its JSON carries
 _GEN_ALGOS = {
-    "shift": (("n", "r", "c", "alpha", "beta"), lambda *p: algorithm1(ShiftParams(*p)), None),
-    "shiftk": (("n", "k"), shift_by_k, None),
-    "maxdist": (("n",), max_distance_square, None),
-    "pandiagonal": (("n",), pandiagonal_max, None),
-    "sudoku": (("a", "b"), sudoku_square, SudokuShape),
-    "eveneven": (("x", "y"), algorithm2, lambda x, y: SudokuShape(2 * x, 2 * y)),
+    "shift": (("n", "r", "c", "alpha", "beta"),
+              lambda lib, *p: lib.algorithm1(lib.ShiftParams(*p)), None),
+    "shiftk": (("n", "k"), lambda lib, *p: lib.shift_by_k(*p), None),
+    "maxdist": (("n",), lambda lib, *p: lib.max_distance_square(*p), None),
+    "pandiagonal": (("n",), lambda lib, *p: lib.pandiagonal_max(*p), None),
+    "sudoku": (("a", "b"), lambda lib, *p: lib.sudoku_square(*p), SudokuShape),
+    "eveneven": (("x", "y"), lambda lib, *p: lib.algorithm2(*p),
+                 lambda x, y: SudokuShape(2 * x, 2 * y)),
 }
 _GEN_FLAGS = tuple(dict.fromkeys(name for names, _, _ in _GEN_ALGOS.values() for name in names))
 _INT = {"type": int}
@@ -94,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
                  kind={"choices": _CLASSES, "default": "plain"}, n=_INT, a=_INT, b=_INT,
                  min_dist={"type": int, "required": True},
                  mode={"choices": ["count", "enumerate", "exists"], "default": "count"},
-                 budget={"type": int, "default": DEFAULT_NODE_BUDGET},
+                 budget=_INT,
                  witnesses_out={"help": "write witnesses as a multi-grid text file "
                                         "(enumerate or exists)"})
     _add_command(sub, "canon", _cmd_canon,
@@ -132,6 +130,8 @@ def _parse_grid(text: str, fmt: str):
 
 
 def _cmd_gen(args) -> int:
+    from . import construct
+
     names, build, block_shape = _GEN_ALGOS[args.algo]
     for name in _GEN_FLAGS:
         given, needed = getattr(args, name) is not None, name in names
@@ -139,7 +139,7 @@ def _cmd_gen(args) -> int:
             verb = "requires" if needed else "does not take"
             raise ParameterError(f"--algo {args.algo} {verb} --{name}")
     values = [getattr(args, name) for name in names]
-    grid = build(*values)
+    grid = build(construct, *values)
     shape = block_shape and block_shape(*values)
     if args.format == "json":
         _emit(json.dumps(grid_to_json(grid, shape)) + "\n", args.out)
@@ -191,6 +191,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dist(args) -> int:
+    from .metrics import inner_distance
+
     grid, _ = _parse_grid(_read_input(args.input), "text")
     report = inner_distance(grid)
     if args.format == "json":
@@ -210,6 +212,8 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .construct import known_bounds
+
     n, _ = _flag_class(args)
     entry = known_bounds(args.kind, n=n, a=args.a, b=args.b)
     _emit(json.dumps(entry.as_json_dict()) + "\n", args.out)
@@ -217,29 +221,37 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .search import SearchQuery, run_search
+
     n, shape = _flag_class(args)
     if args.witnesses_out and args.mode == "count":
         raise ParameterError("--witnesses-out needs --mode enumerate or exists: a count keeps "
                              "no squares")
+    # without --budget the query keeps its own default, DEFAULT_NODE_BUDGET
+    budget = {} if args.budget is None else {"node_budget": args.budget}
     query = SearchQuery(n=n, constraint=args.kind, shape=shape, min_distance=args.min_dist,
-                        mode=args.mode, node_budget=args.budget)
+                        mode=args.mode, **budget)
     started = time.perf_counter()
     result = run_search(query)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     doc = {"query": query.as_json_dict(), "count": result.count,
            "complete": result.complete, "nodes": result.nodes_expanded,
            "elapsed_ms": round(elapsed_ms, 3)}
-    # the witnesses as one (W, n, n) array, converted to JSON rows and to text in one go each
+    # the witnesses as one (W, n, n) array, written as JSON rows and as text in one go each
     stack = np.array([w.cells for w in result.witnesses], np.int64).reshape(-1, query.n, query.n)
-    if args.mode == "enumerate":
-        doc["witnesses"] = stack.tolist()
     if args.witnesses_out:
         _emit(_grids_text(stack), args.witnesses_out)
-    _emit(json.dumps(doc) + "\n", args.out)
+    text = json.dumps(doc)
+    if args.mode == "enumerate":
+        # json.dumps(doc) with the rows as its last entry
+        text = f'{text[:-1]}, "witnesses": {_grids_json(stack)}}}'
+    _emit(text + "\n", args.out)
     return EXIT_OK
 
 
 def _cmd_canon(args) -> int:
+    from .transform import to_circulant_canonical
+
     grid, _ = _parse_grid(_read_input(args.input), "text")
     canonical, perm = to_circulant_canonical(grid)
     if args.format == "json":

@@ -296,25 +296,37 @@ def format_grid_text(grid: SquareGrid) -> str:
 
 
 def _grids_text(stack: np.ndarray) -> str:
-    """The grids of an integer (W, n, n) stack in format_grid_text's format, a blank line apart.
+    """The grids of an integer (W, n, n) stack in format_grid_text's format, a blank line apart."""
+    return _stack_text(stack, " ", "\n", "\n\n", "\n") if len(stack) else ""
 
-    The whole stack is converted at once: one gather through a table of
-    symbol strings, one pass that drops the padding.
+
+def _grids_json(stack: np.ndarray) -> str:
+    """json.dumps(stack.tolist()) for an integer (W, n, n) stack."""
+    return "[[[" + _stack_text(stack, ", ", "], [", "]], [[", "]]]") if len(stack) else "[]"
+
+
+def _stack_text(stack: np.ndarray, cell: str, row: str, grid: str, last: str) -> str:
+    """Each symbol of a non-empty integer (W, n, n) stack in decimal, then its separator.
+
+    The separator is cell inside a row, row after a row, grid after a
+    grid's last row and last after the stack's last row.  The whole stack
+    is converted at once: one gather through a table of symbol strings,
+    one pass that drops the padding.
     """
-    if not len(stack):
-        return ""
     n = stack.shape[1]
-    width = len(str(n)) + 1
-    # the decimal string of each symbol 0..n, NUL-padded, then a space
-    table = np.arange(n + 1).astype(f"S{width}").view(np.uint8).reshape(n + 1, width)
-    table[:, -1] = ord(" ")
+    digits = len(str(n))
+    pad = max(map(len, (cell, row, grid, last)))
+    cell, row, grid, last = (np.frombuffer(sep.encode("ascii").ljust(pad, b"\0"), np.uint8)
+                             for sep in (cell, row, grid, last))
+    # the decimal string of each symbol 0..n, then cell, both NUL-padded
+    table = np.empty((n + 1, digits + pad), np.uint8)
+    table[:, :digits] = np.arange(n + 1).astype(f"S{digits}").view(np.uint8).reshape(n + 1, -1)
+    table[:, digits:] = cell
     text = table[stack]
-    text[..., -1, -1] = ord("\n")
-    # and a newline after every grid, which leaves a blank line between two; the last
-    # grid's is dropped below
-    text = np.concatenate((text.reshape(len(stack), -1),
-                           np.full((len(stack), 1), ord("\n"), np.uint8)), axis=1).ravel()
-    return text[text != 0][:-1].tobytes().decode("ascii")
+    text[:, :, -1, digits:] = row
+    text[:, -1, -1, digits:] = grid
+    text[-1, -1, -1, digits:] = last
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _int_rows(lines: list[str]) -> list[list[int]]:
@@ -382,6 +394,10 @@ def grid_from_json(doc: dict) -> tuple[SquareGrid, SudokuShape | None]:
     # 2.0 == 2 and True == 1, but neither is an order
     if type(order) is not int:
         raise GridFormatError(f"JSON order {order!r} is not an integer")
+    # nor is true a symbol; json.loads gives lists, the compact reader an int64 array
+    if isinstance(cells, list) and any(bool in map(type, row) for row in cells
+                                       if isinstance(row, list)):
+        raise GridFormatError("grid entries must be integers")
     grid = SquareGrid(cells)
     if grid.n != order:
         raise GridFormatError(f"declared order {order} but cells are {grid.n}x{grid.n}")

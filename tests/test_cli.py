@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from latindist import (SearchQuery, SquareGrid, SudokuShape, format_grid_text,
-                       grid_to_json, max_distance_square, parse_grid_json, parse_grid_text,
-                       run_search, shift_by_k, sudoku_square, validate_latin)
+from latindist import (DEFAULT_NODE_BUDGET, SearchQuery, SquareGrid, SudokuShape,
+                       format_grid_text, grid_to_json, max_distance_square, parse_grid_json,
+                       parse_grid_text, run_search, shift_by_k, sudoku_square, validate_latin)
 from latindist.cli import main
 
 from conftest import FIXTURE_DIR, load_golden
@@ -321,6 +321,37 @@ def test_witness_outputs_match_the_grids_one_by_one(capsys, tmp_path, argv, quer
         assert "witnesses" not in doc
 
 
+@pytest.mark.parametrize("argv, query", [
+    (["--n", "5", "--min-dist", "2"], SearchQuery(n=5, min_distance=2, mode="enumerate")),
+    (["--kind", "sudoku", "--a", "2", "--b", "3", "--min-dist", "2"],
+     SearchQuery(constraint="sudoku", shape=SudokuShape(2, 3), min_distance=2, mode="enumerate")),
+    (["--kind", "sudoku", "--a", "1", "--b", "2", "--min-dist", "1"],
+     SearchQuery(constraint="sudoku", shape=SudokuShape(1, 2), min_distance=1, mode="enumerate")),
+    (["--n", "5", "--min-dist", "2", "--budget", "3"],
+     SearchQuery(n=5, min_distance=2, mode="enumerate", node_budget=3)),
+    (["--n", "5", "--min-dist", "3"], SearchQuery(n=5, min_distance=3, mode="enumerate")),
+], ids=["plain-5", "sudoku-2x3", "sudoku-1x2", "starved", "no-squares"])
+def test_enumerate_json_is_json_dumps_of_its_document(capsys, argv, query):
+    # the witness rows are written as text in one conversion, byte for byte what
+    # json.dumps writes for the same document
+    code, out, err = run_cli(capsys, ["search", *argv, "--mode", "enumerate"])
+    assert (code, err) == (0, "")
+    result = run_search(query)
+    doc = {"query": query.as_json_dict(), "count": result.count, "complete": result.complete,
+           "nodes": result.nodes_expanded, "elapsed_ms": json.loads(out)["elapsed_ms"],
+           "witnesses": [w.rows() for w in result.witnesses]}
+    assert out == json.dumps(doc) + "\n"
+    # only the --budget 3 case is starved
+    assert result.complete == (query.node_budget > 3)
+
+
+def test_search_keeps_the_default_budget(capsys):
+    # without --budget the query keeps SearchQuery's own default
+    code, out, _ = run_cli(capsys, ["search", "--n", "5", "--min-dist", "2"])
+    assert code == 0
+    assert json.loads(out)["query"]["node_budget"] == 1000000000 == DEFAULT_NODE_BUDGET
+
+
 def test_canon_round_trip(capsys, monkeypatch):
     shifted = format_grid_text(shift_by_k(5, 3))
     code, out, _ = run_cli(capsys, ["canon", "--format", "json"], stdin=shifted,
@@ -493,6 +524,29 @@ def test_cli_start_up_does_not_import_multiprocessing(tmp_path):
                              "sys.exit(code)", str(wpath))
     assert proc.returncode == 0, proc.stderr
     assert len(wpath.read_text().split("\n\n")) == 20
+    # a bare import of the package loads none of its modules, and no numpy
+    proc = _run_python("-c", "import sys, latindist; "
+                             "loaded = [m for m in sys.modules if m.startswith('latindist')]; "
+                             "assert loaded == ['latindist'], loaded; "
+                             "assert 'numpy' not in sys.modules, 'numpy imported'")
+    assert proc.returncode == 0, proc.stderr
+    # each subcommand loads cli, errors and grid, and only the modules it runs besides
+    grid_file = str(FIXTURE_DIR / "order5_back_circulant.txt")
+    for argv, runs in [
+        (["check", "--kind", "latin", grid_file], []),
+        (["dist", grid_file], ["metrics"]),
+        (["canon", grid_file], ["transform"]),
+        (["gen", "--algo", "maxdist", "--n", "5"], ["construct", "transform"]),
+        (["bounds", "--kind", "plain", "--n", "5"], ["construct", "transform"]),
+        (["search", "--n", "5", "--min-dist", "2"], ["construct", "search", "transform"]),
+    ]:
+        proc = _run_python("-c", "import sys; from latindist.cli import main; "
+                                 "code = main(sys.argv[1:]); "
+                                 "print(*sorted(m for m in sys.modules "
+                                 "if m.startswith('latindist')), file=sys.stderr); "
+                                 "sys.exit(code)", *argv)
+        loaded = ["latindist", *(f"latindist.{m}" for m in ["cli", "errors", "grid", *runs])]
+        assert (proc.returncode, proc.stderr.split()) == (0, sorted(loaded)), argv
 
 
 def test_search_has_no_workers_flag():

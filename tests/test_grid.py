@@ -10,7 +10,7 @@ from latindist import (BlockAddress, GridFormatError, ParameterError,
                        grid_to_json, max_distance_square, parse_grid_json,
                        parse_grid_text, sudoku_square, transpose,
                        validate_latin, validate_pandiagonal, validate_sudoku)
-from latindist.grid import _grids, _grids_text, grid_from_json
+from latindist.grid import _grids, _grids_json, _grids_text, grid_from_json
 
 from oracle import is_latin, is_pandiagonal, is_sudoku
 from conftest import FIXTURE_DIR, random_grids
@@ -216,6 +216,16 @@ def test_stack_text_is_the_grid_texts_joined():
     assert _grids_text(np.zeros((0, 4, 4), np.int64)) == ""
 
 
+def test_stack_json_is_json_dumps_of_its_rows():
+    # the JSON rows of a whole stack in one conversion, byte for byte what json.dumps writes
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 9, 10, 11, 100):
+        for count in (1, 4):
+            stack = rng.integers(1, n + 1, size=(count, n, n))
+            assert _grids_json(stack) == json.dumps(stack.tolist()), (n, count)
+    assert _grids_json(np.zeros((0, 4, 4), np.int64)) == "[]"
+
+
 def loop_parse(text: str) -> SquareGrid:
     """Per-line reference: every token read with int()."""
     rows = []
@@ -327,6 +337,20 @@ def test_json_parse_errors():
             grid_from_json({"order": 2, "cells": [[1, 2], [2, 1]], "shape": shape})
     with pytest.raises(GridFormatError, match="needs 'a' and 'b' fields"):
         grid_from_json({"order": 2, "cells": [[1, 2], [2, 1]], "shape": {"a": 1}})
+
+
+@pytest.mark.parametrize("text", [
+    '{"order": 2, "cells": [[2, true], [true, 2]]}',
+    '{"order": 1, "cells": [[true]]}',
+    '{"order": 2, "cells": [[1, 2], [2, false]]}',
+    '{"order": 2, "cells": [[2, 1], [1, true]], "shape": {"a": 1, "b": 2}}',
+], ids=["true-as-1", "one-cell", "false-as-0", "with-shape"])
+def test_json_cells_refuse_booleans(text):
+    # true == 1 and false == 0, but neither is a symbol, as neither is an order or a side
+    with pytest.raises(GridFormatError, match="^grid entries must be integers$"):
+        parse_grid_json(text)
+    with pytest.raises(GridFormatError, match="^grid entries must be integers$"):
+        grid_from_json(json.loads(text))
 
 
 def reference_parse_json(text):

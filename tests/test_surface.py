@@ -3,8 +3,13 @@ and the benchmark reach, and every module's `__all__` re-exported."""
 
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import latindist
 
@@ -45,6 +50,47 @@ def test_every_module_export_is_re_exported_by_the_package():
 
 def test_modmath_is_gone():
     assert importlib.util.find_spec("latindist.modmath") is None
+
+
+def test_star_import_binds_each_modules_own_objects():
+    namespace = {}
+    exec("from latindist import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(PUBLIC)
+    for module_name in MODULES:
+        module = importlib.import_module(f"latindist.{module_name}")
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name), (module_name, name)
+    assert set(PUBLIC) | set(MODULES) <= set(dir(latindist))
+
+
+def test_unknown_names_are_attribute_errors():
+    with pytest.raises(AttributeError, match="module 'latindist' has no attribute 'no_such_name'"):
+        latindist.no_such_name
+    assert not hasattr(latindist, "modmath") and "modmath" not in dir(latindist)
+
+
+def test_a_bare_import_loads_each_module_on_first_use():
+    # in a fresh interpreter: dir lists every name before any module loads, a module
+    # name gives the module, and a public name loads only its own module and the ones it imports
+    code = """if True:
+        import sys, latindist
+        loaded = lambda: sorted(m for m in sys.modules if m.startswith("latindist."))
+        assert loaded() == [], loaded()
+        assert set(dir(latindist)) >= set(latindist.__all__), "dir"
+        assert loaded() == [], loaded()
+        assert latindist.search is sys.modules["latindist.search"], "search"
+        assert loaded() == ["latindist.construct", "latindist.errors", "latindist.grid",
+                            "latindist.search", "latindist.transform"], loaded()
+        from latindist import inner_distance
+        assert inner_distance is sys.modules["latindist.metrics"].inner_distance
+        assert latindist.__dict__["inner_distance"] is inner_distance, "cached"
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(README.parent / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_readme_public_api_lists_each_module_export():
