@@ -394,9 +394,9 @@ def grid_from_json(doc: dict) -> tuple[SquareGrid, SudokuShape | None]:
     # 2.0 == 2 and True == 1, but neither is an order
     if type(order) is not int:
         raise GridFormatError(f"JSON order {order!r} is not an integer")
-    # nor is true a symbol; json.loads gives lists, the compact reader an int64 array
-    if isinstance(cells, list) and any(bool in map(type, row) for row in cells
-                                       if isinstance(row, list)):
+    # nor is true or 2.0 a symbol; json.loads gives lists, the compact reader an int64 array
+    if isinstance(cells, list) and any(not {bool, float}.isdisjoint(map(type, row))
+                                       for row in cells if isinstance(row, list)):
         raise GridFormatError("grid entries must be integers")
     grid = SquareGrid(cells)
     if grid.n != order:

@@ -16,12 +16,18 @@ rows at n = 101); the prefix term stops a listing whose dead ends would
 outgrow the cap.  The rule reads only n and d, so a Sudoku query stacks
 rows iff the plain query of the same order and distance does.  numpy
 lists the rows once in lexicographic order, and the walk stacks whole
-rows on each other: sets of rows are Python ints with one bit per row,
+rows on each other.  A set of rows is a Python int with bit r for row r,
 and a row's column clashes, vertical distances and block clashes with
-the rows below it are each one AND with a mask it works out when it is
-first placed.  Near the ceiling a row admits few rows under it, so plain
-8 d=3 takes 656 row placements where the cell walk takes 7 253, and plain
-9 d=3 0.4 s where it takes 12 s.  A node is a row placement.
+the rows below it are each one AND with one of its three masks.  The
+one-word rule: when R <= 64, every set fits one 64-bit word, and numpy
+works out all R rows' masks in uint64 arrays before the walk starts;
+otherwise the sets are Python ints read from packed bytes, and the walk
+works out a row's masks when it first places it.  Both give the walk the
+same masks, so the rule changes no answer and no node count; at the odd
+ceilings, 2n rows, it covers n <= 31.  Near the ceiling a row admits few
+rows under it, so plain 8 d=3 takes 656 row placements where the cell
+walk takes 7 253, and plain 9 d=3 0.4 s where it takes 12 s.  A node is
+a row placement.
 
 The cell walk answers everything else: exists probes, pandiagonal
 squares (their diagonal clashes depend on how far apart two rows are)
@@ -536,48 +542,70 @@ def _rows(n: int, d: int):
 def _row_walk(rows, far, shape: SudokuShape | None, budget: int, collect: bool):
     """Depth-first stacking of whole rows from _rows, for count and enumerate queries.
 
-    rows and far are what _rows returns.  A set of rows is a Python int
-    with bit r for row r.  at[j][s] holds the rows with symbol s in column
-    j, below[j][s] those whose column j symbol is far from s, and, for
-    Sudoku squares, within[j][s] those with s in the block columns of
-    column j.  A row admits under it the AND of below[j][s] over its cells,
-    and excludes the OR of at[j][s] from the rows below it and, within its
-    band, the OR of within[j][s]; the walk works these masks out once for
-    each row it places.  Row 0 starts with 1 and is no greater than its
-    negation.  For plain and (a, a)-Sudoku squares the transposition rule
-    of the module docstring filters the first symbol of each row i >= 1.
-    Rows are tried in lexicographic order, and every row placed counts as
-    one node; a walk that needs more than budget nodes stops at node
-    budget + 1.  Returns _walk's tuple.
+    rows and far are what _rows returns.  A set of rows has bit r for row
+    r.  at[j][s] holds the rows with symbol s in column j, below[j][s] those
+    whose column j symbol is far from s, and, for Sudoku squares,
+    within[j][s] those with s in the block columns of column j.  A row's
+    masks are the rows it admits under it, the AND of below[j][s] over its
+    cells, and the rows it excludes below it, the OR of at[j][s], and
+    within its band, the OR of within[j][s].  Under the one-word rule of
+    the module docstring the tables are uint64 arrays and masks lists every
+    row's masks before the walk; otherwise the tables hold Python ints and
+    the walk fills a row's entry of masks when it first places the row.
+    Row 0 starts with 1 and is no greater than its negation.  For plain and
+    (a, a)-Sudoku squares the transposition rule of the module docstring
+    filters the first symbol of each row i >= 1.  Rows are tried in
+    lexicographic order, and every row placed counts as one node; a walk
+    that needs more than budget nodes stops at node budget + 1.  Returns
+    _walk's tuple.
     """
     total, n = rows.shape
     if not total:
         return 0, 0, 0, True, [], []
     a, b = (shape.a, shape.b) if shape is not None else (1, n)
-    # at and below as (n, n + 1) sets of R bits, bit r little-endian in byte r // 8; symbol
-    # 0 holds no row and pads each table so that it is indexed by the symbol itself
-    symbols = np.arange(n + 1)
-    bits = np.packbits(np.stack((rows.T[:, None] == symbols[:, None],
-                                 far[:, rows.T].swapaxes(0, 1))),
-                       axis=-1, bitorder="little")
-    width = bits.shape[-1]
-    bits = bits.reshape(-1, width)
-    if a > 1:
-        # the OR of at over each block's b columns, one table per block column
-        blocks = np.bitwise_or.reduce(bits[:n * (n + 1)].reshape(n // b, b, n + 1, width), axis=1)
-        bits = np.concatenate((bits, blocks.reshape(-1, width)))
-    sets = list(map(int.from_bytes, bits.view(f"V{width}").ravel().tolist(), repeat("little")))
-    tables = [sets[i:i + n + 1] for i in range(0, len(sets), n + 1)]
-    at, below = tables[:n], tables[n:2 * n]
-    within = [tables[2 * n + j // b] for j in range(n)] if a > 1 else None
+    if total <= 64:
+        # one uint64 word per set: scatter bit r into at[j][s] for each symbol s of row r,
+        # fold at into below and the block tables, and gather every row's masks at once;
+        # table[cells] is (R, n), each row's entries of a table column by column
+        columns = np.arange(n)
+        cells = (columns, rows)
+        at = np.zeros((n, n + 1), np.uint64)
+        np.bitwise_or.at(at, cells, (np.uint64(1) << np.arange(total, dtype=np.uint64))[:, None])
+        below = np.bitwise_or.reduce(np.where(far, at[:, None], np.uint64(0)), axis=-1)
+        block = repeat(0)
+        if a > 1:
+            within = np.bitwise_or.reduce(at.reshape(n // b, b, n + 1), axis=1)[columns // b]
+            block = np.bitwise_or.reduce(within[cells], axis=1).tolist()
+        masks = list(zip(np.bitwise_and.reduce(below[cells], axis=1).tolist(),
+                         np.bitwise_or.reduce(at[cells], axis=1).tolist(), block))
+        first = at[0].tolist()
+    else:
+        # at and below as (n, n + 1) sets of R bits, bit r little-endian in byte r // 8;
+        # symbol 0 holds no row and pads each table so that it is indexed by the symbol itself
+        symbols = np.arange(n + 1)
+        bits = np.packbits(np.stack((rows.T[:, None] == symbols[:, None],
+                                     far[:, rows.T].swapaxes(0, 1))),
+                           axis=-1, bitorder="little")
+        width = bits.shape[-1]
+        bits = bits.reshape(-1, width)
+        if a > 1:
+            # the OR of at over each block's b columns, one table per block column
+            blocks = np.bitwise_or.reduce(bits[:n * (n + 1)].reshape(n // b, b, n + 1, width),
+                                          axis=1)
+            bits = np.concatenate((bits, blocks.reshape(-1, width)))
+        sets = list(map(int.from_bytes, bits.view(f"V{width}").ravel().tolist(), repeat("little")))
+        tables = [sets[i:i + n + 1] for i in range(0, len(sets), n + 1)]
+        at, below = tables[:n], tables[n:2 * n]
+        within = [tables[2 * n + j // b] for j in range(n)] if a > 1 else None
+        masks = [None] * total
+        first = at[0]
     syms = rows.tolist()
     neg = _negation(n)
     transposable = _transposable(shape)
     # the first-symbol filter of rows 1.., by tie bits
-    firsts = _column_masks(at[0], neg)
+    firsts = _column_masks(first, neg)
     # the rows starting with 1 come first, total // n of them
     lead = sum(1 << r for r in range(total // n) if syms[r] <= [neg[u] for u in syms[r]])
-    masks: list[tuple[int, int, int] | None] = [None] * total
     count = twins = nodes = 0
     leaves: list[tuple[int, ...]] = []
     twin_leaves: list[tuple[int, ...]] = []
@@ -616,6 +644,7 @@ def _row_walk(rows, far, shape: SudokuShape | None, budget: int, collect: bool):
                     twin_leaves.append(leaves[-1])
             continue
         if masks[r] is None:
+            # a query of more than 64 rows, whose tables are lists of Python ints
             masks[r] = (reduce(and_, map(list.__getitem__, below, row)),
                         reduce(or_, map(list.__getitem__, at, row)),
                         reduce(or_, map(list.__getitem__, within, row)) if within else 0)

@@ -215,21 +215,22 @@ def admissible_rows(n: int, d: int):
     return tuple(row for row in permutations(range(1, n + 1)) if near.isdisjoint(pairwise(row)))
 
 
-def row_prefixes(n: int, d: int, shape=None):
+def row_prefixes(n: int, d: int, shape=None, rows=None):
     """The partial squares the count and enumerate row walk places, in its order.
 
-    The walk stacks admissible_rows(n, d) top to bottom, trying them in
-    their order.  A stack is kept if no column holds a symbol twice, every
-    two vertically adjacent symbols lie at distance >= d, no (a, b) block of
-    a Sudoku shape holds a symbol twice, row 0 starts with 1 and is not
-    lexicographically greater than its negation u -> 2 - u (mod n), and, for
-    plain and (a, a)-Sudoku squares, with R and C the symbols of row 0 and
-    of column 0 in positions 1..i-1 of a stack of i rows, R <= C and R <= -C.
-    Yields each kept stack as a tuple of row tuples.
+    The walk stacks admissible_rows(n, d), or the given rows, a sorted part
+    of them, top to bottom, trying them in their order.  A stack is kept if
+    no column holds a symbol twice, every two vertically adjacent symbols
+    lie at distance >= d, no (a, b) block of a Sudoku shape holds a symbol
+    twice, row 0 starts with 1 and is not lexicographically greater than
+    its negation u -> 2 - u (mod n), and, for plain and (a, a)-Sudoku
+    squares, with R and C the symbols of row 0 and of column 0 in positions
+    1..i-1 of a stack of i rows, R <= C and R <= -C.  Yields each kept
+    stack as a tuple of row tuples.
     """
     a, b = shape if shape else (1, n)
     transposable = shape is None or a == b
-    rows = admissible_rows(n, d)
+    rows = admissible_rows(n, d) if rows is None else rows
     near = _near(n, d)
 
     def fits(stack, row):
@@ -262,7 +263,7 @@ def row_prefixes(n: int, d: int, shape=None):
     yield from extend([])
 
 
-def row_prefix_count(n: int, d: int, shape=None):
+def row_prefix_count(n: int, d: int, shape=None, rows=None):
     """(prefixes, squares) of the row walk; see row_prefixes.
 
     prefixes is the number of stacks it places; squares the number of
@@ -273,7 +274,7 @@ def row_prefix_count(n: int, d: int, shape=None):
     """
     a, b = shape if shape else (1, n)
     prefixes = squares = 0
-    for stack in row_prefixes(n, d, shape):
+    for stack in row_prefixes(n, d, shape, rows):
         prefixes += 1
         if len(stack) == n:
             r = stack[0]

@@ -447,6 +447,14 @@ def test_malformed_json_grids_exit_2(capsys, monkeypatch, doc):
     assert err.startswith("latindist: ") and err.count("\n") == 1
 
 
+def test_json_float_cells_exit_2(capsys, monkeypatch):
+    # 2.0 == 2, but a symbol is an int, as the order is; the grid would pass as Latin
+    code, out, err = run_cli(capsys, ["check", "--kind", "latin", "--format", "json"],
+                             stdin='{"order": 2, "cells": [[2.0, 1], [1, 2]]}',
+                             monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "latindist: grid entries must be integers\n")
+
+
 BACK_CIRCULANT_DIST_TEXT = (
     "inner distance: 1\ndistance classes (value x pairs): 1x40\n"
     "minimum achieved at: (1,1)-(1,2); (1,2)-(1,3); (1,3)-(1,4); (1,4)-(1,5); "

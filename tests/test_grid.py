@@ -353,6 +353,21 @@ def test_json_cells_refuse_booleans(text):
         grid_from_json(json.loads(text))
 
 
+@pytest.mark.parametrize("text", [
+    '{"order": 2, "cells": [[2.0, 1], [1, 2]]}',
+    '{"order": 1, "cells": [[1.0]]}',
+    '{"order": 2, "cells": [[1, 2], [2, 1e0]]}',
+    '{"order": 2, "cells": [[1, 2], [2, 1.5]]}',
+    '{"order": 2, "cells": [[2, 1], [1, 2.0]], "shape": {"a": 1, "b": 2}}',
+], ids=["two-point-zero", "one-cell", "exponent", "fraction", "with-shape"])
+def test_json_cells_refuse_floats(text):
+    # 2.0 == 2, but it is no symbol, as it is no order and the text reader's 1.0 no symbol
+    with pytest.raises(GridFormatError, match="^grid entries must be integers$"):
+        parse_grid_json(text)
+    with pytest.raises(GridFormatError, match="^grid entries must be integers$"):
+        grid_from_json(json.loads(text))
+
+
 def reference_parse_json(text):
     """json.loads, then grid_from_json; a text json.loads rejects is a GridFormatError."""
     try:

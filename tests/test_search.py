@@ -4,6 +4,8 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latindist import (NonexistenceError, ParameterError,
                        SearchIncompleteError, SearchQuery, SquareGrid, SudokuShape,
@@ -319,6 +321,47 @@ def test_the_cell_walk_expands_the_set_based_cell_tree(n, d, nodes, squares):
     assert _cell_walk(SearchQuery(n=n, min_distance=d)) == (nodes, squares)
 
 
+# d = 1 admits every Latin square: the numbers of Latin squares (OEIS A002860) and of
+# Sudoku squares, found outside this code.  rows is how many rows the row walk stacks.
+_PUBLISHED = [pytest.param(n, shape, rows, want, id=f"sudoku-{shape[0]}-{shape[1]}" if shape
+                           else f"plain-{n}")
+              for n, shape, rows, want in [(2, None, 2, 2), (3, None, 6, 12), (4, None, 24, 576),
+                                           (4, (2, 2), 24, 288), (5, None, 120, 161_280)]]
+
+
+@pytest.mark.parametrize("n, shape, rows, want", _PUBLISHED + [
+    pytest.param(6, (2, 3), 720, 28_200_960, marks=pytest.mark.slow, id="sudoku-2-3"),
+    pytest.param(6, None, 720, 812_851_200, marks=pytest.mark.slow, id="plain-6")])
+def test_distance_1_counts_are_the_published_numbers(n, shape, rows, want):
+    assert len(_rows(n, 1)[0]) == rows
+    result = run_search(SearchQuery(n=n, constraint="sudoku" if shape else "plain",
+                                    shape=SudokuShape(*shape) if shape else None, min_distance=1))
+    assert result.complete and result.count == want
+
+
+@pytest.mark.parametrize("n, shape, rows, want", _PUBLISHED)
+def test_the_cell_walk_counts_the_published_numbers(n, shape, rows, want):
+    query = SearchQuery(n=n, constraint="sudoku" if shape else "plain",
+                        shape=SudokuShape(*shape) if shape else None, min_distance=1)
+    assert _cell_walk(query)[1] * (n if n == 2 else 2 * n) == want
+
+
+@pytest.mark.parametrize("lead, total", [(8, 64), (9, 72)])
+def test_a_whole_word_of_rows_and_one_row_more(lead, total):
+    # no listing has 63 to 65 rows; the first lead rows of plain 8 d=3, which start with 1,
+    # and their translations make 64 rows, the last one bit 63 of a word, and 72
+    rows, far = _rows(8, 3)
+    listed = np.concatenate([(rows[:lead] + s - 1) % 8 + 1 for s in range(8)])
+    listed = listed[np.lexsort(listed.T[::-1])]
+    assert len(listed) == total
+    tuples = tuple(map(tuple, listed.tolist()))
+    count, twins, nodes, complete, leaves, _ = _row_walk(listed, far, None, 10**9, True)
+    assert complete and (nodes, count + twins) == row_prefix_count(8, 3, rows=tuples)
+    stacks = [stack for stack in row_prefixes(8, 3, rows=tuples) if len(stack) == 8]
+    assert [tuple(leaf[i:i + 8] for i in range(0, 64, 8)) for leaf in leaves] == stacks
+    assert any(tuples[-1] in stack for stack in stacks)
+
+
 @pytest.mark.parametrize("a, b, d, cells, rows", [
     pytest.param(a, b, d, cells, rows, id=f"{a}-{b}-{d}-{cells}")
     for a, b, d, cells, rows in [(2, 2, 1, 212, 53), (2, 3, 2, 136, 23), (3, 2, 2, 119, 19),
@@ -443,6 +486,35 @@ def test_sudoku_witnesses_are_laid_out_row_by_row():
     assert not starved.complete
     assert [row_tuples(w) for w in starved.witnesses] == [s for s in placed if len(s) == 9]
     assert starved.count == len(starved.witnesses) == 45
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_random_row_walks_match_the_row_prefixes(data):
+    # any count or enumerate query of plain order <= 6 or a small Sudoku shape, any
+    # distance, any budget: the walk places the oracle's stacks, in its order, until the
+    # tree ends or the budget + 1-th placement
+    n, shape = data.draw(st.sampled_from([(n, None) for n in range(2, 7)]
+                                         + [(4, (2, 2)), (6, (2, 3)), (6, (3, 2))]))
+    d = data.draw(st.integers(1, n // 2 + 1))
+    mode = data.draw(st.sampled_from(("count", "enumerate")))
+    budget = data.draw(st.integers(1, 200))
+    assert _rows(n, d) is not None
+    result = run_search(SearchQuery(n=n, constraint="sudoku" if shape else "plain",
+                                    shape=SudokuShape(*shape) if shape else None,
+                                    min_distance=d, mode=mode, node_budget=budget))
+    placed = list(islice(row_prefixes(n, d, shape), budget + 1))
+    assert result.nodes_expanded == len(placed)
+    assert result.complete == (len(placed) <= budget)
+    assert len(result.witnesses) == (result.count if mode == "enumerate" else 0)
+    if result.complete:
+        prefixes, squares = row_prefix_count(n, d, shape)
+        assert prefixes == len(placed) and result.count == squares * (n if n == 2 else 2 * n)
+    else:
+        leaves = [stack for stack in placed[:budget] if len(stack) == n]
+        assert result.count == len(leaves)
+        if mode == "enumerate":
+            assert [row_tuples(w) for w in result.witnesses] == leaves
 
 
 def test_budget_exhaustion_is_reported_not_silent():
