@@ -5,8 +5,10 @@ commands read a file path or stdin; everything is deterministic, so
 generated output is byte-identical across runs.  Each subcommand refuses
 the flags it does not use (`gen --algo maxdist --n 5 --r 3` exits 2), and
 a stdout closed by its reader (`| head`) ends the output quietly, with
-the command's own exit code.  Start-up loads only `errors` and `grid`;
-each subcommand imports the modules it runs when it runs.
+the command's own exit code.  --kind, --n, --a and --b name a square
+class by the library's one class rule, and check refuses a shape that
+contradicts the one its JSON grid carries.  Start-up loads only `errors`
+and `grid`; each subcommand imports the modules it runs when it runs.
 
 Exit codes: 0 success / verified-true, 1 verified-false (failed check or
 irreducible grid), 2 usage, parse or file error, 3 provable nonexistence,
@@ -25,9 +27,9 @@ import numpy as np
 
 from .errors import (GridFormatError, NonexistenceError, NotReducibleError,
                      ParameterError, UndefinedDistanceError)
-from .grid import (SudokuShape, _grids_json, _grids_text, format_grid_text, grid_to_json,
-                   parse_grid_json, parse_grid_text, validate_latin,
-                   validate_pandiagonal, validate_sudoku)
+from .grid import (_KINDS, SudokuShape, _grids_json, _grids_text, _square_class,
+                   format_grid_text, grid_to_json, parse_grid_json, parse_grid_text,
+                   validate_latin, validate_pandiagonal, validate_sudoku)
 
 __all__ = ["main"]
 
@@ -54,7 +56,6 @@ _GEN_ALGOS = {
 _GEN_FLAGS = tuple(dict.fromkeys(name for names, _, _ in _GEN_ALGOS.values() for name in names))
 _INT = {"type": int}
 _FORMAT = {"choices": ["text", "json"], "default": "text"}
-_CLASSES = ["plain", "pandiagonal", "sudoku"]
 
 
 def _add_command(sub, name: str, handler, help: str, grid: bool = False, **flags) -> None:
@@ -87,9 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_command(sub, "dist", _cmd_dist, "inner distance and distance-class census", grid=True,
                  format=_FORMAT)
     _add_command(sub, "bounds", _cmd_bounds, "proven bounds for a square class",
-                 kind={"required": True, "choices": _CLASSES}, n=_INT, a=_INT, b=_INT)
+                 kind={"required": True, "choices": _KINDS}, n=_INT, a=_INT, b=_INT)
     _add_command(sub, "search", _cmd_search, "exhaustively count/enumerate squares",
-                 kind={"choices": _CLASSES, "default": "plain"}, n=_INT, a=_INT, b=_INT,
+                 kind={"choices": _KINDS, "default": "plain"}, n=_INT, a=_INT, b=_INT,
                  min_dist={"type": int, "required": True},
                  mode={"choices": ["count", "enumerate", "exists"], "default": "count"},
                  budget=_INT,
@@ -151,27 +152,21 @@ def _cmd_gen(args) -> int:
 def _flag_class(args) -> tuple[int | None, SudokuShape | None]:
     """The order and block shape that --kind, --n, --a and --b name.
 
-    Block sides given with another kind, one side alone, or an order the
-    shape does not make are refused, not dropped.  A command that reads a
-    grid takes the order, and a Sudoku shape the flags leave out, from the
-    grid; any other needs both from its flags.
+    Missing flags are refused here, in the flags' words: Sudoku needs both
+    sides, another kind its order, unless a grid is read, which gives the
+    order and a Sudoku shape the flags leave out.  `grid._square_class`
+    refuses the rest, except that check takes a Sudoku shape of any order.
     """
-    n = getattr(args, "n", None)  # check has no --n
-    if args.a is None and args.b is None:
-        if "input" not in args:
-            if args.kind == "sudoku":
-                raise ParameterError("--kind sudoku needs --a and --b")
-            if n is None:
-                raise ParameterError(f"--kind {args.kind} needs --n")
-        return n, None
-    if args.kind != "sudoku":
-        raise ParameterError(f"a block shape only applies to sudoku, not {args.kind}")
-    if args.a is None or args.b is None:
+    n, sides, reads_grid = getattr(args, "n", None), (args.a, args.b), "input" in args
+    if reads_grid and sides == (None, None):
+        return None, None
+    if args.kind == "sudoku" and None in sides:
         raise ParameterError("--kind sudoku needs --a and --b")
-    shape = SudokuShape(args.a, args.b)
-    if n not in (None, shape.n):
-        raise ParameterError(f"order {n} does not match shape ({shape.a}, {shape.b})")
-    return shape.n, shape
+    if n is None and sides == (None, None):
+        raise ParameterError(f"--kind {args.kind} needs --n")
+    if reads_grid and args.kind == "sudoku":
+        return None, SudokuShape(*sides)
+    return _square_class(args.kind, n, *sides)
 
 
 def _cmd_check(args) -> int:
@@ -182,6 +177,9 @@ def _cmd_check(args) -> int:
     elif args.kind == "pandiagonal":
         report = validate_pandiagonal(grid)
     else:
+        if shape and embedded_shape and shape != embedded_shape:
+            raise ParameterError(f"shape ({shape.a}, {shape.b}) does not match the grid's "
+                                 f"shape ({embedded_shape.a}, {embedded_shape.b})")
         shape = shape or embedded_shape
         if shape is None:
             raise ParameterError("--kind sudoku needs --a and --b (or a JSON grid with a shape)")
@@ -214,8 +212,8 @@ def _cmd_dist(args) -> int:
 def _cmd_bounds(args) -> int:
     from .construct import known_bounds
 
-    n, _ = _flag_class(args)
-    entry = known_bounds(args.kind, n=n, a=args.a, b=args.b)
+    _flag_class(args)
+    entry = known_bounds(args.kind, n=args.n, a=args.a, b=args.b)
     _emit(json.dumps(entry.as_json_dict()) + "\n", args.out)
     return EXIT_OK
 

@@ -24,7 +24,7 @@ from math import gcd
 import numpy as np
 
 from .errors import NonexistenceError, ParameterError
-from .grid import SquareGrid, SudokuShape, _cyclic_distance, _order, _validate
+from .grid import SquareGrid, SudokuShape, _cyclic_distance, _order, _square_class, _validate
 from .transform import transpose
 
 __all__ = [
@@ -333,31 +333,17 @@ def known_bounds(kind: str, *, n: int | None = None,
     """Best proven bounds on the maximum inner distance of one square class.
 
     kind is plain or pandiagonal with an order n, or sudoku with a block
-    shape (a, b) and, optionally, the order a*b it makes; an argument the
-    kind does not use is refused, not dropped.  Shapes are normalized to
+    shape (a, b) and, optionally, the order a*b it makes, by the class rule
+    of `grid._square_class`, which refuses an argument the kind does not
+    use rather than dropping it.  Shapes are normalized to
     a <= b (transposing swaps the shape and preserves all distances), so
     (a, b) and (b, a) return the same entry.  Blocks one row high follow the
     plain rule; for a >= 2 the lower bound is the distance `sudoku_square`
     reaches.
     """
-    if kind == "sudoku":
-        if a is None or b is None:
-            raise ParameterError("sudoku bounds need a block shape (a, b)")
-        shape = SudokuShape(a, b)
-        if n is not None and _order(n) != shape.n:
-            raise ParameterError(f"order {n} does not match shape ({shape.a}, {shape.b})")
-        n, (a, b) = shape.n, sorted((shape.a, shape.b))
-    elif kind in ("plain", "pandiagonal"):
-        if a is not None or b is not None:
-            raise ParameterError(f"a block shape only applies to sudoku, not {kind}")
-        if n is None:
-            raise ParameterError(f"{kind} bounds need an order n")
-        n = _order(n)
-    else:
-        raise ParameterError(f"unknown kind {kind!r}")
-    if n < 2:
-        raise ParameterError("no inner distance is defined below order 2")
-
+    n, shape = _square_class(kind, n, a, b)
+    if shape is not None:
+        a, b = sorted((shape.a, shape.b))
     if kind == "pandiagonal":
         if n % 6 not in (1, 5):
             return BoundsEntry(kind, n, None, None, 0, 0, False, False, ("divisibility-existence",))

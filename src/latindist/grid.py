@@ -167,6 +167,38 @@ class SudokuShape:
         return self.a * self.b
 
 
+_KINDS = ("plain", "pandiagonal", "sudoku")
+
+
+def _square_class(kind: str, n=None, a=None, b=None) -> tuple[int, SudokuShape | None]:
+    """The order and block shape of a square class, by the one class rule.
+
+    kind is plain or pandiagonal with an order n, or sudoku with block
+    sides (a, b) and, optionally, the order a*b they make.  Anything else
+    is refused, not dropped: sides with another kind, another kind, a
+    missing order or side, an order the sides do not make, an order below
+    2.  numpy integers become Python ints.
+    """
+    if kind != "sudoku" and (a is not None or b is not None):
+        raise ParameterError(f"a block shape only applies to sudoku, not {kind}")
+    if kind not in _KINDS:
+        raise ParameterError(f"unknown kind {kind!r}")
+    shape = None
+    if kind == "sudoku":
+        if a is None or b is None:
+            raise ParameterError("sudoku squares need a block shape (a, b)")
+        shape = SudokuShape(a, b)
+        if n is not None and _order(n) != shape.n:
+            raise ParameterError(f"order {n} does not match shape ({shape.a}, {shape.b})")
+        n = shape.n
+    elif n is None:
+        raise ParameterError(f"{kind} squares need an order n")
+    n = _order(n)
+    if n < 2:
+        raise ParameterError("no inner distance is defined below order 2")
+    return n, shape
+
+
 class BlockAddress(NamedTuple):
     band: int
     stack: int

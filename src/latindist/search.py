@@ -129,7 +129,8 @@ import numpy as np
 
 from .construct import known_bounds
 from .errors import NonexistenceError, ParameterError, SearchIncompleteError
-from .grid import SquareGrid, SudokuShape, _cyclic_distance, _grids, _order, _unit_labels
+from .grid import (_KINDS, SquareGrid, SudokuShape, _cyclic_distance, _grids, _order,
+                   _square_class, _unit_labels)
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -149,7 +150,6 @@ DEFAULT_NODE_BUDGET = 10**9
 _ROW_CAP = 2**13
 _TABLE_BITS = 2**23
 
-_CONSTRAINTS = ("plain", "pandiagonal", "sudoku")
 _MODES = ("count", "enumerate", "exists")
 
 
@@ -170,7 +170,9 @@ class SearchQuery:
     docstring, and a cell otherwise: in exists mode, for pandiagonal
     squares and for queries the rule turns away.  n, min_distance and
     node_budget are integers, numpy's included; a bool, float or string is
-    none of them.
+    none of them.  n and shape follow the class rule of
+    `grid._square_class`: a sudoku query takes a SudokuShape and, if it
+    gives n at all, the order the shape makes.
     """
 
     n: int | None = None
@@ -181,8 +183,8 @@ class SearchQuery:
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
-        if self.constraint not in _CONSTRAINTS:
-            raise ParameterError(f"constraint must be one of {_CONSTRAINTS}, got {self.constraint!r}")
+        if self.constraint not in _KINDS:
+            raise ParameterError(f"constraint must be one of {_KINDS}, got {self.constraint!r}")
         if self.mode not in _MODES:
             raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
         object.__setattr__(self, "min_distance", _order(self.min_distance, "min_distance"))
@@ -191,24 +193,11 @@ class SearchQuery:
         object.__setattr__(self, "node_budget", _order(self.node_budget, "node_budget"))
         if self.node_budget < 1:
             raise ParameterError(f"node_budget must be positive, got {self.node_budget}")
-        if self.n is not None:
-            # numpy orders become Python ints: the walk builds bitmasks from n
-            object.__setattr__(self, "n", _order(self.n))
-        if self.constraint == "sudoku":
-            if not isinstance(self.shape, SudokuShape):
-                raise ParameterError(f"sudoku searches need a SudokuShape, got {self.shape!r}")
-            if self.n is None:
-                object.__setattr__(self, "n", self.shape.n)
-            elif self.n != self.shape.n:
-                raise ParameterError(f"order {self.n} does not match shape "
-                                     f"({self.shape.a}, {self.shape.b})")
-        else:
-            if self.shape is not None:
-                raise ParameterError(f"a block shape only applies to sudoku, not {self.constraint}")
-            if self.n is None:
-                raise ParameterError("order n is required")
-        if self.n < 2:
-            raise ParameterError("no inner distance is defined below order 2")
+        if self.shape is not None and not isinstance(self.shape, SudokuShape):
+            raise ParameterError(f"shape must be a SudokuShape, got {self.shape!r}")
+        sides = (None, None) if self.shape is None else (self.shape.a, self.shape.b)
+        # numpy orders become Python ints: the walk builds bitmasks from n
+        object.__setattr__(self, "n", _square_class(self.constraint, self.n, *sides)[0])
 
     def as_json_dict(self) -> dict:
         doc = {"constraint": self.constraint, "n": self.n,
@@ -719,28 +708,21 @@ def max_distance_via_search(kind: str, size, *, node_budget: int = DEFAULT_NODE_
 
     Probes existence downward from the proven upper bound, so it both
     verifies the bound and finds the maximum.  size is an order for plain
-    and pandiagonal kinds, or an (a, b) shape for sudoku.  If a probe hits
+    and pandiagonal kinds, or an (a, b) pair or a SudokuShape for sudoku;
+    `known_bounds` applies the class rule to it.  If a probe hits
     the node budget the answer is unknown and a SearchIncompleteError with
     the open bracket, from the known lower bound to the starved distance, is
     raised instead of a guess.
     """
-    if kind == "sudoku":
-        pair = isinstance(size, (tuple, list)) and len(size) == 2
-        if not (pair or isinstance(size, SudokuShape)):
-            raise ParameterError(f"a sudoku size is a SudokuShape or an (a, b) pair, got {size!r}")
-        shape = SudokuShape(*size) if pair else size
-        entry = known_bounds(kind, a=shape.a, b=shape.b)
-        n = shape.n
-    elif kind in ("plain", "pandiagonal"):
-        shape = None
-        entry = known_bounds(kind, n=size)
-        n = entry.n
-    else:
-        raise ParameterError(f"unknown kind {kind!r}")
+    sides = (size.a, size.b) if isinstance(size, SudokuShape) else size
+    pair = isinstance(sides, (tuple, list)) and len(sides) == 2
+    entry = known_bounds(kind, **(dict(zip("ab", sides)) if pair else {"n": size}))
     if not entry.existence:
-        raise NonexistenceError(f"no {kind} Latin square of order {n} exists")
+        raise NonexistenceError(f"no {kind} Latin square of order {entry.n} exists")
+    # the shape as given: the entry's sides are sorted
+    shape = SudokuShape(*sides) if pair else None
     for d in range(entry.upper, 0, -1):
-        query = SearchQuery(n=n, constraint=kind, shape=shape, min_distance=d,
+        query = SearchQuery(n=entry.n, constraint=kind, shape=shape, min_distance=d,
                             mode="exists", node_budget=node_budget)
         result = run_search(query)
         if not result.complete:

@@ -2,8 +2,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from latindist import SquareGrid, parse_grid_text
+
+# every property test draws the same examples on every run and every Python, untimed; a
+# test's own @settings still names its example count
+settings.register_profile("latindist", derandomize=True, deadline=None)
+settings.load_profile("latindist")
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 

@@ -612,6 +612,30 @@ def test_stray_block_flags_are_refused(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["n"] == 6
 
 
+def test_check_refuses_flags_that_contradict_the_grids_shape(capsys, monkeypatch):
+    # --a 3 --b 2 on a (2, 3) document used to validate against the flags' shape and report
+    # 8 block violations: two statements of one class that disagree are refused
+    square = sudoku_square(2, 3)
+    embedded = json.dumps(grid_to_json(square, SudokuShape(2, 3)))
+    code, out, err = run_cli(capsys, ["check", "--kind", "sudoku", "--a", "3", "--b", "2",
+                                      "--format", "json"], stdin=embedded, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "latindist: shape (3, 2) does not match the grid's shape (2, 3)\n"
+    # matching shapes, either shape alone, and the kinds without blocks keep their verdicts
+    for argv, stdin, want in [
+        (["--kind", "sudoku", "--a", "2", "--b", "3", "--format", "json"], embedded, 0),
+        (["--kind", "sudoku", "--format", "json"], embedded, 0),
+        (["--kind", "sudoku", "--a", "3", "--b", "2"], format_grid_text(square), 1),
+        (["--kind", "sudoku", "--a", "3", "--b", "2", "--format", "json"],
+         json.dumps(grid_to_json(square)), 1),
+        (["--kind", "latin", "--format", "json"], embedded, 0),
+        (["--kind", "pandiagonal", "--format", "json"], embedded, 1),
+    ]:
+        code, out, err = run_cli(capsys, ["check", *argv], stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, err) == (want, ""), argv
+        assert json.loads(out)["verdict"] is (want == 0), argv
+
+
 def test_console_script_resolves_to_main(capsys):
     # Python 3.10 has no tomllib: read the [project.scripts] entry with a regex
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
