@@ -1,14 +1,15 @@
 """Batch command-line surface over the library.
 
-Subcommands: gen, check, dist, bounds, search, canon.  Grid-consuming
-commands read a file path or stdin; everything is deterministic, so
-generated output is byte-identical across runs.  Each subcommand refuses
-the flags it does not use (`gen --algo maxdist --n 5 --r 3` exits 2), and
-a stdout closed by its reader (`| head`) ends the output quietly, with
-the command's own exit code.  --kind, --n, --a and --b name a square
-class by the library's one class rule, and check refuses a shape that
-contradicts the one its JSON grid carries.  Start-up loads only `errors`
-and `grid`; each subcommand imports the modules it runs when it runs.
+Subcommands: gen, check, dist, bounds, search, canon.  check, dist and canon
+read a grid from a file path or stdin, as a JSON document if it starts with
+"{" after JSON whitespace and as text otherwise; --format names the output
+format.  Output is deterministic; search writes its witnesses from the walk's
+own array.  Each subcommand refuses the flags it does not use (`gen --algo
+maxdist --n 5 --r 3` exits 2), and a stdout closed by its reader (`| head`)
+ends the output quietly, with the command's own exit code.  --kind, --n, --a
+and --b name a square class by the library's one class rule, and check
+refuses a shape that contradicts the one its JSON grid carries.  Start-up
+loads only `errors` and `grid`; each subcommand imports what it runs.
 
 Exit codes: 0 success / verified-true, 1 verified-false (failed check or
 irreducible grid), 2 usage, parse or file error, 3 provable nonexistence,
@@ -22,8 +23,6 @@ import json
 import os
 import sys
 import time
-
-import numpy as np
 
 from .errors import (GridFormatError, NonexistenceError, NotReducibleError,
                      ParameterError, UndefinedDistanceError)
@@ -84,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
                  **dict.fromkeys(_GEN_FLAGS, _INT), format=_FORMAT)
     _add_command(sub, "check", _cmd_check, "validate a grid; exit 0 iff it passes", grid=True,
                  kind={"required": True, "choices": ["latin", "pandiagonal", "sudoku"]},
-                 a=_INT, b=_INT, format=dict(_FORMAT, help="input format"))
+                 a=_INT, b=_INT)
     _add_command(sub, "dist", _cmd_dist, "inner distance and distance-class census", grid=True,
                  format=_FORMAT)
     _add_command(sub, "bounds", _cmd_bounds, "proven bounds for a square class",
@@ -101,11 +100,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(path: str | None) -> str:
+def _read_grid(path: str | None):
+    """The grid and JSON block shape at path, or on stdin: a JSON document starts with "{"."""
     if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    if text.lstrip(" \t\n\r").startswith("{"):
+        return parse_grid_json(text)
+    return parse_grid_text(text), None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -122,12 +126,6 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _parse_grid(text: str, fmt: str):
-    if fmt == "json":
-        return parse_grid_json(text)
-    return parse_grid_text(text), None
 
 
 def _cmd_gen(args) -> int:
@@ -171,7 +169,7 @@ def _flag_class(args) -> tuple[int | None, SudokuShape | None]:
 
 def _cmd_check(args) -> int:
     _, shape = _flag_class(args)
-    grid, embedded_shape = _parse_grid(_read_input(args.input), args.format)
+    grid, embedded_shape = _read_grid(args.input)
     if args.kind == "latin":
         report = validate_latin(grid)
     elif args.kind == "pandiagonal":
@@ -191,7 +189,7 @@ def _cmd_check(args) -> int:
 def _cmd_dist(args) -> int:
     from .metrics import inner_distance
 
-    grid, _ = _parse_grid(_read_input(args.input), "text")
+    grid, _ = _read_grid(args.input)
     report = inner_distance(grid)
     if args.format == "json":
         _emit(json.dumps(report.as_json_dict()) + "\n", args.out)
@@ -219,7 +217,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .search import SearchQuery, run_search
+    from .search import SearchQuery, _search
 
     n, shape = _flag_class(args)
     if args.witnesses_out and args.mode == "count":
@@ -230,13 +228,10 @@ def _cmd_search(args) -> int:
     query = SearchQuery(n=n, constraint=args.kind, shape=shape, min_distance=args.min_dist,
                         mode=args.mode, **budget)
     started = time.perf_counter()
-    result = run_search(query)
+    count, stack, nodes, complete = _search(query)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    doc = {"query": query.as_json_dict(), "count": result.count,
-           "complete": result.complete, "nodes": result.nodes_expanded,
+    doc = {"query": query.as_json_dict(), "count": count, "complete": complete, "nodes": nodes,
            "elapsed_ms": round(elapsed_ms, 3)}
-    # the witnesses as one (W, n, n) array, written as JSON rows and as text in one go each
-    stack = np.array([w.cells for w in result.witnesses], np.int64).reshape(-1, query.n, query.n)
     if args.witnesses_out:
         _emit(_grids_text(stack), args.witnesses_out)
     text = json.dumps(doc)
@@ -250,7 +245,7 @@ def _cmd_search(args) -> int:
 def _cmd_canon(args) -> int:
     from .transform import to_circulant_canonical
 
-    grid, _ = _parse_grid(_read_input(args.input), "text")
+    grid, _ = _read_grid(args.input)
     canonical, perm = to_circulant_canonical(grid)
     if args.format == "json":
         doc = {"canonical": grid_to_json(canonical), "permutation": perm.as_json_dict()}

@@ -525,7 +525,7 @@ def _rows(n: int, d: int):
     if len(rows) * n > cap:
         return None
     rows = ((rows + x[:, None, None]) % n).reshape(-1, n)
-    return rows[np.lexsort(rows.T[::-1])] + 1, far
+    return rows[_lex_order(rows.astype(np.min_scalar_type(n)))] + 1, far
 
 
 def _row_walk(rows, far, shape: SudokuShape | None, budget: int, collect: bool):
@@ -666,6 +666,12 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
     """
     if _order(workers, "workers") != 1:
         raise ParameterError(f"the search runs in one process: workers must be 1, got {workers}")
+    count, stack, nodes, complete = _search(query)
+    return SearchResult(count, _grids(stack), nodes, complete)
+
+
+def _search(query: SearchQuery):
+    """run_search's (count, stack, nodes, complete), the witnesses as one narrow (W, n, n) stack."""
     n, d, mode = query.n, query.min_distance, query.mode
     listed = _rows(n, d) if mode != "exists" and query.constraint != "pandiagonal" else None
     if listed is None:
@@ -673,7 +679,7 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
     else:
         walked = _row_walk(*listed, query.shape, query.node_budget, mode != "count")
     count, twins, nodes, complete, leaves, twin_leaves = walked
-    # one row of symbols per leaf, in the narrowest dtype; _grids widens it once
+    # one row of symbols per leaf, in the narrowest dtype; run_search's _grids widens it once
     narrow = np.min_scalar_type(n)
     stack = np.array(leaves, narrow).reshape(-1, n * n)
     if complete and mode != "exists":
@@ -688,8 +694,7 @@ def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
                                                for sign in (1, -1) for s in range(n))), narrow)
             stack = maps[:, stack].reshape(-1, n * n)
             stack = stack[_lex_order(stack)]
-    return SearchResult(count=count, witnesses=_grids(stack.reshape(-1, n, n)),
-                        nodes_expanded=nodes, complete=complete)
+    return count, stack.reshape(-1, n, n), nodes, complete
 
 
 def _lex_order(stack: np.ndarray) -> np.ndarray:

@@ -150,8 +150,7 @@ def test_check_reads_files_and_json(capsys, tmp_path, monkeypatch):
     jpath = tmp_path / "grid.json"
     jpath.write_text(json.dumps({"order": 4, "cells": shift_by_k(4, 1).rows(),
                                  "shape": {"a": 2, "b": 2}}))
-    code, out, _ = run_cli(capsys, ["check", str(jpath), "--kind", "sudoku",
-                                    "--format", "json"])
+    code, out, _ = run_cli(capsys, ["check", str(jpath), "--kind", "sudoku"])
     assert code == 1 and json.loads(out)["verdict"] is False
 
 
@@ -386,6 +385,78 @@ def test_gen_check_round_trip(capsys, monkeypatch):
         assert code == 0, (gen_argv, check_argv)
 
 
+@pytest.mark.parametrize("gen_argv, argv, text_flags", [
+    (["--algo", "maxdist", "--n", "9"], ["dist"], []),
+    (["--algo", "maxdist", "--n", "9"], ["dist", "--format", "json"], []),
+    (["--algo", "maxdist", "--n", "9"], ["canon"], []),
+    (["--algo", "shiftk", "--n", "7", "--k", "3"], ["canon", "--format", "json"], []),
+    # the block shape comes from the document; the text grid needs it as flags
+    (["--algo", "sudoku", "--a", "2", "--b", "3"], ["check", "--kind", "sudoku"],
+     ["--a", "2", "--b", "3"]),
+    (["--algo", "eveneven", "--x", "2", "--y", "3"], ["check", "--kind", "sudoku"],
+     ["--a", "4", "--b", "6"]),
+], ids=["dist", "dist-json", "canon", "canon-json", "check-sudoku", "check-eveneven"])
+def test_gen_json_output_reads_as_its_text_output(capsys, monkeypatch, tmp_path, gen_argv, argv,
+                                                  text_flags):
+    # --format names the output format; a grid is read as JSON when it starts with "{"
+    _, text, _ = run_cli(capsys, ["gen", *gen_argv])
+    want = run_cli(capsys, [*argv, *text_flags], stdin=text, monkeypatch=monkeypatch)
+    assert want[0] == 0 and want[1] and want[2] == ""
+    _, doc, _ = run_cli(capsys, ["gen", *gen_argv, "--format", "json"])
+    assert doc.startswith("{")
+    assert run_cli(capsys, argv, stdin=doc, monkeypatch=monkeypatch) == want
+    path = tmp_path / "grid.json"
+    path.write_text(doc)
+    assert run_cli(capsys, [argv[0], str(path), *argv[1:]]) == want
+
+
+def test_check_has_no_input_format_flag(capsys, monkeypatch):
+    doc = json.dumps(grid_to_json(sudoku_square(2, 3), SudokuShape(2, 3)))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, ["check", "--kind", "sudoku", "--format", "json"], stdin=doc,
+                monkeypatch=monkeypatch)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+def test_the_first_character_after_json_whitespace_chooses_the_reader(capsys, monkeypatch):
+    square = shift_by_k(5, 2)
+    want = run_cli(capsys, ["dist"], stdin=format_grid_text(square), monkeypatch=monkeypatch)
+    assert want[0] == 0
+    doc = json.dumps(grid_to_json(square))
+    for stdin in [" \t\r\n" + doc, "\n\n" + doc + "\n",
+                  # comment and blank lines before a text grid, one of them holding "{"
+                  "# {\"order\": 5}\n\n" + format_grid_text(square),
+                  "\n# a comment\n\n  " + format_grid_text(square)]:
+        assert run_cli(capsys, ["dist"], stdin=stdin, monkeypatch=monkeypatch) == want, stdin
+    # JSON whitespace only: a text that starts with "{" after a form feed reads as text
+    code, out, err = run_cli(capsys, ["dist"], stdin="\f" + doc, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "") and err.startswith("latindist: bad token in line ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "5", "--min-dist", "2", "--mode", "enumerate"],
+    ["--kind", "sudoku", "--a", "2", "--b", "3", "--min-dist", "2", "--mode", "enumerate"],
+    ["--kind", "sudoku", "--a", "2", "--b", "3", "--min-dist", "2", "--mode", "exists"],
+    ["--kind", "pandiagonal", "--n", "7", "--min-dist", "2", "--mode", "exists"],
+], ids=["plain-enumerate", "sudoku-enumerate", "sudoku-exists", "pandiagonal-exists"])
+def test_search_writes_its_witnesses_without_building_grids(capsys, monkeypatch, tmp_path, argv):
+    want_witnesses = tmp_path / "want.txt"
+    want = run_cli(capsys, ["search", *argv, "--witnesses-out", str(want_witnesses)])
+
+    def refuse(stack):
+        raise AssertionError("the CLI built SquareGrids")
+
+    monkeypatch.setattr("latindist.grid._grids", refuse)
+    monkeypatch.setattr("latindist.search._grids", refuse)
+    witnesses = tmp_path / "witnesses.txt"
+    code, out, err = run_cli(capsys, ["search", *argv, "--witnesses-out", str(witnesses)])
+    assert (code, err) == (0, "")
+    # the same document and witness file, apart from the time taken
+    assert {**json.loads(out), "elapsed_ms": 0} == {**json.loads(want[1]), "elapsed_ms": 0}
+    assert witnesses.read_bytes() == want_witnesses.read_bytes() != b""
+
+
 def test_output_to_file(capsys, tmp_path):
     target = tmp_path / "grid.txt"
     code, out, _ = run_cli(capsys, ["gen", "--algo", "shiftk", "--n", "5", "--k", "1",
@@ -441,7 +512,7 @@ def test_file_errors_exit_2_without_a_traceback(capsys, tmp_path, argv):
 ])
 def test_malformed_json_grids_exit_2(capsys, monkeypatch, doc):
     stdin = doc if isinstance(doc, str) else json.dumps(doc)
-    code, out, err = run_cli(capsys, ["check", "--kind", "latin", "--format", "json"],
+    code, out, err = run_cli(capsys, ["check", "--kind", "latin"],
                              stdin=stdin, monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
     assert err.startswith("latindist: ") and err.count("\n") == 1
@@ -449,7 +520,7 @@ def test_malformed_json_grids_exit_2(capsys, monkeypatch, doc):
 
 def test_json_float_cells_exit_2(capsys, monkeypatch):
     # 2.0 == 2, but a symbol is an int, as the order is; the grid would pass as Latin
-    code, out, err = run_cli(capsys, ["check", "--kind", "latin", "--format", "json"],
+    code, out, err = run_cli(capsys, ["check", "--kind", "latin"],
                              stdin='{"order": 2, "cells": [[2.0, 1], [1, 2]]}',
                              monkeypatch=monkeypatch)
     assert (code, out, err) == (2, "", "latindist: grid entries must be integers\n")
@@ -588,7 +659,7 @@ def test_stray_block_flags_are_refused(capsys, monkeypatch):
     embedded = json.dumps(grid_to_json(sudoku_square(2, 3), SudokuShape(2, 3)))
     latin = format_grid_text(shift_by_k(6, 1))
     for argv, stdin, message in [
-        (["check", "--kind", "sudoku", "--a", "3", "--format", "json"], embedded,
+        (["check", "--kind", "sudoku", "--a", "3"], embedded,
          "--kind sudoku needs --a and --b"),
         (["check", "--kind", "latin", "--a", "2", "--b", "3"], latin,
          "a block shape only applies to sudoku, not latin"),
@@ -604,7 +675,7 @@ def test_stray_block_flags_are_refused(capsys, monkeypatch):
         assert (code, out) == (2, ""), argv
         assert err == f"latindist: {message}\n", argv
     # the flags' own cases still pass: the embedded shape alone, and an order that matches
-    code, out, _ = run_cli(capsys, ["check", "--kind", "sudoku", "--format", "json"],
+    code, out, _ = run_cli(capsys, ["check", "--kind", "sudoku"],
                            stdin=embedded, monkeypatch=monkeypatch)
     assert code == 0 and json.loads(out)["verdict"] is True
     code, out, _ = run_cli(capsys, ["bounds", "--kind", "sudoku", "--n", "6", "--a", "2",
@@ -617,19 +688,18 @@ def test_check_refuses_flags_that_contradict_the_grids_shape(capsys, monkeypatch
     # 8 block violations: two statements of one class that disagree are refused
     square = sudoku_square(2, 3)
     embedded = json.dumps(grid_to_json(square, SudokuShape(2, 3)))
-    code, out, err = run_cli(capsys, ["check", "--kind", "sudoku", "--a", "3", "--b", "2",
-                                      "--format", "json"], stdin=embedded, monkeypatch=monkeypatch)
+    code, out, err = run_cli(capsys, ["check", "--kind", "sudoku", "--a", "3", "--b", "2"],
+                             stdin=embedded, monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
     assert err == "latindist: shape (3, 2) does not match the grid's shape (2, 3)\n"
     # matching shapes, either shape alone, and the kinds without blocks keep their verdicts
     for argv, stdin, want in [
-        (["--kind", "sudoku", "--a", "2", "--b", "3", "--format", "json"], embedded, 0),
-        (["--kind", "sudoku", "--format", "json"], embedded, 0),
+        (["--kind", "sudoku", "--a", "2", "--b", "3"], embedded, 0),
+        (["--kind", "sudoku"], embedded, 0),
         (["--kind", "sudoku", "--a", "3", "--b", "2"], format_grid_text(square), 1),
-        (["--kind", "sudoku", "--a", "3", "--b", "2", "--format", "json"],
-         json.dumps(grid_to_json(square)), 1),
-        (["--kind", "latin", "--format", "json"], embedded, 0),
-        (["--kind", "pandiagonal", "--format", "json"], embedded, 1),
+        (["--kind", "sudoku", "--a", "3", "--b", "2"], json.dumps(grid_to_json(square)), 1),
+        (["--kind", "latin"], embedded, 0),
+        (["--kind", "pandiagonal"], embedded, 1),
     ]:
         code, out, err = run_cli(capsys, ["check", *argv], stdin=stdin, monkeypatch=monkeypatch)
         assert (code, err) == (want, ""), argv

@@ -377,6 +377,38 @@ def test_known_bounds_table_matches_its_digest():
         "f750b0aaabed46f747e0a9fb3cb02b89bb22ebc44e8532acde66b58bfa7b478a"
 
 
+def _constructor_sweep(cap: int) -> tuple[int, str]:
+    """The number of shapes and the SHA-256 of the constructors' output up to order cap.
+
+    algorithm2(x, y) for 2 <= x <= y with 4xy <= cap, then, for even sides
+    a, b >= 4 with ab <= cap in both orientations, sudoku_square(a, b) and
+    the JSON document of its known_bounds entry; cells as little-endian int64.
+    """
+    digest, shapes = hashlib.sha256(), 0
+    for x in range(2, cap):
+        for y in range(x, cap // (4 * x) + 1):
+            digest.update(algorithm2(x, y).cells.astype("<i8").tobytes())
+            shapes += 1
+    for a in range(4, cap // 4 + 1, 2):
+        for b in range(4, cap // a + 1, 2):
+            digest.update(sudoku_square(a, b).cells.astype("<i8").tobytes())
+            digest.update(json.dumps(known_bounds("sudoku", a=a, b=b).as_json_dict()).encode())
+            shapes += 1
+    return shapes, digest.hexdigest()
+
+
+@pytest.mark.parametrize("cap, shapes, sha256", [
+    pytest.param(256, 80 + 153,
+                 "28a798f8fb174232346a1b649976410ff7a7933dda8c179047b3cb1c93f7f6ae", id="256"),
+    pytest.param(576, 235 + 459,
+                 "596585913322c7930fcc89d98496bae8713a904a1cdb0374154e34711fa042e7",
+                 marks=pytest.mark.slow, id="576")])
+def test_even_block_constructors_match_their_digest(cap, shapes, sha256):
+    # every even-block grid and bound up to the cap, so that a rewrite of a constructor or of
+    # the bounds table shows as a changed digest; the full sweep takes several seconds
+    assert _constructor_sweep(cap) == (shapes, sha256)
+
+
 def test_bounds_reject_order_one():
     with pytest.raises(ParameterError, match="below order 2"):
         known_bounds("pandiagonal", n=1)
