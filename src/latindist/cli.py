@@ -234,11 +234,11 @@ def _cmd_search(args) -> int:
            "elapsed_ms": round(elapsed_ms, 3)}
     if args.witnesses_out:
         _emit(_grids_text(stack), args.witnesses_out)
-    text = json.dumps(doc)
+    text = json.dumps(doc) + "\n"
     if args.mode == "enumerate":
-        # json.dumps(doc) with the rows as its last entry
-        text = f'{text[:-1]}, "witnesses": {_grids_json(stack)}}}'
-    _emit(text + "\n", args.out)
+        # json.dumps(doc) with the rows as its last entry, joined so that their text is copied once
+        text = "".join((text[:-2], ', "witnesses": ', _grids_json(stack), "}\n"))
+    _emit(text, args.out)
     return EXIT_OK
 
 

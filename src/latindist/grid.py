@@ -337,15 +337,20 @@ def _grids_json(stack: np.ndarray) -> str:
     return "[[[" + _stack_text(stack, ", ", "], [", "]], [[", "]]]") if len(stack) else "[]"
 
 
+# cells that _stack_text converts at a time, so that its padded gather stays a few megabytes
+_TEXT_CELLS = 2**20
+
+
 def _stack_text(stack: np.ndarray, cell: str, row: str, grid: str, last: str) -> str:
     """Each symbol of a non-empty integer (W, n, n) stack in decimal, then its separator.
 
     The separator is cell inside a row, row after a row, grid after a
-    grid's last row and last after the stack's last row.  The whole stack
-    is converted at once: one gather through a table of symbol strings,
-    one pass that drops the padding.
+    grid's last row and last after the stack's last row.  The stack is
+    converted a block of _TEXT_CELLS // (n*n) witnesses (at least one) at a
+    time, each block by one gather through a table of symbol strings and
+    one pass that drops the padding, and the blocks' texts are joined.
     """
-    n = stack.shape[1]
+    count, n = stack.shape[:2]
     digits = len(str(n))
     pad = max(map(len, (cell, row, grid, last)))
     cell, row, grid, last = (np.frombuffer(sep.encode("ascii").ljust(pad, b"\0"), np.uint8)
@@ -354,11 +359,16 @@ def _stack_text(stack: np.ndarray, cell: str, row: str, grid: str, last: str) ->
     table = np.empty((n + 1, digits + pad), np.uint8)
     table[:, :digits] = np.arange(n + 1).astype(f"S{digits}").view(np.uint8).reshape(n + 1, -1)
     table[:, digits:] = cell
-    text = table[stack]
-    text[:, :, -1, digits:] = row
-    text[:, -1, -1, digits:] = grid
-    text[-1, -1, -1, digits:] = last
-    return text.tobytes().translate(None, b"\0").decode("ascii")
+    block = max(1, _TEXT_CELLS // (n * n))
+    parts = []
+    for start in range(0, count, block):
+        text = table[stack[start:start + block]]
+        text[:, :, -1, digits:] = row
+        text[:, -1, -1, digits:] = grid
+        if start + block >= count:
+            text[-1, -1, -1, digits:] = last
+        parts.append(text.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(parts)
 
 
 def _int_rows(lines: list[str]) -> list[list[int]]:

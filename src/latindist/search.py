@@ -8,26 +8,27 @@ squares whose admissible rows, the permutations of 1..n with every
 adjacent pair at cyclic distance >= d, pass the row-walk rule, which
 the rest of this module refers to.  With cap = min(_ROW_CAP, _TABLE_BITS
 // (n*n)), a query stacks rows iff its R admissible rows number at most
-cap and, while _rows grows the rows that start with 1 one column at a
-time, n times the prefixes at no column pass 8 * cap.  _ROW_CAP is
+cap and, counting the prefixes of the rows that start with 1 column by
+column, n times the prefixes at no column pass 8 * cap.  _ROW_CAP is
 2**13 = 8 192 rows; the table term keeps the walk's n*n sets of R bits
 within _TABLE_BITS = 2**23 bits and is the smaller from n = 33 on (822
 rows at n = 101); the prefix term stops a listing whose dead ends would
 outgrow the cap.  The rule reads only n and d, so a Sudoku query stacks
-rows iff the plain query of the same order and distance does.  numpy
-lists the rows once in lexicographic order, and the walk stacks whole
-rows on each other.  A set of rows is a Python int with bit r for row r,
-and a row's column clashes, vertical distances and block clashes with
-the rows below it are each one AND with one of its three masks.  The
-one-word rule: when R <= 64, every set fits one 64-bit word, and numpy
-works out all R rows' masks in uint64 arrays before the walk starts;
-otherwise the sets are Python ints read from packed bytes, and the walk
-works out a row's masks when it first places it.  Both give the walk the
-same masks, so the rule changes no answer and no node count; at the odd
-ceilings, 2n rows, it covers n <= 31.  Near the ceiling a row admits few
-rows under it, so plain 8 d=3 takes 656 row placements where the cell
-walk takes 7 253, and plain 9 d=3 0.4 s where it takes 12 s.  A node is
-a row placement.
+rows iff the plain query of the same order and distance does.  _rows
+lists the rows once in lexicographic order, depth first over one int of
+candidate symbols per column, and the walk stacks whole rows on each
+other.  A set of rows is a Python int with bit r for row r, and a row's
+column clashes, vertical distances and block clashes with the rows below
+it are each one AND with one of its three masks.  The one-word rule:
+when R <= 64, every set fits one 64-bit word, and numpy works out all R
+rows' masks in uint64 arrays before the walk starts; otherwise the sets
+are Python ints read from packed bytes, and the walk works out a row's
+masks when it first places it.  Both give the walk the same masks, so
+the rule changes no answer and no node count; at the odd ceilings, 2n
+rows, it covers n <= 31.  Near the ceiling a row admits few rows under
+it, so plain 8 d=3 takes 656 row placements where the cell walk takes
+7 253, and plain 9 d=3 0.4 s where it takes 12 s.  A node is a row
+placement.
 
 The cell walk answers everything else: exists probes, pandiagonal
 squares (their diagonal clashes depend on how far apart two rows are)
@@ -129,8 +130,7 @@ import numpy as np
 
 from .construct import known_bounds
 from .errors import NonexistenceError, ParameterError, SearchIncompleteError
-from .grid import (_KINDS, SquareGrid, SudokuShape, _cyclic_distance, _grids, _order,
-                   _square_class, _unit_labels)
+from .grid import _KINDS, SquareGrid, SudokuShape, _grids, _order, _square_class, _unit_labels
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -318,10 +318,8 @@ class _Context:
         n, d, shape = query.n, query.min_distance, query.shape
         full = (1 << n) - 1
         self.n = n
-        # v = u + x (mod n) is admissible beside u iff d <= x <= n - d; rotate x's mask by u - 1
-        base = sum(1 << x for x in range(d, n - d + 1))
-        adm = [full] + [((base << r) | (base >> (n - r))) & full for r in range(n)]
-        self.adm = adm
+        # symbol u is bit u - 1, so adm[u] is the far mask of u - 1
+        adm = self.adm = [full] + _far_masks(n, d)
         # the symbols above s; above[0], the spare cell's, holds them all
         self.above = [full >> s << s for s in range(n + 1)]
         spare = n * n
@@ -488,65 +486,87 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
     return count, twins, nodes, True, leaves, twin_leaves
 
 
-def _far(n: int, d: int):
-    """far[u, v] says symbols u and v of 1..n lie at cyclic distance >= d; row 0 is False."""
-    symbols = np.arange(n + 1)
-    far = _cyclic_distance(symbols[:, None] - symbols, n) >= d
-    far[0] = False
-    return far
+def _far_masks(n: int, d: int) -> list[int]:
+    """masks[u] has bit v for each symbol v of 0..n-1 at cyclic distance >= d from u."""
+    full = (1 << n) - 1
+    # v = u + x (mod n) is far from u iff d <= x <= n - d; rotate x's mask by u
+    base = sum(1 << x for x in range(d, n - d + 1))
+    return [((base << u) | (base >> (n - u))) & full for u in range(n)]
 
 
 def _rows(n: int, d: int):
     """Every permutation of 1..n with each adjacent pair at cyclic distance >= d.
 
-    Returns (rows, far): the rows as an (R, n) array in lexicographic order
-    and _far(n, d), which the row walk reads too; or None when the row-walk
-    rule of the module docstring turns the query away.  The rows starting
-    with 1 grow one column at a time, kept in lexicographic order by
-    np.nonzero, and translating them by each symbol gives the rest.  Dead
-    ends can leave more prefixes than rows, 17 times more at plain 20 d=9,
-    hence the rule's prefix term, checked at every column.
+    Returns (rows, near): the rows as an (R, n) array in lexicographic order
+    and near[s], the m = n - 2d + 1 symbols far from symbol s, as an (n + 1,
+    m) array whose row 0 names the empty symbol 0, which the row walk reads
+    too; or None when the row-walk rule of the module docstring turns the
+    query away.  One depth-first listing grows the rows that start with 1 in
+    lexicographic order, on the symbols 0..n-1 until the end: each depth
+    keeps its untried symbols as one int, the free symbols far from the one
+    before.  Translating those rows by each symbol gives the rest.  Dead ends
+    can leave more prefixes than rows, 17 times more at plain 20 d=9, hence
+    the rule's prefix term: the listing counts each column's prefixes and
+    gives up as soon as a count passes its term, so it lists at most 8 * cap
+    prefixes before it turns a query away.
     """
     cap = min(_ROW_CAP, _TABLE_BITS // (n * n))
-    x = np.arange(n)
-    far = _far(n, d)
-    steps = far[1:, 1:]  # far on the symbols 0..n-1 that the rows hold until the end
-    rows = np.zeros((1, n), np.intp)
-    last = rows[:, 0]
-    free = x[None] != 0
-    for k in range(1, n):
-        prefix, last = (steps[last] & free).nonzero()
-        if len(prefix) * n > 8 * cap:
+    # n times a column's prefixes may not pass 8 * cap, and n times the rows from 1 not cap
+    limits = [8 * cap // n] * (n - 1) + [cap // n]
+    steps = _far_masks(n, d)
+    counts = [0] * n
+    # row[0] is 0; free[k] holds the symbols not in row[:k], and untried[k] those of them
+    # still to try in column k
+    row = [0] * n
+    free = [0] * n
+    untried = [0] * n
+    free[1] = (1 << n) - 2
+    untried[1] = steps[0] & free[1]
+    listed = []
+    k = 1
+    while k:
+        cand = untried[k]
+        if not cand:
+            k -= 1
+            continue
+        bit = cand & -cand
+        untried[k] = cand ^ bit
+        counts[k] += 1
+        if counts[k] > limits[k]:
             return None
-        rows = rows.take(prefix, 0)
-        rows[:, k] = last
-        free = free.take(prefix, 0)
-        free[np.arange(len(last)), last] = False
-    if len(rows) * n > cap:
-        return None
-    rows = ((rows + x[:, None, None]) % n).reshape(-1, n)
-    return rows[_lex_order(rows.astype(np.min_scalar_type(n)))] + 1, far
+        u = row[k] = bit.bit_length() - 1
+        if k == n - 1:
+            listed.append(row[:])
+            continue
+        k += 1
+        free[k] = free[k - 1] ^ bit
+        untried[k] = steps[u] & free[k]
+    x = np.arange(n)
+    rows = ((np.array(listed, np.intp).reshape(-1, n) + x[:, None, None]) % n).reshape(-1, n)
+    near = (np.arange(n + 1)[:, None] + np.arange(d - 1, n - d)) % n + 1
+    near[0] = 0
+    return rows[_lex_order(rows.astype(np.min_scalar_type(n)))] + 1, near
 
 
-def _row_walk(rows, far, shape: SudokuShape | None, budget: int, collect: bool):
+def _row_walk(rows, near, shape: SudokuShape | None, budget: int, collect: bool):
     """Depth-first stacking of whole rows from _rows, for count and enumerate queries.
 
-    rows and far are what _rows returns.  A set of rows has bit r for row
+    rows and near are what _rows returns.  A set of rows has bit r for row
     r.  at[j][s] holds the rows with symbol s in column j, below[j][s] those
-    whose column j symbol is far from s, and, for Sudoku squares,
-    within[j][s] those with s in the block columns of column j.  A row's
-    masks are the rows it admits under it, the AND of below[j][s] over its
-    cells, and the rows it excludes below it, the OR of at[j][s], and
-    within its band, the OR of within[j][s].  Under the one-word rule of
-    the module docstring the tables are uint64 arrays and masks lists every
-    row's masks before the walk; otherwise the tables hold Python ints and
-    the walk fills a row's entry of masks when it first places the row.
-    Row 0 starts with 1 and is no greater than its negation.  For plain and
-    (a, a)-Sudoku squares the transposition rule of the module docstring
-    filters the first symbol of each row i >= 1.  Rows are tried in
-    lexicographic order, and every row placed counts as one node; a walk
-    that needs more than budget nodes stops at node budget + 1.  Returns
-    _walk's tuple.
+    whose column j symbol is far from s, the OR of at[j][v] over the v in
+    near[s], and, for Sudoku squares, within[j][s] those with s in the
+    block columns of column j.  A row's masks are the rows it admits under
+    it, the AND of below[j][s] over its cells, and the rows it excludes
+    below it, the OR of at[j][s], and within its band, the OR of
+    within[j][s].  Under the one-word rule of the module docstring the
+    tables are uint64 arrays and masks lists every row's masks before the
+    walk; otherwise the tables hold Python ints and the walk fills a row's
+    entry of masks when it first places the row.  Row 0 starts with 1 and
+    is no greater than its negation.  For plain and (a, a)-Sudoku squares
+    the transposition rule of the module docstring filters the first symbol
+    of each row i >= 1.  Rows are tried in lexicographic order, and every
+    row placed counts as one node; a walk that needs more than budget nodes
+    stops at node budget + 1.  Returns _walk's tuple.
     """
     total, n = rows.shape
     if not total:
@@ -560,7 +580,7 @@ def _row_walk(rows, far, shape: SudokuShape | None, budget: int, collect: bool):
         cells = (columns, rows)
         at = np.zeros((n, n + 1), np.uint64)
         np.bitwise_or.at(at, cells, (np.uint64(1) << np.arange(total, dtype=np.uint64))[:, None])
-        below = np.bitwise_or.reduce(np.where(far, at[:, None], np.uint64(0)), axis=-1)
+        below = np.bitwise_or.reduce(at[:, near], axis=-1)
         block = repeat(0)
         if a > 1:
             within = np.bitwise_or.reduce(at.reshape(n // b, b, n + 1), axis=1)[columns // b]
@@ -572,16 +592,13 @@ def _row_walk(rows, far, shape: SudokuShape | None, budget: int, collect: bool):
         # at and below as (n, n + 1) sets of R bits, bit r little-endian in byte r // 8;
         # symbol 0 holds no row and pads each table so that it is indexed by the symbol itself
         symbols = np.arange(n + 1)
-        bits = np.packbits(np.stack((rows.T[:, None] == symbols[:, None],
-                                     far[:, rows.T].swapaxes(0, 1))),
-                           axis=-1, bitorder="little")
-        width = bits.shape[-1]
-        bits = bits.reshape(-1, width)
+        at = np.packbits(rows.T[:, None] == symbols[:, None], axis=-1, bitorder="little")
+        width = at.shape[-1]
+        packed = [at, np.bitwise_or.reduce(at[:, near], axis=2)]
         if a > 1:
             # the OR of at over each block's b columns, one table per block column
-            blocks = np.bitwise_or.reduce(bits[:n * (n + 1)].reshape(n // b, b, n + 1, width),
-                                          axis=1)
-            bits = np.concatenate((bits, blocks.reshape(-1, width)))
+            packed.append(np.bitwise_or.reduce(at.reshape(n // b, b, n + 1, width), axis=1))
+        bits = np.concatenate(packed).reshape(-1, width)
         sets = list(map(int.from_bytes, bits.view(f"V{width}").ravel().tolist(), repeat("little")))
         tables = [sets[i:i + n + 1] for i in range(0, len(sets), n + 1)]
         at, below = tables[:n], tables[n:2 * n]

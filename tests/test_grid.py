@@ -10,6 +10,7 @@ from latindist import (BlockAddress, GridFormatError, ParameterError,
                        grid_to_json, max_distance_square, parse_grid_json,
                        parse_grid_text, sudoku_square, transpose,
                        validate_latin, validate_pandiagonal, validate_sudoku)
+from latindist import grid as grid_module
 from latindist.grid import _grids, _grids_json, _grids_text, grid_from_json
 
 from oracle import is_latin, is_pandiagonal, is_sudoku
@@ -216,14 +217,27 @@ def test_stack_text_is_the_grid_texts_joined():
     assert _grids_text(np.zeros((0, 4, 4), np.int64)) == ""
 
 
-def test_stack_json_is_json_dumps_of_its_rows():
-    # the JSON rows of a whole stack in one conversion, byte for byte what json.dumps writes
+def test_stack_json_is_json_dumps_of_its_rows(monkeypatch):
+    # the JSON rows of a whole stack, byte for byte what json.dumps writes
     rng = np.random.default_rng(41)
     for n in (1, 2, 9, 10, 11, 100):
         for count in (1, 4):
             stack = rng.integers(1, n + 1, size=(count, n, n))
             assert _grids_json(stack) == json.dumps(stack.tolist()), (n, count)
     assert _grids_json(np.zeros((0, 4, 4), np.int64)) == "[]"
+    # the stack is converted a block of witnesses at a time: a whole block and one witness
+    # past it, here 1 024 and 1 025 of order 32, then blocks of 4 and of 1 witness
+    n = 32
+    block = grid_module._TEXT_CELLS // (n * n)
+    for count in (block, block + 1):
+        stack = rng.integers(1, n + 1, size=(count, n, n)).astype(np.uint8)
+        assert _grids_json(stack) == json.dumps(stack.tolist()), (n, count)
+    for cells, counts in ((4 * 25, (1, 4, 5, 9)), (1, (1, 2, 3))):
+        monkeypatch.setattr(grid_module, "_TEXT_CELLS", cells)
+        for count in counts:
+            stack = rng.integers(1, 6, size=(count, 5, 5))
+            assert _grids_json(stack) == json.dumps(stack.tolist()), (cells, count)
+            assert _grids_text(stack) == "\n".join(map(loop_format, map(SquareGrid, stack)))
 
 
 def loop_parse(text: str) -> SquareGrid:

@@ -13,10 +13,10 @@ from latindist import (NonexistenceError, ParameterError,
                        validate_latin, validate_pandiagonal, validate_sudoku)
 
 from latindist.search import _Context, _lex_order, _row_walk, _rows, _walk
-from oracle import (all_latin_squares, band_column_order, count_by_filter, first_bands,
-                    is_pandiagonal, is_sudoku, min_adjacent_distance, mirror_cuts, mirror_images,
-                    row_major_prefix_count, row_prefix_count, row_prefixes, row_tuples,
-                    sudoku_prefix_count)
+from oracle import (admissible_rows, all_latin_squares, band_column_order, count_by_filter,
+                    first_bands, is_pandiagonal, is_sudoku, min_adjacent_distance, mirror_cuts,
+                    mirror_images, row_major_prefix_count, row_prefix_count, row_prefixes,
+                    row_tuples, sudoku_prefix_count)
 
 
 def _count(n, d, constraint="plain", shape=None):
@@ -73,6 +73,17 @@ def test_both_sides_of_the_row_cap():
     for shape in (SudokuShape(3, 5), SudokuShape(5, 3)):
         result = run_search(SearchQuery(constraint="sudoku", shape=shape, min_distance=6))
         assert result.complete and result.count == 6_240, shape
+
+
+@pytest.mark.parametrize("n, d, cap, rows", [(8, 3, 144, 144), (8, 3, 143, None),
+                                              (20, 9, 4_455, 2_040), (20, 9, 4_454, None)])
+def test_the_row_rule_at_its_edges(monkeypatch, n, d, cap, rows):
+    # plain 8 d=3 has 144 rows: a cap of 144 takes them and 143 does not.  Plain 20 d=9 has
+    # 2 040 rows and 1 782 prefixes in its fullest column, and 20 * 1 782 = 8 * 4 455: the
+    # prefix term takes them under a cap of 4 455 and turns them away under 4 454
+    monkeypatch.setattr("latindist.search._ROW_CAP", cap)
+    listed = _rows(n, d)
+    assert (None if listed is None else len(listed[0])) == rows
 
 
 def test_pandiagonal_and_sudoku_counts():
@@ -350,12 +361,12 @@ def test_the_cell_walk_counts_the_published_numbers(n, shape, rows, want):
 def test_a_whole_word_of_rows_and_one_row_more(lead, total):
     # no listing has 63 to 65 rows; the first lead rows of plain 8 d=3, which start with 1,
     # and their translations make 64 rows, the last one bit 63 of a word, and 72
-    rows, far = _rows(8, 3)
+    rows, near = _rows(8, 3)
     listed = np.concatenate([(rows[:lead] + s - 1) % 8 + 1 for s in range(8)])
     listed = listed[np.lexsort(listed.T[::-1])]
     assert len(listed) == total
     tuples = tuple(map(tuple, listed.tolist()))
-    count, twins, nodes, complete, leaves, _ = _row_walk(listed, far, None, 10**9, True)
+    count, twins, nodes, complete, leaves, _ = _row_walk(listed, near, None, 10**9, True)
     assert complete and (nodes, count + twins) == row_prefix_count(8, 3, rows=tuples)
     stacks = [stack for stack in row_prefixes(8, 3, rows=tuples) if len(stack) == 8]
     assert [tuple(leaf[i:i + 8] for i in range(0, 64, 8)) for leaf in leaves] == stacks
@@ -562,6 +573,22 @@ def test_a_large_enumeration_keeps_its_order():
     assert result.complete and result.count == len(result.witnesses) == 31_080
     digest = hashlib.sha256(b"".join(w.cells.tobytes() for w in result.witnesses))
     assert digest.hexdigest() == PLAIN_7_D2_DIGEST
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_rows_are_the_admissible_rows_in_order(n):
+    # wherever the row-walk rule lets a query stack rows, the listing is the oracle's, in its
+    # order, and near[s] lists the symbols far from s
+    for d in range(1, n // 2 + 2):
+        listed = _rows(n, d)
+        if listed is None:
+            continue
+        rows, near = listed
+        assert tuple(map(tuple, rows.tolist())) == admissible_rows(n, d), (n, d)
+        assert near.tolist()[0] == [0] * near.shape[1]
+        for s in range(1, n + 1):
+            far = [v for v in range(1, n + 1) if min((s - v) % n, (v - s) % n) >= d]
+            assert sorted(near[s].tolist()) == far, (n, d, s)
 
 
 def test_rows_sort_as_sorted_sorts_tuples():
