@@ -13,7 +13,8 @@ loads only `errors` and `grid`; each subcommand imports what it runs.
 
 Exit codes: 0 success / verified-true, 1 verified-false (failed check or
 irreducible grid), 2 usage, parse or file error, 3 provable nonexistence,
-4 internal error (a constructor or the bounds table failed its own check).
+4 internal error (a constructor or the bounds table failed its own check),
+5 out of memory.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_NONEXISTENT = 3
 EXIT_INTERNAL = 4
+EXIT_MEMORY = 5
 MAX_TEXT_PAIRS = 100  # minimal pairs listed by dist in text mode
 
 
@@ -274,6 +276,9 @@ def main(argv: list[str] | None = None) -> int:
         # a constructor's self-check or an inconsistent bounds entry: a bug, not bad input
         print(f"latindist: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError as exc:
+        print(*filter(None, ["latindist: out of memory", str(exc)]), sep=": ", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

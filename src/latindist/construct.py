@@ -191,12 +191,12 @@ def pandiagonal_max(n: int) -> SquareGrid:
 def algorithm2(x: int, y: int) -> SquareGrid:
     """A (2x, 2y)-Sudoku Latin square with inner distance 2xy - x = (n-a)/2.
 
-    The plain shift fill cannot reach (n-a)/2 here: the horizontal
-    increment shares only a/2 with n, so its offsets fire every two stacks
-    instead of every stack, and the vertical direction needs an extra
-    offset on entering each row to keep blocks collision-free.  With the
-    rows cut into bands of a = 2x, numbered from 0, exactly one of four
-    cases applies to every row k >= 1:
+    The paper's choice of shift-fill parameters cannot reach (n-a)/2
+    here: its horizontal increment shares only a/2 with n, so its offsets
+    fire every two stacks instead of every stack, and the vertical
+    direction needs an extra offset on entering each row to keep blocks
+    collision-free.  With the rows cut into bands of a = 2x, numbered
+    from 0, exactly one of four cases applies to every row k >= 1:
       0   for the first row and all even rows,
       -x  for the first row of every later band,
       +1  for the remaining odd rows in even bands,
@@ -256,8 +256,8 @@ def _sudoku_plan(a: int, b: int) -> tuple[str, ShiftParams | None]:
             params = ShiftParams(n, r=r, c=(n - a) // 2, alpha=n, beta=1)
         return "odd-width-shift-fill", params
     if a % 2 == 0:
-        # the shift fill cannot reach (n-a)/2 on (even, even) blocks; see
-        # `algorithm2`
+        # the paper's shift-fill parameters cannot reach (n-a)/2 on (even,
+        # even) blocks; see `algorithm2`
         return "even-even-row-offset-fill", None
     # odd a, even b: (n - min(2a, b))/2 when b = 0 mod 4 and (n - min(4a, b))/2
     # when b = 2 mod 4; whichever of the two increments is smaller rides on

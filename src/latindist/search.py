@@ -19,16 +19,15 @@ lists the rows once in lexicographic order, depth first over one int of
 candidate symbols per column, and the walk stacks whole rows on each
 other.  A set of rows is a Python int with bit r for row r, and a row's
 column clashes, vertical distances and block clashes with the rows below
-it are each one AND with one of its three masks.  The one-word rule:
-when R <= 64, every set fits one 64-bit word, and numpy works out all R
-rows' masks in uint64 arrays before the walk starts; otherwise the sets
-are Python ints read from packed bytes, and the walk works out a row's
-masks when it first places it.  Both give the walk the same masks, so
-the rule changes no answer and no node count; at the odd ceilings, 2n
-rows, it covers n <= 31.  Near the ceiling a row admits few rows under
-it, so plain 8 d=3 takes 656 row placements where the cell walk takes
-7 253, and plain 9 d=3 0.4 s where it takes 12 s.  A node is a row
-placement.
+it are each one AND with one of its three masks.  numpy builds the sets
+once, each as ceil(R / 64) 64-bit words.  The one-word rule: when R <=
+64, numpy works out all R rows' masks before the walk starts; otherwise
+the sets become Python ints and the walk works out a row's masks when it
+first places it.  Both give the walk the same masks, so the rule changes
+no answer and no node count; at the odd ceilings, 2n rows, it covers
+n <= 31.  Near the ceiling a row admits few rows under it, so plain 8
+d=3 takes 656 row placements where the cell walk takes 7 253, and plain
+9 d=3 0.4 s where it takes 12 s.  A node is a row placement.
 
 The cell walk answers everything else: exists probes, pandiagonal
 squares (their diagonal clashes depend on how far apart two rows are)
@@ -558,49 +557,44 @@ def _row_walk(rows, near, shape: SudokuShape | None, budget: int, collect: bool)
     block columns of column j.  A row's masks are the rows it admits under
     it, the AND of below[j][s] over its cells, and the rows it excludes
     below it, the OR of at[j][s], and within its band, the OR of
-    within[j][s].  Under the one-word rule of the module docstring the
-    tables are uint64 arrays and masks lists every row's masks before the
-    walk; otherwise the tables hold Python ints and the walk fills a row's
-    entry of masks when it first places the row.  Row 0 starts with 1 and
-    is no greater than its negation.  For plain and (a, a)-Sudoku squares
-    the transposition rule of the module docstring filters the first symbol
-    of each row i >= 1.  Rows are tried in lexicographic order, and every
-    row placed counts as one node; a walk that needs more than budget nodes
-    stops at node budget + 1.  Returns _walk's tuple.
+    within[j][s].  The tables are built once, as uint64 words; under the
+    one-word rule of the module docstring masks lists every row's masks
+    before the walk, otherwise the tables become Python ints and the walk
+    fills a row's entry of masks when it first places the row.  Row 0
+    starts with 1 and is no greater than its negation.  For plain and (a,
+    a)-Sudoku squares the transposition rule of the module docstring
+    filters the first symbol of each row i >= 1.  Rows are tried in
+    lexicographic order, and every row placed counts as one node; a walk
+    that needs more than budget nodes stops at node budget + 1.  Returns
+    _walk's tuple.
     """
     total, n = rows.shape
     if not total:
         return 0, 0, 0, True, [], []
     a, b = (shape.a, shape.b) if shape is not None else (1, n)
-    if total <= 64:
-        # one uint64 word per set: scatter bit r into at[j][s] for each symbol s of row r,
-        # fold at into below and the block tables, and gather every row's masks at once;
-        # table[cells] is (R, n), each row's entries of a table column by column
-        columns = np.arange(n)
-        cells = (columns, rows)
-        at = np.zeros((n, n + 1), np.uint64)
-        np.bitwise_or.at(at, cells, (np.uint64(1) << np.arange(total, dtype=np.uint64))[:, None])
-        below = np.bitwise_or.reduce(at[:, near], axis=-1)
+    # at[j][s] holds the rows with symbol s in column j as W = ceil(R / 64) words, bit r in
+    # word r // 64; symbol 0 holds no row and pads each table so that it is indexed by the
+    # symbol itself.  below folds at over near, and within over each block's b columns
+    words = -(-total // 64)
+    r = np.arange(total)[:, None]
+    columns = np.arange(n)
+    at = np.zeros((n, n + 1, words), "<u8")
+    np.bitwise_or.at(at, (columns, rows, r // 64), np.uint64(1) << (r % 64).astype(np.uint64))
+    below = np.bitwise_or.reduce(at[:, near], axis=2)
+    within = np.bitwise_or.reduce(at.reshape(n // b, b, n + 1, words), axis=1) if a > 1 else None
+    if words == 1:
+        # gather every row's masks at once; table[cells] is (R, n), a row's entries by column
+        cells = (columns, rows, 0)
         block = repeat(0)
         if a > 1:
-            within = np.bitwise_or.reduce(at.reshape(n // b, b, n + 1), axis=1)[columns // b]
-            block = np.bitwise_or.reduce(within[cells], axis=1).tolist()
+            block = np.bitwise_or.reduce(within[columns // b, rows, 0], axis=1).tolist()
         masks = list(zip(np.bitwise_and.reduce(below[cells], axis=1).tolist(),
                          np.bitwise_or.reduce(at[cells], axis=1).tolist(), block))
-        first = at[0].tolist()
+        first = at[0, :, 0].tolist()
     else:
-        # at and below as (n, n + 1) sets of R bits, bit r little-endian in byte r // 8;
-        # symbol 0 holds no row and pads each table so that it is indexed by the symbol itself
-        symbols = np.arange(n + 1)
-        at = np.packbits(rows.T[:, None] == symbols[:, None], axis=-1, bitorder="little")
-        width = at.shape[-1]
-        packed = [at, np.bitwise_or.reduce(at[:, near], axis=2)]
-        if a > 1:
-            # the OR of at over each block's b columns, one table per block column
-            packed.append(np.bitwise_or.reduce(at.reshape(n // b, b, n + 1, width), axis=1))
-        bits = np.concatenate(packed).reshape(-1, width)
-        sets = list(map(int.from_bytes, bits.view(f"V{width}").ravel().tolist(), repeat("little")))
-        tables = [sets[i:i + n + 1] for i in range(0, len(sets), n + 1)]
+        # each set as one Python int, read from its words little-endian
+        tables = np.concatenate([at, below] + ([within] if a > 1 else [])).view(f"V{8 * words}")
+        tables = [list(map(int.from_bytes, t, repeat("little"))) for t in tables[..., 0].tolist()]
         at, below = tables[:n], tables[n:2 * n]
         within = [tables[2 * n + j // b] for j in range(n)] if a > 1 else None
         masks = [None] * total

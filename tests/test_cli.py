@@ -492,6 +492,32 @@ def test_file_errors_exit_2_without_a_traceback(capsys, tmp_path, argv):
     assert err.startswith("latindist: ") and err.count("\n") == 1
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS bounds allocations on Linux only")
+def test_running_out_of_memory_exits_5_without_a_traceback(capsys, monkeypatch):
+    # a 20000 x 20000 square needs more than the 2 GB of address space the child may map
+    resource = pytest.importorskip("resource")
+
+    def lower_the_limit():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, hard))
+
+    # OpenBLAS sizes its buffers by the core count; one thread keeps numpy's import small
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    proc = _run_python("-m", "latindist.cli", "gen", "--algo", "maxdist", "--n", "20000",
+                       preexec_fn=lower_the_limit)
+    assert (proc.returncode, proc.stdout) == (5, "")
+    assert proc.stderr.startswith("latindist: out of memory: ") and proc.stderr.count("\n") == 1
+
+    def exhausted(args):
+        # Python's own allocations raise a MemoryError with no message
+        raise MemoryError
+
+    monkeypatch.setattr("latindist.cli._cmd_bounds", exhausted)
+    assert run_cli(capsys, ["bounds", "--kind", "plain", "--n", "5"]) == (
+        5, "", "latindist: out of memory\n")
+
+
 @pytest.mark.parametrize("doc", [
     {"order": 2, "cells": [[1, 2], [1]]},
     {"order": 2, "cells": [[1, None], [2, 1]]},

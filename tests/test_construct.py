@@ -229,6 +229,16 @@ def test_algorithm2(golden):
         algorithm2(3, 2)
 
 
+@pytest.mark.parametrize("a, params, want", [(4, (16, 8, 6, 1, 1), 6), (6, (36, 18, 15, 1, 1), 15),
+                                             (8, (64, 32, 28, 1, 1), 28)])
+def test_unit_offset_shift_fills_reach_half_of_n_minus_a_on_even_square_blocks(a, params, want):
+    # algorithm2's (n-a)/2 on (a, a) blocks is in reach of the shift fill too, with unit
+    # offsets, r = n/2 and c = (n-a)/2; the paper's choice of parameters is what misses it
+    g = algorithm1(ShiftParams(*params))
+    assert validate_sudoku(g, SudokuShape(a, a)).verdict
+    assert inner_distance(g).inner_distance == want == (a * a - a) // 2
+
+
 def test_sudoku_odd_a_even_b():
     for (a, b), want in [((3, 4), 4), ((3, 8), 9), ((3, 10), 10), ((5, 8), 16)]:
         g = sudoku_square(a, b)

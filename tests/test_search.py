@@ -357,10 +357,11 @@ def test_the_cell_walk_counts_the_published_numbers(n, shape, rows, want):
     assert _cell_walk(query)[1] * (n if n == 2 else 2 * n) == want
 
 
-@pytest.mark.parametrize("lead, total", [(8, 64), (9, 72)])
+@pytest.mark.parametrize("lead, total", [(8, 64), (9, 72), (17, 136)])
 def test_a_whole_word_of_rows_and_one_row_more(lead, total):
     # no listing has 63 to 65 rows; the first lead rows of plain 8 d=3, which start with 1,
-    # and their translations make 64 rows, the last one bit 63 of a word, and 72
+    # and their translations make 64 rows, the last one bit 63 of a word, 72, and 136, the
+    # last one bit 7 of a third word
     rows, near = _rows(8, 3)
     listed = np.concatenate([(rows[:lead] + s - 1) % 8 + 1 for s in range(8)])
     listed = listed[np.lexsort(listed.T[::-1])]

@@ -1,10 +1,12 @@
-"""The test configuration itself: what a failing test prints under it."""
+"""The test configuration itself, and the benchmark record files at the repo root."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 FAILING = '''
 from hypothesis import given, strategies as st
@@ -26,3 +28,24 @@ def test_a_failing_property_test_prints_its_falsifying_example(tmp_path):
     out = proc.stdout + proc.stderr
     assert proc.returncode == 1, out
     assert "Falsifying example" in out and "INTERNALERROR" not in out, out
+
+
+def test_each_bench_file_holds_quartiles_of_every_end_to_end_metric():
+    # a BENCH_<workload>.json records, per change, the quartiles of paired benchmark runs
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {workload["name"] for workload in benchmark["workloads"]}
+    metrics = [metric["name"] for metric in benchmark["end_to_end"]]
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        bench = json.loads(path.read_text())
+        assert bench["workload"] in workloads and path.name == f"BENCH_{bench['workload']}.json"
+        assert bench["entries"], path.name
+        for entry in bench["entries"]:
+            where = (path.name, entry.get("commit"))
+            assert {"parent", "commit", "pairs"} <= entry.keys(), where
+            assert len(entry["seeds"]) == entry["pairs"], where
+            for name in metrics:
+                for side in ("parent", "change"):
+                    q = entry["metrics"][name][side]
+                    assert q["q1"] <= q["median"] <= q["q3"], (*where, name, side)
