@@ -2,10 +2,9 @@
 
 A plain Latin square has every symbol once in each row and each column; a
 pandiagonal (Knut-Vik) square also in each wrapped diagonal, and a Sudoku
-square also in each a x b block.  `_unit_labels` numbers these units once,
-for the validators here and for the search walk's occupancy masks, and
-`_cyclic_distance` computes the adjacent distance of two symbols for the
-metric, the constructions and the search.
+square also in each a x b block.  `_unit_labels` numbers these units once
+for the validators, and `_cyclic_distance` computes the adjacent distance
+of two symbols for the metric, the constructions and the search.
 
 Cells are addressed 1-based: (i, j) is row i from the top, column j from
 the left, matching the usual combinatorial convention.  A grid of order n

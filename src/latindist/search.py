@@ -33,10 +33,15 @@ The cell walk answers everything else: exists probes, pandiagonal
 squares (their diagonal clashes depend on how far apart two rows are)
 and queries that the row-walk rule turns away, such as Sudoku (3,4)
 d=4, where stacking rows lost to filling cells.  It fills cells one at a
-time, keeping per-row/column (and per-block or per-diagonal) occupancy
-bitmasks, and filters every candidate symbol against a precomputed
+time and filters every candidate symbol against a precomputed
 admissibility table dist(u, v) >= d for the two already-placed
-neighbours (left and up).  A node is a cell placement.
+neighbours (left and up).  Occupancy is carried down the walk: placing a
+symbol records, for each unit of the cell (its row, its column, and its
+block or its two wrapped diagonals), the mask of the symbols in the cell
+and in the unit's cells visited before it, one OR onto the mask of the
+unit's previous cell.  A cell's candidates read the masks of its units'
+previous cells, which stay as they are while the walk is below those
+cells, so a backtrack has nothing to undo.  A node is a cell placement.
 
 The cell walk visits cells band by band, each band column by column.  A
 Sudoku band is a rows, so the first a*b cells visited are a block and
@@ -129,7 +134,7 @@ import numpy as np
 
 from .construct import known_bounds
 from .errors import NonexistenceError, ParameterError, SearchIncompleteError
-from .grid import _KINDS, SquareGrid, SudokuShape, _grids, _order, _square_class, _unit_labels
+from .grid import _KINDS, SquareGrid, SudokuShape, _grids, _order, _square_class
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -272,16 +277,18 @@ class _Context:
     adm[u] is the mask of symbols at distance >= d from u, and adm[0], the
     symbol of the spare cell n*n, is the full mask; above[s] is the mask of
     the symbols above s.  Cells are numbered row-major, as the walk's grid
-    is: (r, c) is cell r*n + c.  cells[k] is (cell, u1, u2, u3, u4, prev,
+    is: (r, c) is cell r*n + c.  cells[k] is (cell, p1, p2, p3, p4, prev,
     other, nbr, lex) for the k-th cell visited, band by band (a rows each;
     one row for plain and pandiagonal squares, so row by row) and within a
     band column by column: every table is built once in row-major order and
-    then gathered into that order.  u1..u4 are the four units whose symbols
-    must differ: its row, its column, and its block or two wrapped
-    diagonals, as `grid._unit_labels` numbers them.  Plain cells list their
-    row and column twice and sudoku cells their block twice; placing ORs a
-    bit into each unit and removing clears it, so a repeated unit is
-    harmless.  prev and other are the row-major cells of the two
+    then gathered into that order.  p1..p4 are, for each of the cell's four
+    units, whose symbols must differ, the unit's cell visited last before
+    it, or the spare cell if there is none: in its row the left neighbour,
+    in its column the upper one, in its block the cell above or, at the top
+    of a band, the last cell of the block's previous column, and in its
+    forward and back diagonals the wrapped upper-left and upper-right
+    neighbours.  Sudoku cells point p4, and plain cells p3 and p4, at the
+    spare cell.  prev and other are the row-major cells of the two
     neighbours, both visited earlier: prev is the left one and other the
     upper one, or the spare cell in row 0; in column 0 prev is the upper
     one and other the spare cell.  Candidates are tried upwards from prev's
@@ -322,18 +329,32 @@ class _Context:
         # the symbols above s; above[0], the spare cell's, holds them all
         self.above = [full >> s << s for s in range(n + 1)]
         spare = n * n
-        labels = _unit_labels(n, shape, query.constraint == "pandiagonal")
-        zero = np.zeros((n, n), np.int64)  # adding it broadcasts a label to every cell
-        u1, u2, *more = [(zero + label).ravel().tolist() for label in labels]
-        # a plain cell repeats its row and column, a sudoku cell its block
-        u3, u4 = (more * 2)[:2] if more else (u1, u2)
-        # prev is the left neighbour, or the upper one in column 0; other is the upper one,
-        # or spare in row 0 and column 0
+        # the left and upper neighbours, or spare in column 0 and row 0
         cell = list(range(spare))
-        prev = [spare] + cell[:-1]
-        prev[n::n] = cell[:-n:n]
-        other = [spare] * n + cell[:-n]
+        left = [spare] + cell[:-1]
+        left[::n] = [spare] * n
+        up = [spare] * n + cell[:-n]
+        # prev is the left neighbour, or the upper one in column 0; other is the upper one,
+        # or spare in column 0
+        prev = left[:]
+        prev[n::n] = up[n::n]
+        other = up[:]
         other[::n] = [spare] * n
+        # the cell before each cell in its third and fourth unit: in its block, the one
+        # above, or at the top of a band the last of the block's previous column; in its
+        # diagonals, the wrapped upper-left and upper-right neighbours; else spare
+        a = shape.a if shape is not None else 1
+        third = fourth = [spare] * spare
+        if shape is not None:
+            third = up[:]
+            for top in range(0, spare, a * n):
+                third[top:top + n] = [spare] + cell[top + (a - 1) * n:top + a * n - 1]
+                third[top:top + n:shape.b] = [spare] * a
+        elif query.constraint == "pandiagonal":
+            third = [spare] * (n + 1) + cell[:-n - 1]
+            third[n::n] = cell[n - 1:-1:n]
+            fourth = [spare] * n + cell[1:spare - n + 1]
+            fourth[2 * n - 1::n] = cell[:-n:n]
         neg = _negation(n)
         # the symbols s <= -s, and s < -s
         lead = sum(1 << (s - 1) for s in range(1, n + 1) if s <= neg[s])
@@ -346,7 +367,6 @@ class _Context:
             nbr[2][1 + n // 2] &= strict
         # bands of a rows, one row for plain and pandiagonal squares, visited band by band,
         # each band column by column: row-major when a = 1
-        a = shape.a if shape is not None else 1
         order = np.arange(spare).reshape(-1, a, n).transpose(0, 2, 1).ravel().tolist()
         lex = [0] * spare
         self.neg = []
@@ -371,7 +391,8 @@ class _Context:
                 lex[i] = (i, i * n, row_masks)
             for i in range(a, n):
                 lex[i * n] = (i, i, col_masks)
-        self.cells = itemgetter(*order)(list(zip(cell, u1, u2, u3, u4, prev, other, nbr, lex)))
+        tables = zip(cell, left, up, third, fourth, prev, other, nbr, lex)
+        self.cells = itemgetter(*order)(list(tables))
 
 
 def _mirror_met(grid: list[int], n: int, a: int, band, mirror, prevs) -> bool:
@@ -403,8 +424,13 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
     symbol of its prev neighbour, wrapping round to 1, so the squares come
     in a fixed order.  Each cell's untried candidates are kept on an
     explicit stack, so the depth is not bounded by the interpreter's
-    recursion limit.  Every placement counts as one node; a walk that
-    needs more than budget nodes stops at node budget + 1.
+    recursion limit.  occ1..occ4[j] hold the symbols of cell j's units up
+    to j in visiting order: placing a symbol at j ORs its bit onto the
+    masks of j's p1..p4, and j's candidates exclude what those of p1..p4
+    hold.  A placement writes only its own cell's masks, so a backtrack
+    only steps back to the deepest cell with a candidate left.  Every
+    placement counts as one node; a walk that needs more than budget nodes
+    stops at node budget + 1.
 
     Returns (count, twins, nodes, complete, leaves, twin_leaves): count
     leaves, twins of them with no tie bit left, which stand for their
@@ -414,7 +440,11 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
     n, adm, above, cells, neg = ctx.n, ctx.adm, ctx.above, ctx.cells, ctx.neg
     stop = n * n
     grid = [0] * (stop + 1)
-    used = [0] * (4 * n)
+    # occ1[j]..occ4[j]: the symbols of cell j and of the cells before it in its four units
+    occ1 = [0] * (stop + 1)
+    occ2 = occ1[:]
+    occ3 = occ1[:]
+    occ4 = occ1[:]
     # ties[i]: the tie bits before pair i, set at its deciding cell: bit 1 while row 0 equals
     # column 0, bit 2 while it equals the negated column 0; the corner's 1 is its own negation
     ties = [3] * n
@@ -423,20 +453,14 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
     twin_leaves: list[tuple[int, ...]] = []
     untried = [0] * stop
     k = 0
+    # cand < 0 marks a cell the walk has just stepped onto
+    cand = -1
     while k >= 0:
-        cell, u1, u2, u3, u4, prev, other, nbr, lex = cells[k]
-        sym = grid[cell]
-        if sym:
-            # back at a placed cell: lift its symbol, go on with the rest
-            keep = ~(1 << (sym - 1))
-            used[u1] &= keep
-            used[u2] &= keep
-            used[u3] &= keep
-            used[u4] &= keep
-            cand = untried[k]
-        else:
-            sym = grid[prev]
-            cand = nbr[sym] & adm[grid[other]] & ~(used[u1] | used[u2] | used[u3] | used[u4])
+        cell, p1, p2, p3, p4, prev, other, nbr, lex = cells[k]
+        sym = grid[prev]
+        if cand < 0:
+            # the symbols that the cell's units and neighbours leave it
+            cand = nbr[sym] & adm[grid[other]] & ~(occ1[p1] | occ2[p2] | occ3[p3] | occ4[p4])
             if lex:
                 if neg:
                     # the later cell of pair i: keep row 0 <= column 0 and <= its negation
@@ -450,25 +474,24 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
                     # an exists walk's first band, whose mirror image came first and held
                     # no square
                     cand = 0
-        if not cand:
-            grid[cell] = 0
-            k -= 1
-            continue
-        # upwards from prev's symbol, wrapping to 1; after a lifted symbol
-        # the rest of that cycle starts above the lifted one
-        pick = cand & above[sym] or cand
-        bit = pick & -pick
-        untried[k] = cand ^ bit
-        nodes += 1
-        if nodes > budget:
-            return count, twins, nodes, False, leaves, twin_leaves
-        grid[cell] = bit.bit_length()
-        used[u1] |= bit
-        used[u2] |= bit
-        used[u3] |= bit
-        used[u4] |= bit
-        k += 1
-        if k == stop:
+        if cand:
+            # upwards from prev's symbol, wrapping to 1: the symbols tried before are gone
+            # from cand, so the cycle goes on where it stopped
+            pick = cand & above[sym] or cand
+            bit = pick & -pick
+            untried[k] = cand ^ bit
+            nodes += 1
+            if nodes > budget:
+                return count, twins, nodes, False, leaves, twin_leaves
+            grid[cell] = bit.bit_length()
+            occ1[cell] = occ1[p1] | bit
+            occ2[cell] = occ2[p2] | bit
+            occ3[cell] = occ3[p3] | bit
+            occ4[cell] = occ4[p4] | bit
+            k += 1
+            cand = -1
+            if k < stop:
+                continue
             count += 1
             if collect:
                 leaves.append(tuple(grid[:stop]))
@@ -481,7 +504,11 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
                         twin_leaves.append(leaves[-1])
             if stop_first:
                 break
+        # back to the deepest cell with symbols left to try
+        k -= 1
+        while k >= 0 and not untried[k]:
             k -= 1
+        cand = untried[k]
     return count, twins, nodes, True, leaves, twin_leaves
 
 

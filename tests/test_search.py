@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import time
 from itertools import islice
@@ -14,9 +15,9 @@ from latindist import (NonexistenceError, ParameterError,
 
 from latindist.search import _Context, _lex_order, _row_walk, _rows, _walk
 from oracle import (admissible_rows, all_latin_squares, band_column_order, count_by_filter,
-                    first_bands, is_pandiagonal, is_sudoku, min_adjacent_distance, mirror_cuts,
-                    mirror_images, row_major_prefix_count, row_prefix_count, row_prefixes,
-                    row_tuples, sudoku_prefix_count)
+                    first_bands, is_latin, is_pandiagonal, is_sudoku, min_adjacent_distance,
+                    mirror_cuts, mirror_images, row_major_prefix_count, row_prefix_count,
+                    row_prefixes, row_tuples, sudoku_prefix_count)
 
 
 def _count(n, d, constraint="plain", shape=None):
@@ -462,6 +463,7 @@ def test_complete_iff_the_tree_fits_the_budget():
     SearchQuery(n=8, min_distance=2, mode="exists", node_budget=10),
     SearchQuery(constraint="sudoku", shape=SudokuShape(3, 6), min_distance=7, mode="exists",
                 node_budget=1000),
+    SearchQuery(n=11, constraint="pandiagonal", min_distance=3, node_budget=10**4),
 ])
 def test_a_starved_walk_stops_one_node_past_the_budget(query):
     result = run_search(query)
@@ -527,6 +529,51 @@ def test_random_row_walks_match_the_row_prefixes(data):
         assert result.count == len(leaves)
         if mode == "enumerate":
             assert [row_tuples(w) for w in result.witnesses] == leaves
+
+
+# the classes of the cell walk's property test and, for each, the least distance it draws;
+# at d = 1 the oracle's set-based walk takes seconds on plain 5 and 6, pandiagonal 7 and
+# Sudoku (2,3) and (3,2)
+_CELL_WALKS = ([("plain", n, None, 1) for n in range(2, 5)] + [("plain", 5, None, 2),
+                                                               ("plain", 6, None, 2)]
+               + [("pandiagonal", 5, None, 1), ("pandiagonal", 7, None, 2)]
+               + [("sudoku", 4, (2, 2), 1), ("sudoku", 6, (2, 3), 2), ("sudoku", 6, (3, 2), 2)])
+
+
+@functools.cache
+def _cell_prefix_count(constraint, n, shape, d):
+    if shape:
+        return sudoku_prefix_count(*shape, d)
+    return row_major_prefix_count(n, d, constraint)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_random_cell_walks_match_the_cell_prefixes(data):
+    # any count or enumerate walk of a small class, any distance, any budget: the cell walk
+    # places the oracle's prefixes until the tree ends or the budget + 1-th placement
+    constraint, n, shape, least = data.draw(st.sampled_from(_CELL_WALKS))
+    d = data.draw(st.integers(least, n // 2 + 1))
+    mode = data.draw(st.sampled_from(("count", "enumerate")))
+    prefixes, squares = _cell_prefix_count(constraint, n, shape, d)
+    budget = data.draw(st.integers(1, 2 * prefixes))
+    query = SearchQuery(n=n, constraint=constraint, shape=shape and SudokuShape(*shape),
+                        min_distance=d, mode=mode)
+    count, twins, nodes, complete, leaves, twin_leaves = _walk(_Context(query), budget,
+                                                               mode == "enumerate", False)
+    assert nodes == min(prefixes, budget + 1)
+    assert complete == (prefixes <= budget)
+    if complete:
+        assert count + twins == squares
+    if mode == "enumerate":
+        assert len(leaves) == count and len(twin_leaves) == twins
+        for leaf in leaves:
+            rows = [leaf[r * n:(r + 1) * n] for r in range(n)]
+            assert rows[0][0] == 1 and min_adjacent_distance(rows) >= d
+            assert (is_sudoku(rows, *shape) if shape else
+                    is_pandiagonal(rows) if constraint == "pandiagonal" else is_latin(rows))
+    else:
+        assert leaves == twin_leaves == []
 
 
 def test_budget_exhaustion_is_reported_not_silent():
@@ -668,6 +715,20 @@ def test_context_tables_match_their_definition(n, constraint, shape):
     transposable = constraint != "sudoku" or a == b
     # tie bit 1 compares row 0 with column 0, bit 2 with the negated column 0
     images = {1: lambda v: v, 2: lambda v: _sigma(v, n)}
+    # a cell's four units: its row, its column, then its block or its forward and back
+    # diagonals; None stands for a unit it does not have
+    def units(r, c):
+        if constraint == "sudoku":
+            return ("row", r), ("column", c), ("block", r // a, c // b), None
+        if constraint == "pandiagonal":
+            return ("row", r), ("column", c), ("forward", (r - c) % n), ("back", (r + c) % n)
+        return ("row", r), ("column", c), None, None
+    # for each cell in visiting order, the last cell visited before it in each of its units,
+    # or the spare cell
+    last, before = {}, []
+    for r, c in order:
+        before.append(tuple(last.get(unit, spare) for unit in units(r, c)))
+        last.update((unit, r * n + c) for unit in units(r, c) if unit)
     for d in sorted({1, 2, n // 4, n // 2, n // 2 + 1} - {0}):
         ctx = _Context(SearchQuery(n=n, constraint=constraint, min_distance=d,
                                    shape=SudokuShape(a, b) if shape else None))
@@ -691,17 +752,10 @@ def test_context_tables_match_their_definition(n, constraint, shape):
             _check_mirror_tables(cells[a * n][-1], n, a)
             cells[a * n] = cells[a * n][:-1] + (0,)
         assert cells == [cell[:-1] + (0,) for cell in ctx.cells]
-        for k, (cell, u1, u2, u3, u4, prev, other, nbr, lex) in enumerate(ctx.cells):
+        for k, (cell, p1, p2, p3, p4, prev, other, nbr, lex) in enumerate(ctx.cells):
             r, c = order[k]
             assert cell == r * n + c, (d, k)
-            if constraint == "sudoku":
-                block = 2 * n + (r // a) * a + c // b
-                assert (u1, u2, u3, u4) == (r, n + c, block, block)
-            elif constraint == "pandiagonal":
-                forward, back = (r - c) % n, (r + c) % n
-                assert (u1, u2, u3, u4) == (r, n + c, 2 * n + 2 * forward, 2 * n + 2 * back + 1)
-            else:
-                assert (u1, u2, u3, u4) == (r, n + c, r, n + c)
+            assert (p1, p2, p3, p4) == before[k], (d, k)
             left = r * n + c - 1 if c else spare
             up = (r - 1) * n + c if r else spare
             # both neighbours are filled before the cell
