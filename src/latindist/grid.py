@@ -2,9 +2,9 @@
 
 A plain Latin square has every symbol once in each row and each column; a
 pandiagonal (Knut-Vik) square also in each wrapped diagonal, and a Sudoku
-square also in each a x b block.  `_unit_labels` numbers these units once
-for the validators, and `_cyclic_distance` computes the adjacent distance
-of two symbols for the metric, the constructions and the search.
+square also in each a x b block.  `_validate` numbers these units for the
+validators, and `_cyclic_distance` computes the adjacent distance of two
+symbols for the metric and the constructions.
 
 Cells are addressed 1-based: (i, j) is row i from the top, column j from
 the left, matching the usual combinatorial convention.  A grid of order n
@@ -233,16 +233,18 @@ class ValidationReport:
         }
 
 
-def _unit_labels(n: int, shape: SudokuShape | None = None,
-                 pandiagonal: bool = False) -> list[np.ndarray]:
-    """The Latin units of an order-n square class, one label array per cell partition.
+def _validate(grid: SquareGrid, shape: SudokuShape | None = None,
+              pandiagonal: bool = False) -> ValidationReport:
+    """One Violation per (unit, symbol) pair in which the symbol occurs more than once.
 
-    Each array, broadcast to (n, n), gives the unit every cell lies in: rows
-    are units 0..n-1 and columns n..2n-1; with pandiagonal, forward diagonal
-    (r - c) mod n is unit 2n + 2d and back diagonal (r + c) mod n unit
-    2n + 2d + 1; with a shape, block (band, stack) is 2n + band * a + stack.
-    Coordinates r, c are 0-based.  The units number len(result) * n.
+    Each label array, broadcast to (n, n), gives the unit every cell lies
+    in: rows are units 0..n-1 and columns n..2n-1; with pandiagonal,
+    forward diagonal (r - c) mod n is unit 2n + 2d and back diagonal
+    (r + c) mod n unit 2n + 2d + 1; with a shape, block (band, stack) is
+    2n + band * a + stack, with r, c 0-based.  The pairs are counted in one
+    bincount over the units and listed by unit, then symbol.
     """
+    n = grid.n
     r = np.arange(n).reshape(-1, 1)
     c = np.arange(n)
     labels = [r, n + c]
@@ -250,18 +252,6 @@ def _unit_labels(n: int, shape: SudokuShape | None = None,
         labels += [2 * n + 2 * ((r - c) % n), 2 * n + 2 * ((r + c) % n) + 1]
     if shape is not None:
         labels.append(2 * n + r // shape.a * shape.a + c // shape.b)
-    return labels
-
-
-def _validate(grid: SquareGrid, shape: SudokuShape | None = None,
-              pandiagonal: bool = False) -> ValidationReport:
-    """One Violation per (unit, symbol) pair in which the symbol occurs more than once.
-
-    The pairs are counted in one bincount over the units of `_unit_labels`
-    and listed by unit, then symbol.
-    """
-    n = grid.n
-    labels = _unit_labels(n, shape, pandiagonal)
     symbols = grid.cells - 1
     keys = np.concatenate([(label * n + symbols).ravel() for label in labels])
     hits = np.flatnonzero(np.bincount(keys, minlength=len(labels) * n * n) > 1)

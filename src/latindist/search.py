@@ -127,7 +127,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import and_, itemgetter, or_
 
 import numpy as np
@@ -277,28 +277,27 @@ class _Context:
     adm[u] is the mask of symbols at distance >= d from u, and adm[0], the
     symbol of the spare cell n*n, is the full mask; above[s] is the mask of
     the symbols above s.  Cells are numbered row-major, as the walk's grid
-    is: (r, c) is cell r*n + c.  cells[k] is (cell, p1, p2, p3, p4, prev,
-    other, nbr, lex) for the k-th cell visited, band by band (a rows each;
-    one row for plain and pandiagonal squares, so row by row) and within a
-    band column by column: every table is built once in row-major order and
-    then gathered into that order.  p1..p4 are, for each of the cell's four
+    is: (r, c) is cell r*n + c.  cells[k] is (cell, p1, p2, p3, p4, nbr,
+    lex) for the k-th cell visited, band by band (a rows each; one row for
+    plain and pandiagonal squares, so row by row) and within a band column
+    by column: every table is built once in row-major order and then
+    gathered into that order.  p1..p4 are, for each of the cell's four
     units, whose symbols must differ, the unit's cell visited last before
     it, or the spare cell if there is none: in its row the left neighbour,
     in its column the upper one, in its block the cell above or, at the top
     of a band, the last cell of the block's previous column, and in its
     forward and back diagonals the wrapped upper-left and upper-right
     neighbours.  Sudoku cells point p4, and plain cells p3 and p4, at the
-    spare cell.  prev and other are the row-major cells of the two
-    neighbours, both visited earlier: prev is the left one and other the
-    upper one, or the spare cell in row 0; in column 0 prev is the upper
-    one and other the spare cell.  Candidates are tried upwards from prev's
-    symbol, then from 1.  nbr[s] is the mask the cell admits beside a prev
-    holding s: adm itself for most cells, adm with the lex-leader rule
-    folded in for the first cells of row 0.  The corner admits symbol 1
-    alone (translation), and cell (0, 1) admits s only if s <= -s (see
-    _negation).  For even n, -s = s at s = 1 + n/2, and then cell (0, 2)
-    admits t only if t < -t.  For n = 2 negation is the identity and
-    restricts nothing.
+    spare cell.  The walk reads the two neighbours, both visited earlier,
+    through p1 and p2.  The cell's prev is the left one, or in column 0,
+    where p1 is the spare cell, the upper one, and at the corner the spare
+    cell; candidates are tried upwards from prev's symbol, then from 1.
+    nbr[s] is the mask the cell admits beside a prev holding s: adm itself
+    for most cells, adm with the lex-leader rule folded in for the first
+    cells of row 0.  The corner admits symbol 1 alone (translation), and
+    cell (0, 1) admits s only if s <= -s (see _negation).  For even n,
+    -s = s at s = 1 + n/2, and then cell (0, 2) admits t only if t < -t.
+    For n = 2 negation is the identity and restricts nothing.
 
     Count and enumerate walks of transposable classes apply the
     transposition rule of the module docstring.  Pair i is the cells (0, i)
@@ -315,7 +314,8 @@ class _Context:
     the grid, for the mirror cut of the module docstring.  band reads the
     first band's symbols from the grid in visiting order, mirror the
     symbols of the cells that reversing the columns puts in their place,
-    and prevs lists the band cells' prev.
+    and prevs lists the band cells' prev, by the same rule: the left cell,
+    the upper one in column 0, the spare cell at the corner.
     """
 
     __slots__ = ("n", "adm", "above", "cells", "neg")
@@ -334,12 +334,6 @@ class _Context:
         left = [spare] + cell[:-1]
         left[::n] = [spare] * n
         up = [spare] * n + cell[:-n]
-        # prev is the left neighbour, or the upper one in column 0; other is the upper one,
-        # or spare in column 0
-        prev = left[:]
-        prev[n::n] = up[n::n]
-        other = up[:]
-        other[::n] = [spare] * n
         # the cell before each cell in its third and fourth unit: in its block, the one
         # above, or at the top of a band the last of the block's previous column; in its
         # diagonals, the wrapped upper-left and upper-right neighbours; else spare
@@ -375,7 +369,8 @@ class _Context:
                 # the first cell of band 1, (a, 0), checks the first band's mirror image
                 band = order[:a * n]
                 mirror = [c + n - 1 - 2 * (c % n) for c in band]
-                lex[a * n] = (n, a, itemgetter(*band), itemgetter(*mirror), itemgetter(*band)(prev))
+                prevs = tuple([left[c] if c % n else up[c] for c in band])
+                lex[a * n] = (n, a, itemgetter(*band), itemgetter(*mirror), prevs)
         elif _transposable(shape):
             self.neg = neg
             # Masks are listed by tie bits: bit 1 compares row 0 with column 0, bit 2 with
@@ -391,7 +386,7 @@ class _Context:
                 lex[i] = (i, i * n, row_masks)
             for i in range(a, n):
                 lex[i * n] = (i, i, col_masks)
-        tables = zip(cell, left, up, third, fourth, prev, other, nbr, lex)
+        tables = zip(cell, left, up, third, fourth, nbr, lex)
         self.cells = itemgetter(*order)(list(tables))
 
 
@@ -420,17 +415,17 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
     """Depth-first fill of every cell from the empty grid.
 
     The only code that places symbols.  Cells are filled in the context's
-    visiting order and each cell tries its candidates upwards from the
-    symbol of its prev neighbour, wrapping round to 1, so the squares come
-    in a fixed order.  Each cell's untried candidates are kept on an
-    explicit stack, so the depth is not bounded by the interpreter's
-    recursion limit.  occ1..occ4[j] hold the symbols of cell j's units up
-    to j in visiting order: placing a symbol at j ORs its bit onto the
-    masks of j's p1..p4, and j's candidates exclude what those of p1..p4
-    hold.  A placement writes only its own cell's masks, so a backtrack
-    only steps back to the deepest cell with a candidate left.  Every
-    placement counts as one node; a walk that needs more than budget nodes
-    stops at node budget + 1.
+    visiting order and each cell tries its candidates upwards from its
+    prev's symbol, grid[p1] or grid[p2] as the spare cell holds 0, wrapping
+    round to 1, so the squares come in a fixed order.  Each cell's untried
+    candidates are kept on an explicit stack, so the depth is not bounded
+    by the interpreter's recursion limit.  occ1..occ4[j] hold the symbols
+    of cell j's units up to j in visiting order: placing a symbol at j ORs
+    its bit onto the masks of j's p1..p4, and j's candidates exclude what
+    those of p1..p4 hold.  A placement writes only its own cell's masks, so
+    a backtrack only steps back to the deepest cell with a candidate left.
+    Every placement counts as one node; a walk that needs more than budget
+    nodes stops at node budget + 1.
 
     Returns (count, twins, nodes, complete, leaves, twin_leaves): count
     leaves, twins of them with no tie bit left, which stand for their
@@ -456,11 +451,12 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
     # cand < 0 marks a cell the walk has just stepped onto
     cand = -1
     while k >= 0:
-        cell, p1, p2, p3, p4, prev, other, nbr, lex = cells[k]
-        sym = grid[prev]
+        cell, p1, p2, p3, p4, nbr, lex = cells[k]
+        # the left neighbour's symbol; in column 0, where p1 is the spare cell, the upper one's
+        sym = grid[p1] or grid[p2]
         if cand < 0:
             # the symbols that the cell's units and neighbours leave it
-            cand = nbr[sym] & adm[grid[other]] & ~(occ1[p1] | occ2[p2] | occ3[p3] | occ4[p4])
+            cand = nbr[sym] & adm[grid[p2]] & ~(occ1[p1] | occ2[p2] | occ3[p3] | occ4[p4])
             if lex:
                 if neg:
                     # the later cell of pair i: keep row 0 <= column 0 and <= its negation
@@ -475,7 +471,7 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
                     # no square
                     cand = 0
         if cand:
-            # upwards from prev's symbol, wrapping to 1: the symbols tried before are gone
+            # upwards from sym, wrapping to 1: the symbols tried before are gone
             # from cand, so the cycle goes on where it stopped
             pick = cand & above[sym] or cand
             bit = pick & -pick
@@ -593,7 +589,9 @@ def _row_walk(rows, near, shape: SudokuShape | None, budget: int, collect: bool)
     filters the first symbol of each row i >= 1.  Rows are tried in
     lexicographic order, and every row placed counts as one node; a walk
     that needs more than budget nodes stops at node budget + 1.  Returns
-    _walk's tuple.
+    _walk's tuple, but the walk keeps each leaf as its n row indices and,
+    when collect is set, gathers the cells once at the end: leaves and
+    twins are (L, n*n) arrays in the narrowest dtype.
     """
     total, n = rows.shape
     if not total:
@@ -634,8 +632,9 @@ def _row_walk(rows, near, shape: SudokuShape | None, budget: int, collect: bool)
     # the rows starting with 1 come first, total // n of them
     lead = sum(1 << r for r in range(total // n) if syms[r] <= [neg[u] for u in syms[r]])
     count = twins = nodes = 0
-    leaves: list[tuple[int, ...]] = []
-    twin_leaves: list[tuple[int, ...]] = []
+    complete = True
+    leaves: list[list[int]] = []
+    twin_leaves: list[list[int]] = []
     # per level: the untried rows, the row placed, the rows that the rows above exclude in
     # their columns and within the band, and the tie bits once the level's row is placed
     untried = [lead] + [0] * (n - 1)
@@ -653,7 +652,8 @@ def _row_walk(rows, near, shape: SudokuShape | None, budget: int, collect: bool)
         untried[i] = cand ^ bit
         nodes += 1
         if nodes > budget:
-            return count, twins, nodes, False, leaves, twin_leaves
+            complete = False
+            break
         r = picked[i] = bit.bit_length() - 1
         row = syms[r]
         if i:
@@ -664,7 +664,7 @@ def _row_walk(rows, near, shape: SudokuShape | None, budget: int, collect: bool)
         if i == n - 1:
             count += 1
             if collect:
-                leaves.append(tuple(chain.from_iterable(map(syms.__getitem__, picked))))
+                leaves.append(picked[:])
             if transposable and not ties[i]:
                 twins += 1
                 if collect:
@@ -682,7 +682,13 @@ def _row_walk(rows, near, shape: SudokuShape | None, budget: int, collect: bool)
         band[i] = band[i - 1] | block if i % a else 0
         cand = admits & ~(cols[i] | band[i])
         untried[i] = cand & firsts[t][top[i]] if t else cand
-    return count, twins, nodes, True, leaves, twin_leaves
+    if collect:
+        # each leaf's n rows, gathered once from the rows in the narrowest dtype; a count
+        # skips it, as its fixed cost is a few percent of a small walk
+        narrow = rows.astype(np.min_scalar_type(n))
+        leaves, twin_leaves = (narrow[np.array(picks, np.intp).reshape(-1, n)].reshape(-1, n * n)
+                               for picks in (leaves, twin_leaves))
+    return count, twins, nodes, complete, leaves, twin_leaves
 
 
 def run_search(query: SearchQuery, workers: int = 1) -> SearchResult:
@@ -719,13 +725,13 @@ def _search(query: SearchQuery):
     count, twins, nodes, complete, leaves, twin_leaves = walked
     # one row of symbols per leaf, in the narrowest dtype; run_search's _grids widens it once
     narrow = np.min_scalar_type(n)
-    stack = np.array(leaves, narrow).reshape(-1, n * n)
+    stack = np.asarray(leaves, narrow).reshape(-1, n * n)
     if complete and mode != "exists":
         # a leaf whose row 0 is below column 0 and its negation stands for its transpose too,
         # and each leaf for its orbit under u -> +-(u - 1) + s: 2n squares, n when n = 2
         count = (count + twins) * (n if n == 2 else 2 * n)
         if mode == "enumerate":
-            partners = np.array(twin_leaves, narrow).reshape(-1, n, n).transpose(0, 2, 1)
+            partners = np.asarray(twin_leaves, narrow).reshape(-1, n, n).transpose(0, 2, 1)
             stack = np.concatenate((stack, partners.reshape(-1, n * n)))
             # row m of maps is the m-th symbol map, indexed by the symbol
             maps = np.array(list(dict.fromkeys((0, *[(sign * v + s) % n + 1 for v in range(n)])

@@ -220,7 +220,7 @@ def _uncut_walk(query, band=None):
         for k in range(a * n):
             cell = cells[k]
             bit = 1 << (band[cell[0] // n][cell[0] % n] - 1)
-            cells[k] = cell[:7] + ([m & bit for m in cell[7]], 0)
+            cells[k] = cell[:5] + ([m & bit for m in cell[5]], 0)
     ctx.cells = tuple(cells)
     return _walk(ctx, query.node_budget, True, True)
 
@@ -371,7 +371,9 @@ def test_a_whole_word_of_rows_and_one_row_more(lead, total):
     count, twins, nodes, complete, leaves, _ = _row_walk(listed, near, None, 10**9, True)
     assert complete and (nodes, count + twins) == row_prefix_count(8, 3, rows=tuples)
     stacks = [stack for stack in row_prefixes(8, 3, rows=tuples) if len(stack) == 8]
-    assert [tuple(leaf[i:i + 8] for i in range(0, 64, 8)) for leaf in leaves] == stacks
+    # the leaves come back as one (L, n*n) array in the narrowest dtype
+    assert leaves.dtype == np.uint8 and leaves.shape == (count, 64)
+    assert [tuple(map(tuple, leaf)) for leaf in leaves.reshape(-1, 8, 8).tolist()] == stacks
     assert any(tuples[-1] in stack for stack in stacks)
 
 
@@ -677,7 +679,9 @@ def test_witnesses_are_read_only_views_of_one_array(query):
         listed = _rows(n, query.min_distance) if query.constraint == "plain" else None
         walked = (_row_walk(*listed, None, query.node_budget, True) if listed
                   else _walk(_Context(query), query.node_budget, True, False))
-        assert rows == [tuple(leaf[i:i + n] for i in range(0, n * n, n)) for leaf in walked[4]]
+        # the cell walk's leaves are cell tuples, the row walk's one (L, n*n) array
+        leaves = np.asarray(walked[4]).reshape(-1, n, n).tolist()
+        assert rows == [tuple(map(tuple, leaf)) for leaf in leaves]
 
 
 def _sigma(s, n):
@@ -752,7 +756,7 @@ def test_context_tables_match_their_definition(n, constraint, shape):
             _check_mirror_tables(cells[a * n][-1], n, a)
             cells[a * n] = cells[a * n][:-1] + (0,)
         assert cells == [cell[:-1] + (0,) for cell in ctx.cells]
-        for k, (cell, p1, p2, p3, p4, prev, other, nbr, lex) in enumerate(ctx.cells):
+        for k, (cell, p1, p2, p3, p4, nbr, lex) in enumerate(ctx.cells):
             r, c = order[k]
             assert cell == r * n + c, (d, k)
             assert (p1, p2, p3, p4) == before[k], (d, k)
@@ -760,8 +764,8 @@ def test_context_tables_match_their_definition(n, constraint, shape):
             up = (r - 1) * n + c if r else spare
             # both neighbours are filled before the cell
             assert all(j == spare or at[divmod(j, n)] < k for j in (left, up))
-            # symbols are tried upwards from the left neighbour's, in column 0 the upper one's
-            assert (prev, other) == ((left, up) if c else (up, spare))
+            # the walk reads both neighbours through the row and column links
+            assert (p1, p2) == (left, up), (d, k)
             allowed = [full] * (n + 1)
             if (r, c) == (0, 0):
                 allowed = [1] * (n + 1)

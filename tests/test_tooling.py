@@ -43,9 +43,14 @@ def test_each_bench_file_holds_quartiles_of_every_end_to_end_metric():
         assert bench["entries"], path.name
         for entry in bench["entries"]:
             where = (path.name, entry.get("commit"))
-            assert {"parent", "commit", "pairs"} <= entry.keys(), where
+            assert {"parent", "commit", "pairs", "claimed"} <= entry.keys(), where
             assert len(entry["seeds"]) == entry["pairs"], where
+            # a gain is claimed on one end-to-end metric, or on none
+            assert entry["claimed"] is None or entry["claimed"] in metrics, where
             for name in metrics:
+                metric = entry["metrics"][name]
                 for side in ("parent", "change"):
-                    q = entry["metrics"][name][side]
+                    q = metric[side]
                     assert q["q1"] <= q["median"] <= q["q3"], (*where, name, side)
+                # each pair reads better, worse or the same
+                assert metric["change_better_in"] + metric["ties"] <= entry["pairs"], (*where, name)
