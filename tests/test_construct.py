@@ -419,6 +419,36 @@ def test_even_block_constructors_match_their_digest(cap, shapes, sha256):
     assert _constructor_sweep(cap) == (shapes, sha256)
 
 
+def _shift_fill_sweep(cap: int) -> tuple[int, int, str]:
+    """The number of shapes and orders and the SHA-256 of the shift fills up to order cap.
+
+    sudoku_square(a, b) for sides a, b >= 2, not both even, with ab <= cap in
+    both orientations, then max_distance_square(n) for n = 2..cap; cells as
+    little-endian int64.
+    """
+    digest, shapes = hashlib.sha256(), 0
+    for a in range(2, cap // 2 + 1):
+        for b in range(2, cap // a + 1):
+            if a % 2 or b % 2:
+                digest.update(sudoku_square(a, b).cells.astype("<i8").tobytes())
+                shapes += 1
+    for n in range(2, cap + 1):
+        digest.update(max_distance_square(n).cells.astype("<i8").tobytes())
+    return shapes, cap - 1, digest.hexdigest()
+
+
+@pytest.mark.parametrize("cap, shapes, sha256", [
+    pytest.param(256, 675,
+                 "59fcb95a2446ffa82c6451d9e5ff51fb9aaec747b1a0bf87f27bf7895250ae40", id="256"),
+    pytest.param(576, 1_867,
+                 "12cb537ae884eda695848029e8fa2219abd528572cd23188471fcffe2fde9623",
+                 marks=pytest.mark.slow, id="576")])
+def test_shift_fill_constructors_match_their_digest(cap, shapes, sha256):
+    # every odd-width, odd-by-even and two-row Sudoku grid and every max_distance_square grid
+    # up to the cap, so that a rewrite of a shift fill's parameter rules shows as a changed digest
+    assert _shift_fill_sweep(cap) == (shapes, cap - 1, sha256)
+
+
 def test_bounds_reject_order_one():
     with pytest.raises(ParameterError, match="below order 2"):
         known_bounds("pandiagonal", n=1)
