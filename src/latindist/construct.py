@@ -154,17 +154,15 @@ def max_distance_square(n: int) -> SquareGrid:
 
     The maximum is floor((n-1)/2) for n >= 3 (adding more than half the
     order is the same as subtracting less); for n = 2 both squares of that
-    order have distance 1.
+    order have distance 1.  Both increments are that maximum.  Where they
+    share the factor 2 with n (n = 2 mod 4), the unit offset at the
+    half-grid seam makes the crossing difference n/2; otherwise the periods
+    span the grid and the offsets are never applied.
     """
     n = _order(n)
     if n < 2:
         raise ParameterError("no inner distance is defined below order 2")
-    if n == 2:
-        return shift_by_k(2, 1)
-    if n % 2:
-        h = (n - 1) // 2
-        return algorithm1(ShiftParams(n, h, h, n, n))
-    h = (n - 2) // 2
+    h = max(1, (n - 1) // 2)
     return algorithm1(ShiftParams(n, h, h, 1, 1))
 
 
@@ -246,34 +244,24 @@ def _sudoku_plan(a: int, b: int) -> tuple[str, ShiftParams | None]:
             params = ShiftParams(n, r=-(n - a) // 2, c=-(n - 1) // 2, alpha=-1, beta=n)
         else:
             # the vertical increment is the largest value under n/2 coprime
-            # to n, which depends on a mod 4
-            if a % 2:
-                r = (n - 1) // 2
-            elif a % 4 == 0:
-                r = (n - 2) // 2
-            else:
-                r = (n - 4) // 2
+            # to n, at most two steps below (n-1)//2
+            r = next(r for r in range((n - 1) // 2, 0, -1) if gcd(r, n) == 1)
             params = ShiftParams(n, r=r, c=(n - a) // 2, alpha=n, beta=1)
         return "odd-width-shift-fill", params
     if a % 2 == 0:
         # the paper's shift-fill parameters cannot reach (n-a)/2 on (even,
         # even) blocks; see `algorithm2`
         return "even-even-row-offset-fill", None
-    # odd a, even b: (n - min(2a, b))/2 when b = 0 mod 4 and (n - min(4a, b))/2
+    # odd a, even b: (n - min(ka, b))/2 with k = 2 when b = 0 mod 4 and k = 4
     # when b = 2 mod 4; whichever of the two increments is smaller rides on
     # the block seams, so the parameter roles swap when b is small
-    # relative to a
-    if b % 4 == 0:
-        if b >= 2 * a:
-            params = ShiftParams(n, r=(n - 2) // 2, c=(n - 2 * a) // 2, alpha=n, beta=1)
-        else:
-            params = ShiftParams(n, r=(n - b) // 2, c=(n - 2) // 2, alpha=1, beta=n)
-        return "width-div4-shift-fill", params
-    if b >= 4 * a:
-        params = ShiftParams(n, r=(n - 4) // 2, c=(n - 4 * a) // 2, alpha=n, beta=1)
+    # relative to ka
+    k = 2 if b % 4 == 0 else 4
+    if b >= k * a:
+        params = ShiftParams(n, r=(n - k) // 2, c=(n - k * a) // 2, alpha=n, beta=1)
     else:
-        params = ShiftParams(n, r=(n - b) // 2, c=(n - 4) // 2, alpha=1, beta=n)
-    return "width-2mod4-shift-fill", params
+        params = ShiftParams(n, r=(n - b) // 2, c=(n - k) // 2, alpha=1, beta=n)
+    return "width-div4-shift-fill" if k == 2 else "width-2mod4-shift-fill", params
 
 
 def sudoku_square(a: int, b: int) -> SquareGrid:
