@@ -24,6 +24,8 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterable
+from itertools import chain
 
 from .errors import (GridFormatError, NonexistenceError, NotReducibleError,
                      ParameterError, UndefinedDistanceError)
@@ -114,10 +116,11 @@ def _read_grid(path: str | None):
     return parse_grid_text(text), None
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(parts: Iterable[str], out: str | None) -> None:
+    """Write the text parts in turn to out, or to stdout for None or "-"."""
     if out is None or out == "-":
         try:
-            sys.stdout.write(text)
+            sys.stdout.writelines(parts)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader is gone: drop the rest, here and at the flush on exit, and keep the
@@ -127,7 +130,7 @@ def _emit(text: str, out: str | None) -> None:
             os.close(devnull)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def _cmd_gen(args) -> int:
@@ -143,9 +146,9 @@ def _cmd_gen(args) -> int:
     grid = build(construct, *values)
     shape = block_shape and block_shape(*values)
     if args.format == "json":
-        _emit(json.dumps(grid_to_json(grid, shape)) + "\n", args.out)
+        _emit((json.dumps(grid_to_json(grid, shape)), "\n"), args.out)
     else:
-        _emit(format_grid_text(grid), args.out)
+        _emit((format_grid_text(grid),), args.out)
     return EXIT_OK
 
 
@@ -184,7 +187,7 @@ def _cmd_check(args) -> int:
         if shape is None:
             raise ParameterError("--kind sudoku needs --a and --b (or a JSON grid with a shape)")
         report = validate_sudoku(grid, shape)
-    _emit(json.dumps(report.as_json_dict()) + "\n", args.out)
+    _emit((json.dumps(report.as_json_dict()), "\n"), args.out)
     return EXIT_OK if report.verdict else EXIT_FALSE
 
 
@@ -194,7 +197,7 @@ def _cmd_dist(args) -> int:
     grid, _ = _read_grid(args.input)
     report = inner_distance(grid)
     if args.format == "json":
-        _emit(json.dumps(report.as_json_dict()) + "\n", args.out)
+        _emit((json.dumps(report.as_json_dict()), "\n"), args.out)
     else:
         lines = [f"inner distance: {report.inner_distance}"]
         census = ", ".join(f"{d}x{c}" for d, c in report.realized_classes)
@@ -205,7 +208,7 @@ def _cmd_dist(args) -> int:
         if len(report.argmin_pairs) > MAX_TEXT_PAIRS:
             lines.append(f"... and {len(report.argmin_pairs) - MAX_TEXT_PAIRS} more "
                          "(--format json lists them all)")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(("\n".join(lines), "\n"), args.out)
     return EXIT_OK
 
 
@@ -214,7 +217,7 @@ def _cmd_bounds(args) -> int:
 
     _flag_class(args)
     entry = known_bounds(args.kind, n=args.n, a=args.a, b=args.b)
-    _emit(json.dumps(entry.as_json_dict()) + "\n", args.out)
+    _emit((json.dumps(entry.as_json_dict()), "\n"), args.out)
     return EXIT_OK
 
 
@@ -236,11 +239,12 @@ def _cmd_search(args) -> int:
            "elapsed_ms": round(elapsed_ms, 3)}
     if args.witnesses_out:
         _emit(_grids_text(stack), args.witnesses_out)
-    text = json.dumps(doc) + "\n"
+    head = json.dumps(doc)
     if args.mode == "enumerate":
-        # json.dumps(doc) with the rows as its last entry, joined so that their text is copied once
-        text = "".join((text[:-2], ', "witnesses": ', _grids_json(stack), "}\n"))
-    _emit(text, args.out)
+        # json.dumps(doc) with the rows as its last entry, written a block of witnesses at a time
+        _emit(chain((head[:-1], ', "witnesses": '), _grids_json(stack), ("}\n",)), args.out)
+    else:
+        _emit((head, "\n"), args.out)
     return EXIT_OK
 
 
@@ -251,10 +255,9 @@ def _cmd_canon(args) -> int:
     canonical, perm = to_circulant_canonical(grid)
     if args.format == "json":
         doc = {"canonical": grid_to_json(canonical), "permutation": perm.as_json_dict()}
-        _emit(json.dumps(doc) + "\n", args.out)
+        _emit((json.dumps(doc), "\n"), args.out)
     else:
-        _emit(format_grid_text(canonical) + "\n" + json.dumps(perm.as_json_dict()) + "\n",
-              args.out)
+        _emit((format_grid_text(canonical), "\n", json.dumps(perm.as_json_dict()), "\n"), args.out)
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import repeat
 from numbers import Integral
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -313,31 +313,35 @@ def format_grid_text(grid: SquareGrid) -> str:
     parse_grid_text reads it back.  It accepts any token int() reads, and
     its error for a bad token names the line that holds it.
     """
-    return _grids_text(grid.cells[None])
+    return "".join(_grids_text(grid.cells[None]))
 
 
-def _grids_text(stack: np.ndarray) -> str:
-    """The grids of an integer (W, n, n) stack in format_grid_text's format, a blank line apart."""
-    return _stack_text(stack, " ", "\n", "\n\n", "\n") if len(stack) else ""
+def _grids_text(stack: np.ndarray) -> Iterator[str]:
+    """The grids of an integer (W, n, n) stack in format_grid_text's format, a blank line
+    apart, as parts to join or write in turn."""
+    return _stack_text(stack, " ", "\n", "\n\n", "\n")
 
 
-def _grids_json(stack: np.ndarray) -> str:
-    """json.dumps(stack.tolist()) for an integer (W, n, n) stack."""
-    return "[[[" + _stack_text(stack, ", ", "], [", "]], [[", "]]]") if len(stack) else "[]"
+def _grids_json(stack: np.ndarray) -> Iterator[str]:
+    """json.dumps(stack.tolist()) for an integer (W, n, n) stack, as parts to join or write."""
+    yield "[[[" if len(stack) else "[]"
+    yield from _stack_text(stack, ", ", "], [", "]], [[", "]]]")
 
 
 # cells that _stack_text converts at a time, so that its padded gather stays a few megabytes
 _TEXT_CELLS = 2**20
 
 
-def _stack_text(stack: np.ndarray, cell: str, row: str, grid: str, last: str) -> str:
-    """Each symbol of a non-empty integer (W, n, n) stack in decimal, then its separator.
+def _stack_text(stack: np.ndarray, cell: str, row: str, grid: str, last: str) -> Iterator[str]:
+    """Each symbol of an integer (W, n, n) stack in decimal, then its separator.
 
     The separator is cell inside a row, row after a row, grid after a
     grid's last row and last after the stack's last row.  The stack is
     converted a block of _TEXT_CELLS // (n*n) witnesses (at least one) at a
     time, each block by one gather through a table of symbol strings and
-    one pass that drops the padding, and the blocks' texts are joined.
+    one pass that drops the padding, and each block's text is yielded as it
+    is made, so that a writer holds one block at a time.  An empty stack
+    yields nothing.
     """
     count, n = stack.shape[:2]
     digits = len(str(n))
@@ -349,15 +353,13 @@ def _stack_text(stack: np.ndarray, cell: str, row: str, grid: str, last: str) ->
     table[:, :digits] = np.arange(n + 1).astype(f"S{digits}").view(np.uint8).reshape(n + 1, -1)
     table[:, digits:] = cell
     block = max(1, _TEXT_CELLS // (n * n))
-    parts = []
     for start in range(0, count, block):
         text = table[stack[start:start + block]]
         text[:, :, -1, digits:] = row
         text[:, -1, -1, digits:] = grid
         if start + block >= count:
             text[-1, -1, -1, digits:] = last
-        parts.append(text.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(parts)
+        yield text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _int_rows(lines: list[str]) -> list[list[int]]:

@@ -666,7 +666,9 @@ def test_search_has_no_workers_flag():
 @pytest.mark.parametrize("argv, stdin, want_code", [
     (["gen", "--algo", "maxdist", "--n", "200"], "", 0),
     (["check", "--kind", "latin"], format_grid_text(max_distance_square(9)).replace("9", "8"), 1),
-], ids=["gen", "failed-check"])
+    # 31 080 witnesses of 49 cells, written in two blocks
+    (["search", "--n", "7", "--min-dist", "2", "--mode", "enumerate"], "", 0),
+], ids=["gen", "failed-check", "search-enumerate"])
 def test_a_closed_stdout_ends_the_output_quietly(argv, stdin, want_code):
     # the read end is closed before the command starts, so every write to stdout fails
     read, write = os.pipe()

@@ -212,9 +212,9 @@ def test_stack_text_is_the_grid_texts_joined():
     for n in (1, 2, 9, 10, 11, 100):
         stack = rng.integers(1, n + 1, size=(4, n, n))
         want = [loop_format(SquareGrid(cells)) for cells in stack]
-        assert _grids_text(stack) == "\n".join(want), n
-        assert _grids_text(stack[:1]) == want[0], n
-    assert _grids_text(np.zeros((0, 4, 4), np.int64)) == ""
+        assert "".join(_grids_text(stack)) == "\n".join(want), n
+        assert "".join(_grids_text(stack[:1])) == want[0], n
+    assert "".join(_grids_text(np.zeros((0, 4, 4), np.int64))) == ""
 
 
 def test_stack_json_is_json_dumps_of_its_rows(monkeypatch):
@@ -223,21 +223,24 @@ def test_stack_json_is_json_dumps_of_its_rows(monkeypatch):
     for n in (1, 2, 9, 10, 11, 100):
         for count in (1, 4):
             stack = rng.integers(1, n + 1, size=(count, n, n))
-            assert _grids_json(stack) == json.dumps(stack.tolist()), (n, count)
-    assert _grids_json(np.zeros((0, 4, 4), np.int64)) == "[]"
+            assert "".join(_grids_json(stack)) == json.dumps(stack.tolist()), (n, count)
+    assert "".join(_grids_json(np.zeros((0, 4, 4), np.int64))) == "[]"
     # the stack is converted a block of witnesses at a time: a whole block and one witness
     # past it, here 1 024 and 1 025 of order 32, then blocks of 4 and of 1 witness
     n = 32
     block = grid_module._TEXT_CELLS // (n * n)
     for count in (block, block + 1):
         stack = rng.integers(1, n + 1, size=(count, n, n)).astype(np.uint8)
-        assert _grids_json(stack) == json.dumps(stack.tolist()), (n, count)
+        assert "".join(_grids_json(stack)) == json.dumps(stack.tolist()), (n, count)
     for cells, counts in ((4 * 25, (1, 4, 5, 9)), (1, (1, 2, 3))):
         monkeypatch.setattr(grid_module, "_TEXT_CELLS", cells)
         for count in counts:
             stack = rng.integers(1, 6, size=(count, 5, 5))
-            assert _grids_json(stack) == json.dumps(stack.tolist()), (cells, count)
-            assert _grids_text(stack) == "\n".join(map(loop_format, map(SquareGrid, stack)))
+            assert "".join(_grids_json(stack)) == json.dumps(stack.tolist()), (cells, count)
+            parts = list(_grids_text(stack))
+            assert "".join(parts) == "\n".join(map(loop_format, map(SquareGrid, stack)))
+            # one part per block, so that a writer holds one block's text at a time
+            assert len(parts) == -(-count // max(1, cells // 25)), (cells, count)
 
 
 def loop_parse(text: str) -> SquareGrid:
