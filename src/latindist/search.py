@@ -25,9 +25,14 @@ once, each as ceil(R / 64) 64-bit words.  The one-word rule: when R <=
 the sets become Python ints and the walk works out a row's masks when it
 first places it.  Both give the walk the same masks, so the rule changes
 no answer and no node count; at the odd ceilings, 2n rows, it covers
-n <= 31.  Near the ceiling a row admits few rows under it, so plain 8
-d=3 takes 656 row placements where the cell walk takes 7 253, and plain
-9 d=3 0.4 s where it takes 12 s.  A node is a row placement.
+n <= 31.  Past one word the masks wait for the walk because building them
+before it costs one Python int per row and mask, placed or not, while
+building them on first placement costs n lookups per placed row: with
+every mask built first, Sudoku (3,3) d=3 and (4,5) d=9, whose walks place
+few of their 1 710 and 2 040 rows, took 2.5 and 3 times as long.  Near
+the ceiling a row admits few rows under it, so plain 8 d=3 takes 656 row
+placements where the cell walk takes 7 253, and plain 9 d=3 0.4 s where
+it takes 12 s.  A node is a row placement.
 
 The cell walk answers everything else: exists probes, pandiagonal
 squares (their diagonal clashes depend on how far apart two rows are)
