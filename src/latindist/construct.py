@@ -24,7 +24,8 @@ from math import gcd
 import numpy as np
 
 from .errors import NonexistenceError, ParameterError
-from .grid import SquareGrid, SudokuShape, _cyclic_distance, _order, _square_class, _validate
+from .grid import (SquareGrid, SudokuShape, _cyclic_distance, _narrow, _order, _square_class,
+                   _validate)
 from .transform import transpose
 
 __all__ = [
@@ -96,13 +97,30 @@ def _require(cells, shape: SudokuShape | None = None, pandiagonal: bool = False)
     return grid
 
 
+def _add_mod(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The n x n cells (rows[i] + cols[j]) mod n + 1, for rows and cols reduced mod n.
+
+    The one n*n pass adds the two vectors in the narrowest signed dtype
+    that holds their sums, at most 2n - 1, and takes n off each sum above n.
+    """
+    dtype = _narrow(2 * n - 1)
+    vals = np.add.outer(rows.astype(dtype), (cols + 1).astype(dtype))
+    vals -= (vals > n) * dtype(n)
+    return vals
+
+
 def _shift_fill(params: ShiftParams) -> np.ndarray:
-    """The cells of `algorithm1(params)`, unchecked."""
-    n, r, c = params.n, params.r, params.c
-    i = np.arange(n).reshape(-1, 1)
-    j = np.arange(n).reshape(1, -1)
-    vals = i * r + j * c + params.alpha * (i // params.R) + params.beta * (j // params.C)
-    return vals % n + 1
+    """The cells of `algorithm1(params)`, unchecked.
+
+    The fill is a row term plus a column term, i*r + alpha*floor(i/R) and
+    j*c + beta*floor(j/C), 0-based; each is reduced mod n as an n-vector
+    before `_add_mod` adds them.
+    """
+    n = params.n
+    k = np.arange(n)
+    rows = (k * params.r + params.alpha * (k // params.R)) % n
+    cols = (k * params.c + params.beta * (k // params.C)) % n
+    return _add_mod(rows, cols, n)
 
 
 def algorithm1(params: ShiftParams) -> SquareGrid:
@@ -202,6 +220,9 @@ def algorithm2(x: int, y: int) -> SquareGrid:
     Summed down to 0-based row i, with (t, p) = divmod(i, a), the band and
     the position in it, these offsets come to
       -x*t + (x-1)*(t mod 2) + (-1)**t * floor(p/2).
+    The cells are the row term i*2xy plus these offsets and the column term
+    j*(2xy - x) + floor(j/4y), each reduced mod n as an n-vector, added as
+    in the shift fill.
     """
     x, y = _order(x, "a half-height"), _order(y, "a half-width")
     if x < 2:
@@ -209,13 +230,13 @@ def algorithm2(x: int, y: int) -> SquareGrid:
     if y < x:
         raise ParameterError(f"needs x <= y, got ({x}, {y}); build ({y}, {x}) and transpose")
     n = 4 * x * y
-    i = np.arange(n).reshape(-1, 1)
-    j = np.arange(n).reshape(1, -1)
-    t, p = np.divmod(i, 2 * x)
+    k = np.arange(n)
+    t, p = np.divmod(k, 2 * x)
     odd = t % 2
     offsets = -x * t + (x - 1) * odd + (1 - 2 * odd) * (p // 2)
-    vals = j * (2 * x * y - x) + j // (4 * y) + i * (2 * x * y) + offsets
-    return _require(vals % n + 1, SudokuShape(2 * x, 2 * y))
+    rows = (k * (2 * x * y) + offsets) % n
+    cols = (k * (2 * x * y - x) + k // (4 * y)) % n
+    return _require(_add_mod(rows, cols, n), SudokuShape(2 * x, 2 * y))
 
 
 # block shapes ----------------------------------------------------------------

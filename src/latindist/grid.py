@@ -2,9 +2,11 @@
 
 A plain Latin square has every symbol once in each row and each column; a
 pandiagonal (Knut-Vik) square also in each wrapped diagonal, and a Sudoku
-square also in each a x b block.  `_validate` numbers these units for the
-validators, and `_cyclic_distance` computes the adjacent distance of two
-symbols for the metric and the constructions.
+square also in each a x b block.  `_validate` counts the symbols of these
+units for the validators one unit family at a time, reading each cell's
+unit off a table of O(n) labels, and `_cyclic_distance` computes the
+adjacent distance of two symbols for the metric and the constructions,
+in the dtype `_narrow` picks.
 
 Cells are addressed 1-based: (i, j) is row i from the top, column j from
 the left, matching the usual combinatorial convention.  A grid of order n
@@ -22,6 +24,7 @@ from numbers import Integral
 from typing import Iterator, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridFormatError, ParameterError
 
@@ -54,11 +57,21 @@ def _order(n, what: str = "an order") -> int:
     return int(n)
 
 
+def _narrow(bound: int) -> type[np.signedinteger]:
+    """The narrowest signed integer dtype that holds every integer from -bound to bound."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
 def _cyclic_distance(diff, n: int):
     """min(diff mod n, -diff mod n), the distance of symbols u, v with u - v = diff.
 
     diff is an int, which gives a numpy int, or an integer array, with
-    every |diff| <= n: abs is much cheaper than a remainder on arrays.
+    every |diff| <= n: abs is much cheaper than a remainder on arrays.  The
+    metric passes differences of symbols in [1, n], in the dtype _narrow(n)
+    picks, so abs(diff) and n - abs(diff), both in [0, n], stay in it.
     """
     dist = abs(diff)
     return np.minimum(dist, n - dist)
@@ -237,24 +250,46 @@ def _validate(grid: SquareGrid, shape: SudokuShape | None = None,
               pandiagonal: bool = False) -> ValidationReport:
     """One Violation per (unit, symbol) pair in which the symbol occurs more than once.
 
-    Each label array, broadcast to (n, n), gives the unit every cell lies
-    in: rows are units 0..n-1 and columns n..2n-1; with pandiagonal,
-    forward diagonal (r - c) mod n is unit 2n + 2d and back diagonal
-    (r + c) mod n unit 2n + 2d + 1; with a shape, block (band, stack) is
-    2n + band * a + stack, with r, c 0-based.  The pairs are counted in one
-    bincount over the units and listed by unit, then symbol.
+    The units come in families: rows, columns, with pandiagonal the
+    forward diagonals (r - c) mod n and the back diagonals (r + c) mod n,
+    and with a shape the blocks band * a + stack, with r, c 0-based.  Each
+    family labels every cell with its unit times n, less 1, so that label
+    plus symbol is the cell's (unit, symbol) key.  Row and column labels
+    are one n-vector broadcast along either axis; the diagonal labels are
+    a Toeplitz and a Hankel view of one table that lists the n labels
+    twice; the block labels are an outer sum of a band and a stack
+    n-vector.  Each family's keys are written into one reused n x n buffer
+    and counted by one bincount, so no index arithmetic runs on n*n values
+    and only the buffer and one family's counts are held at a time.  The
+    few repeated keys are numbered as units of the whole class, rows
+    0..n-1, columns n..2n-1, then forward diagonal d as 2n + 2d and back
+    diagonal d as 2n + 2d + 1, or block k as 2n + k, and listed by unit,
+    then symbol.
     """
     n = grid.n
-    r = np.arange(n).reshape(-1, 1)
-    c = np.arange(n)
-    labels = [r, n + c]
+    label = np.arange(n) * n - 1
+    # (terms whose sum is the labels, the class unit of label 0, the step between class units)
+    families = [((label[:, None],), 0, 1), ((label,), n, 1)]
     if pandiagonal:
-        labels += [2 * n + 2 * ((r - c) % n), 2 * n + 2 * ((r + c) % n) + 1]
+        # twice[k] is the label of k mod n; entry [r, c] of the windows of twice[1:], each
+        # reversed, is twice[r - c + n], and that of the windows of twice[:-1] is twice[r + c]
+        twice = np.concatenate((label, label))
+        families += [((sliding_window_view(twice[1:], n)[:, ::-1],), 2 * n, 2),
+                     ((sliding_window_view(twice[:-1], n),), 2 * n + 1, 2)]
     if shape is not None:
-        labels.append(2 * n + r // shape.a * shape.a + c // shape.b)
-    symbols = grid.cells - 1
-    keys = np.concatenate([(label * n + symbols).ravel() for label in labels])
-    hits = np.flatnonzero(np.bincount(keys, minlength=len(labels) * n * n) > 1)
+        bands = np.arange(n) // shape.a * shape.a * n - 1
+        stacks = np.arange(n) // shape.b * n
+        families.append(((bands[:, None], stacks), 2 * n, 1))
+    keys = np.empty((n, n), dtype=np.int64)
+    found = []
+    for terms, first, step in families:
+        np.add(terms[0], grid.cells, out=keys)
+        for term in terms[1:]:
+            keys += term
+        repeated = np.flatnonzero(np.bincount(keys.ravel(), minlength=n * n) > 1)
+        units, symbols = np.divmod(repeated, n)
+        found.append((first + step * units) * n + symbols)
+    hits = np.sort(np.concatenate(found))
     violations = []
     for u, s in zip((hits // n).tolist(), (hits % n + 1).tolist()):
         if u < n:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedDistanceError
-from .grid import SquareGrid, _cyclic_distance
+from .grid import SquareGrid, _cyclic_distance, _narrow
 
 __all__ = ["DistanceReport", "inner_distance"]
 
@@ -56,12 +56,19 @@ class DistanceReport:
 
 def _fill_pairs(out: np.ndarray, hits: np.ndarray, step: tuple[int, int]) -> None:
     """Write the 1-based cell pairs at the true cells of hits, in row-major
-    order, into out of shape (k, 2, 2); the second cell lies one step away."""
-    rows, cols = np.nonzero(hits)
-    np.add(rows, 1, out=out[:, 0, 0])
-    np.add(cols, 1, out=out[:, 0, 1])
-    np.add(rows, 1 + step[0], out=out[:, 1, 0])
-    np.add(cols, 1 + step[1], out=out[:, 1, 1])
+    order, into out of shape (k, 2, 2); the second cell lies one step away.
+
+    A hit's row is read off the hit count of each row, and its column is
+    its flat index less that of its row's first cell, so no index is
+    divided; the rows become the columns in place.
+    """
+    index = np.repeat(np.arange(len(hits)), np.count_nonzero(hits, axis=1))
+    np.add(index, 1, out=out[:, 0, 0])
+    np.add(index, 1 + step[0], out=out[:, 1, 0])
+    index *= -hits.shape[1]
+    index += np.flatnonzero(hits)
+    np.add(index, 1, out=out[:, 0, 1])
+    np.add(index, 1 + step[1], out=out[:, 1, 1])
 
 
 def inner_distance(grid: SquareGrid) -> DistanceReport:
@@ -70,7 +77,8 @@ def inner_distance(grid: SquareGrid) -> DistanceReport:
     if n == 1:
         raise UndefinedDistanceError(
             "inner distance is undefined for an order-1 grid (no adjacent cells)")
-    cells = grid.cells
+    # symbols and their differences lie in [-n, n], so the narrow copy holds every value
+    cells = grid.cells.astype(_narrow(n))
     hdist = _cyclic_distance(cells[:, 1:] - cells[:, :-1], n)
     vdist = _cyclic_distance(cells[1:, :] - cells[:-1, :], n)
 

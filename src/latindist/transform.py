@@ -68,13 +68,14 @@ def apply_permutation(grid: SquareGrid, perm: GridPermutation) -> SquareGrid:
     n = grid.n
     if perm.n != n:
         raise ParameterError(f"permutation size {perm.n} does not match grid order {n}")
-    out = np.empty_like(grid.cells)
-    rows = np.asarray(perm.rows) - 1
-    cols = np.asarray(perm.cols) - 1
-    symbols = np.asarray(perm.symbols)
-    relabeled = symbols[grid.cells - 1]
-    out[np.ix_(rows, cols)] = relabeled
-    return SquareGrid(out)
+    # output cell (i, j) is the relabelled input cell (rows preimage of i, cols preimage of j)
+    rows = np.empty(n, dtype=np.intp)
+    rows[np.asarray(perm.rows) - 1] = np.arange(n)
+    cols = np.empty(n, dtype=np.intp)
+    cols[np.asarray(perm.cols) - 1] = np.arange(n)
+    # symbols[m] is the image of symbol m; entry 0 is never read
+    symbols = np.asarray((0, *perm.symbols))
+    return SquareGrid(symbols.take(grid.cells.take(rows, axis=0).take(cols, axis=1)))
 
 
 def transpose(grid: SquareGrid) -> SquareGrid:

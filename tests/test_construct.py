@@ -10,7 +10,7 @@ from latindist import (NonexistenceError, ParameterError, ShiftParams,
                        inner_distance, known_bounds, max_distance_square,
                        pandiagonal_max, shift_by_k, sudoku_square, transpose,
                        validate_latin, validate_pandiagonal, validate_sudoku)
-from latindist.construct import predicted_inner_distance
+from latindist.construct import _add_mod, predicted_inner_distance
 
 from latindist import construct as construct_module
 from latindist import grid as grid_module
@@ -255,6 +255,15 @@ def test_sudoku_square_dispatch():
     d1 = inner_distance(sudoku_square(5, 3)).inner_distance
     d2 = inner_distance(sudoku_square(3, 5)).inner_distance
     assert d1 == d2 == 6
+
+
+@pytest.mark.parametrize("n", [2**6, 2**6 + 1, 2**14, 2**14 + 1, 2**30, 2**30 + 1])
+def test_shift_sums_do_not_wrap_at_the_dtype_edges(n):
+    # the fills add a row and a column term in [0, n - 1] in the dtype _narrow(2n - 1) picks,
+    # int8 up to n = 2**6, int16 up to 2**14 and int32 up to 2**30; the largest terms meet here
+    terms = [0, 1, n // 2, n - 2, n - 1]
+    cells = _add_mod(np.array(terms), np.array(terms), n)
+    assert cells.tolist() == [[(r + c) % n + 1 for c in terms] for r in terms]
 
 
 def test_each_build_is_checked_once_against_its_class(monkeypatch):

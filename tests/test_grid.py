@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,14 +8,16 @@ import pytest
 
 from latindist import (BlockAddress, GridFormatError, ParameterError,
                        SquareGrid, SudokuShape, Violation, format_grid_text,
-                       grid_to_json, max_distance_square, parse_grid_json,
-                       parse_grid_text, sudoku_square, transpose,
-                       validate_latin, validate_pandiagonal, validate_sudoku)
+                       grid_to_json, inner_distance, max_distance_square,
+                       pandiagonal_max, parse_grid_json, parse_grid_text,
+                       sudoku_square, transpose, validate_latin,
+                       validate_pandiagonal, validate_sudoku)
 from latindist import grid as grid_module
-from latindist.grid import _grids, _grids_json, _grids_text, grid_from_json
+from latindist.grid import _grids, _grids_json, _grids_text, _narrow, grid_from_json
 
 from oracle import is_latin, is_pandiagonal, is_sudoku
-from conftest import FIXTURE_DIR, random_grids
+from conftest import (BENCHMARK_IDS, BENCHMARK_SQUARES, FIXTURE_DIR, benchmark_square,
+                      corrupted_copies, random_grids)
 
 
 def test_grid_construction_rejects_malformed_input():
@@ -544,3 +547,58 @@ def test_validators_match_the_per_unit_loop(golden):
                 assert_same_violations(sudoku, loop_violations(rows, "sudoku", shape))
                 assert sudoku.verdict == is_sudoku(rows, *shape)
 
+
+
+@pytest.mark.parametrize("build, args", BENCHMARK_SQUARES, ids=BENCHMARK_IDS)
+def test_validators_match_the_per_unit_loop_at_benchmark_orders(build, args):
+    # each unit family is counted on its own and the hits merged; the corruptions reach the
+    # seams d = 0 and d = n - 1, where the diagonal label table wraps.  max_distance_square(162)
+    # is no pandiagonal or Sudoku square, so its diagonals and blocks repeat symbols everywhere
+    grid = benchmark_square(build, args)
+    shape = args if build == "sudoku_square" else (9, 18) if grid.n == 162 else None
+    for t, rows in enumerate(corrupted_copies(grid, seed=grid.n)):
+        g = SquareGrid(rows)
+        want = loop_violations(rows, "latin")
+        assert bool(want) == (t > 0)
+        assert_same_violations(validate_latin(g), want)
+        if build != "sudoku_square":
+            assert_same_violations(validate_pandiagonal(g), loop_violations(rows, "pandiagonal"))
+        if shape is not None:
+            assert_same_violations(validate_sudoku(g, SudokuShape(*shape)),
+                                   loop_violations(rows, "sudoku", shape))
+
+
+@pytest.mark.parametrize("bound, dtype", [
+    (0, np.int8), (2**7 - 1, np.int8), (2**7, np.int16), (2**15 - 1, np.int16),
+    (2**15, np.int32), (2**31 - 1, np.int32), (2**31, np.int64), (2**63 - 1, np.int64)])
+def test_narrow_is_the_narrowest_signed_dtype_holding_the_bound(bound, dtype):
+    assert _narrow(bound) is dtype
+    assert np.iinfo(dtype).min <= -bound
+
+
+# one call each at n = 151, its peak traced bytes over n*n*8, the size of one int64 grid: the
+# validators hold their key buffer and one family's counts (2), pandiagonal_max also its narrow
+# fill and the int64 grid it returns (3.4), inner_distance its (k, 2, 2) int64 pairs for the
+# k = n(n - 1) vertical pairs at the minimum (4) and two k-long index arrays (2); each bound
+# leaves 0.6-0.8 for numpy's small arrays and the label tables
+WORKING_SETS = [
+    ("validate_pandiagonal", lambda g: validate_pandiagonal(g), 3),
+    ("validate_sudoku", lambda g: validate_sudoku(g, SudokuShape(1, 151)), 3),
+    ("pandiagonal_max", lambda g: pandiagonal_max(151), 4),
+    ("inner_distance", lambda g: inner_distance(g), 7.5),
+]
+
+
+@pytest.mark.parametrize("call, bound", [(call, bound) for _, call, bound in WORKING_SETS],
+                         ids=[name for name, _, _ in WORKING_SETS])
+def test_kernels_hold_a_bounded_working_set(call, bound):
+    # numpy reports its buffers to tracemalloc, so the peak counts bytes, not time
+    grid = pandiagonal_max(151)
+    call(grid)
+    tracemalloc.start()
+    try:
+        call(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 151 * 151 * 8

@@ -5,8 +5,9 @@ import pytest
 
 from latindist import (SquareGrid, UndefinedDistanceError, format_grid_text,
                        inner_distance, parse_grid_text, transpose)
+from latindist.grid import _cyclic_distance, _narrow
 
-from conftest import random_grids
+from conftest import BENCHMARK_IDS, BENCHMARK_SQUARES, benchmark_square, corrupted_copies, random_grids
 from oracle import min_adjacent_distance
 
 
@@ -89,6 +90,30 @@ def test_report_matches_the_per_pair_loop():
                "classes": [{"distance": d, "pairs": c} for d, c in classes],
                "argmin_pairs": argmin}
         assert json.dumps(report.as_json_dict()) == json.dumps(doc)
+
+
+@pytest.mark.parametrize("build, args", BENCHMARK_SQUARES, ids=BENCHMARK_IDS)
+def test_report_matches_the_per_pair_loop_at_benchmark_orders(build, args):
+    # the orders build-verify measures, where the differences are taken in a narrow dtype;
+    # a corruption leaves a few pairs at a new minimum, a valid square up to all of them
+    grid = benchmark_square(build, args)
+    for rows in corrupted_copies(grid, seed=grid.n):
+        report = inner_distance(SquareGrid(rows))
+        best, classes, argmin = loop_report(rows)
+        assert (report.inner_distance, report.realized_classes) == (best, classes)
+        pairs = report.argmin_pairs
+        assert pairs.dtype == np.int64 and not pairs.flags.writeable
+        assert pairs.tolist() == argmin
+
+
+@pytest.mark.parametrize("n", [2**7 - 1, 2**7, 2**15 - 1, 2**15, 2**31 - 1, 2**31])
+def test_symbol_differences_do_not_wrap_at_the_dtype_edges(n):
+    # inner_distance takes the differences of symbols in [1, n] in the dtype _narrow(n) picks;
+    # the extreme symbols 1 and n sit side by side here
+    symbols = [1, n, 1, n // 2 + 1, 2, n - 1, n]
+    cells = np.array(symbols, dtype=np.int64).astype(_narrow(n))
+    dist = _cyclic_distance(cells[1:] - cells[:-1], n)
+    assert dist.tolist() == [min((u - v) % n, (v - u) % n) for u, v in zip(symbols[1:], symbols)]
 
 
 def test_reports_compare_and_hash_by_value(golden):
