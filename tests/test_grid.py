@@ -548,7 +548,6 @@ def test_validators_match_the_per_unit_loop(golden):
                 assert sudoku.verdict == is_sudoku(rows, *shape)
 
 
-
 @pytest.mark.parametrize("build, args", BENCHMARK_SQUARES, ids=BENCHMARK_IDS)
 def test_validators_match_the_per_unit_loop_at_benchmark_orders(build, args):
     # each unit family is counted on its own and the hits merged; the corruptions reach the
@@ -580,17 +579,13 @@ def test_narrow_is_the_narrowest_signed_dtype_holding_the_bound(bound, dtype):
 # validators hold their key buffer and one family's counts (2), pandiagonal_max also its narrow
 # fill and the int64 grid it returns (3.4), inner_distance its (k, 2, 2) int64 pairs for the
 # k = n(n - 1) vertical pairs at the minimum (4) and two k-long index arrays (2); each bound
-# leaves 0.6-0.8 for numpy's small arrays and the label tables
-WORKING_SETS = [
-    ("validate_pandiagonal", lambda g: validate_pandiagonal(g), 3),
-    ("validate_sudoku", lambda g: validate_sudoku(g, SudokuShape(1, 151)), 3),
-    ("pandiagonal_max", lambda g: pandiagonal_max(151), 4),
-    ("inner_distance", lambda g: inner_distance(g), 7.5),
-]
-
-
-@pytest.mark.parametrize("call, bound", [(call, bound) for _, call, bound in WORKING_SETS],
-                         ids=[name for name, _, _ in WORKING_SETS])
+# leaves 0.6-0.8 for numpy's small arrays and the label tables.  151 is prime, so its one
+# block shape is (1, 151), up to transposition
+@pytest.mark.parametrize("call, bound", [
+    pytest.param(validate_pandiagonal, 3, id="validate_pandiagonal"),
+    pytest.param(lambda g: validate_sudoku(g, SudokuShape(1, 151)), 3, id="validate_sudoku"),
+    pytest.param(lambda g: pandiagonal_max(151), 4, id="pandiagonal_max"),
+    pytest.param(inner_distance, 7.5, id="inner_distance")])
 def test_kernels_hold_a_bounded_working_set(call, bound):
     # numpy reports its buffers to tracemalloc, so the peak counts bytes, not time
     grid = pandiagonal_max(151)
