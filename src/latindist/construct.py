@@ -100,8 +100,8 @@ def _require(cells, shape: SudokuShape | None = None, pandiagonal: bool = False)
 def _add_mod(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """The n x n cells (rows[i] + cols[j]) mod n + 1, for rows and cols reduced mod n.
 
-    The one n*n pass adds the two vectors in the narrowest signed dtype
-    that holds their sums, at most 2n - 1, and takes n off each sum above n.
+    The vectors are added once, in the narrowest signed dtype that holds
+    their sums (at most 2n - 1), and n is taken off each sum above n.
     """
     dtype = _narrow(2 * n - 1)
     vals = np.add.outer(rows.astype(dtype), (cols + 1).astype(dtype))
