@@ -92,11 +92,11 @@ def count_by_filter(n: int, d: int, constraint: str = "plain", shape=None) -> in
     return count
 
 
-def band_column_order(a: int, b: int):
-    """The (row, column) cells of an (a, b)-Sudoku square, band by band
-    (a rows each), and within a band column by column."""
-    n = a * b
-    return [(band + i, c) for band in range(0, n, a) for c in range(n) for i in range(a)]
+def band_column_order(n: int, a: int):
+    """The (row, column) cells of a square of order n, band by band (a rows
+    each, the last one the n mod a rows left when a does not divide n), and
+    within a band column by column; a = 1 is row by row."""
+    return [(r, c) for top in range(0, n, a) for c in range(n) for r in range(top, min(top + a, n))]
 
 
 def _negation(u: int, n: int) -> int:
@@ -177,17 +177,25 @@ def _prefix_count(n: int, d: int, order, units_of, transposition: bool):
     return extend(0)
 
 
-def row_major_prefix_count(n: int, d: int, constraint: str = "plain"):
-    """The count and enumerate walk of plain or pandiagonal squares of order n,
-    row by row, with the transposition rule; see _prefix_count."""
+def row_major_prefix_count(n: int, d: int):
+    """The count and enumerate walk of plain squares of order n, row by row,
+    with the transposition rule; see _prefix_count."""
 
     def units_of(r, c):
-        units = [("row", r), ("col", c)]
-        if constraint == "pandiagonal":
-            units += [("forward", (r - c) % n), ("back", (r + c) % n)]
-        return units
+        return [("row", r), ("col", c)]
 
-    return _prefix_count(n, d, [divmod(k, n) for k in range(n * n)], units_of, True)
+    return _prefix_count(n, d, band_column_order(n, 1), units_of, True)
+
+
+def pandiagonal_prefix_count(n: int, d: int):
+    """The count and enumerate walk of pandiagonal squares of order n in
+    band-column order, bands of min(3, n) rows, with the transposition rule;
+    see _prefix_count."""
+
+    def units_of(r, c):
+        return [("row", r), ("col", c), ("forward", (r - c) % n), ("back", (r + c) % n)]
+
+    return _prefix_count(n, d, band_column_order(n, min(3, n)), units_of, True)
 
 
 def sudoku_prefix_count(a: int, b: int, d: int):
@@ -198,7 +206,7 @@ def sudoku_prefix_count(a: int, b: int, d: int):
     def units_of(r, c):
         return [("row", r), ("col", c), ("block", r // a, c // b)]
 
-    return _prefix_count(a * b, d, band_column_order(a, b), units_of, a == b)
+    return _prefix_count(a * b, d, band_column_order(a * b, a), units_of, a == b)
 
 
 def _near(n: int, d: int):
@@ -298,7 +306,7 @@ def first_bands(n: int, d: int, a: int = 1, b: int | None = None):
     Yields each band as a tuple of a row tuples.
     """
     b = b or n
-    order = band_column_order(a, b)[:a * n]
+    order = band_column_order(n, a)[:a * n]
     near = _near(n, d)
     grid = {}
     units = {}

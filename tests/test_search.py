@@ -16,8 +16,8 @@ from latindist import (NonexistenceError, ParameterError,
 from latindist.search import _Context, _lex_order, _row_walk, _rows, _walk
 from oracle import (admissible_rows, all_latin_squares, band_column_order, count_by_filter,
                     first_bands, is_latin, is_pandiagonal, is_sudoku, min_adjacent_distance,
-                    mirror_cuts, mirror_images, row_major_prefix_count, row_prefix_count,
-                    row_prefixes, row_tuples, sudoku_prefix_count)
+                    mirror_cuts, mirror_images, pandiagonal_prefix_count, row_major_prefix_count,
+                    row_prefix_count, row_prefixes, row_tuples, sudoku_prefix_count)
 
 
 def _count(n, d, constraint="plain", shape=None):
@@ -261,19 +261,23 @@ _SOUNDNESS = ([(n, "plain", None) for n in range(3, 9)]
 @pytest.mark.parametrize("n, constraint, shape", _SOUNDNESS)
 def test_exists_agrees_with_count_at_every_distance(n, constraint, shape):
     # from d = 1 to one above the upper bound: exists finds a square iff count does (a
-    # count starved after finding one still proves one), the witness passes the
-    # validators, and it is the uncut walk's witness after no more nodes
+    # count starved after finding one still proves one; one starved before its first
+    # square proves nothing, and then the construction behind the lower bound decides),
+    # the witness passes the validators, and it is the uncut walk's witness after no more
+    # nodes.  Pandiagonal 11 needs the construction: its count walk, in bands of three
+    # rows, meets no square at d = 1 and 2 in 2 * 10**6 placements
     sudoku = SudokuShape(*shape) if shape else None
     entry = known_bounds(constraint, n=n) if shape is None else \
         known_bounds(constraint, a=shape[0], b=shape[1])
     for d in range(1, entry.upper + 2):
         counted = run_search(SearchQuery(n=n, constraint=constraint, shape=sudoku,
                                          min_distance=d, node_budget=2 * 10**4))
-        assert counted.complete or counted.count, d
+        exists = bool(counted.count) or (not counted.complete and d <= entry.lower)
+        assert counted.complete or exists, d
         query = SearchQuery(n=n, constraint=constraint, shape=sudoku, min_distance=d,
                             mode="exists", node_budget=10**5)
         found = run_search(query)
-        assert found.complete and found.count == min(1, counted.count), d
+        assert found.complete and found.count == exists, d
         count, _, nodes, complete, leaves, _ = _uncut_walk(query)
         assert complete and count == found.count and nodes >= found.nodes_expanded, d
         assert [row_tuples(w) for w in found.witnesses] == \
@@ -304,18 +308,31 @@ def test_complete_queries_expand_the_same_tree():
     # the corner, negation and transposition rules; squares counts the squares with symbol
     # 1 in the corner and row 0 no greater than its negation, a twin for each leaf whose
     # row 0 is below column 0 and its negation.  Pandiagonal squares are filled cell by
-    # cell, as the set-based cell counter fills them.
+    # cell in bands of three rows, as the set-based cell counter fills them.
     for n, constraint, d, nodes, squares in [(6, "plain", 2, 165, 56),
                                              (8, "plain", 3, 656, 170),
-                                             (13, "pandiagonal", 5, 11_199, 4)]:
+                                             (13, "pandiagonal", 5, 400, 4)]:
         tree = row_prefix_count(n, d) if constraint == "plain" else \
-            row_major_prefix_count(n, d, constraint)
+            pandiagonal_prefix_count(n, d)
         assert tree == (nodes, squares)
         for mode in ("count", "enumerate"):
             query = SearchQuery(n=n, constraint=constraint, min_distance=d, mode=mode)
             result = run_search(query)
             assert result.complete and result.nodes_expanded == nodes, query
             assert result.count == 2 * n * squares, query
+
+
+@pytest.mark.parametrize("n, count", [(5, 240), (7, 56), (11, 88), (13, 104), (17, 136),
+                                      (19, 152), (23, 184)])
+def test_pandiagonal_maxima_expand_the_band_tree(n, count):
+    # at the maximum d = (n-3)/2 the count walk expands the set-based counter's tree in bands
+    # of three rows and counts its squares; the counts read 8n for n = 7..23, a conjecture
+    # checked that far and no further
+    d = (n - 3) // 2
+    nodes, squares = pandiagonal_prefix_count(n, d)
+    result = run_search(SearchQuery(n=n, constraint="pandiagonal", min_distance=d))
+    assert result.complete and result.nodes_expanded == nodes
+    assert result.count == 2 * n * squares == count
 
 
 def _cell_walk(query):
@@ -546,7 +563,9 @@ _CELL_WALKS = ([("plain", n, None, 1) for n in range(2, 5)] + [("plain", 5, None
 def _cell_prefix_count(constraint, n, shape, d):
     if shape:
         return sudoku_prefix_count(*shape, d)
-    return row_major_prefix_count(n, d, constraint)
+    if constraint == "pandiagonal":
+        return pandiagonal_prefix_count(n, d)
+    return row_major_prefix_count(n, d)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -706,15 +725,18 @@ def _check_mirror_tables(lex, n, a):
                          + [(n, "pandiagonal", None) for n in (5, 7, 13)]
                          + [(a * b, "sudoku", (a, b))
                             for a, b in ((2, 3), (3, 3), (3, 4), (3, 2), (4, 3), (1, 4),
-                                         (4, 1), (2, 1), (2, 2))])
+                                         (4, 1), (2, 1), (2, 2))]
+                         + [(n, "pandiagonal", None) for n in (2, 3, 4)])
 def test_context_tables_match_their_definition(n, constraint, shape):
     a, b = shape or (1, n)
     full = (1 << n) - 1
     lead = sum(1 << (t - 1) for t in range(1, n + 1) if t <= _sigma(t, n))
     strict = sum(1 << (t - 1) for t in range(1, n + 1) if t < _sigma(t, n))
-    # plain and pandiagonal squares are visited row by row, Sudoku squares band by band
-    order = band_column_order(a, b) if shape else [divmod(k, n) for k in range(n * n)]
-    at = {cell: k for k, cell in enumerate(order)}
+    # Sudoku squares are visited in bands of a rows, count and enumerate walks of
+    # pandiagonal squares in bands of min(3, n) rows, the last one ragged, and the rest, exists
+    # walks of pandiagonal squares included, row by row
+    orders = {"count": band_column_order(n, min(3, n) if constraint == "pandiagonal" else a),
+              "exists": band_column_order(n, a)}
     spare = n * n
     transposable = constraint != "sudoku" or a == b
     # tie bit 1 compares row 0 with column 0, bit 2 with the negated column 0
@@ -727,71 +749,71 @@ def test_context_tables_match_their_definition(n, constraint, shape):
         if constraint == "pandiagonal":
             return ("row", r), ("column", c), ("forward", (r - c) % n), ("back", (r + c) % n)
         return ("row", r), ("column", c), None, None
-    # for each cell in visiting order, the last cell visited before it in each of its units,
-    # or the spare cell
-    last, before = {}, []
-    for r, c in order:
-        before.append(tuple(last.get(unit, spare) for unit in units(r, c)))
-        last.update((unit, r * n + c) for unit in units(r, c) if unit)
     for d in sorted({1, 2, n // 4, n // 2, n // 2 + 1} - {0}):
-        ctx = _Context(SearchQuery(n=n, constraint=constraint, min_distance=d,
-                                   shape=SudokuShape(a, b) if shape else None))
         adm = [full] + [sum(1 << (v - 1) for v in range(1, n + 1)
                             if min((u - v) % n, (v - u) % n) >= d)
                         for u in range(1, n + 1)]
-        assert ctx.adm == adm, d
-        assert ctx.above == [sum(1 << (v - 1) for v in range(s + 1, n + 1))
-                             for s in range(n + 1)]
-        assert len(ctx.cells) == n * n
-        # transposable walks negate symbols to compare row 0 with the negated column 0
-        assert ctx.neg == ([0] + [_sigma(v, n) for v in range(1, n + 1)] if transposable else [])
-        # exists walks keep every square of a transposed pair; the first cell of band 1,
-        # if there is one, checks the first band's mirror image
-        probe = _Context(SearchQuery(n=n, constraint=constraint, min_distance=d, mode="exists",
-                                     shape=SudokuShape(a, b) if shape else None))
-        assert probe.neg == []
-        cells = list(probe.cells)
-        if a < n:
-            assert order[a * n] == (a, 0)
-            _check_mirror_tables(cells[a * n][-1], n, a)
-            cells[a * n] = cells[a * n][:-1] + (0,)
-        assert cells == [cell[:-1] + (0,) for cell in ctx.cells]
-        for k, (cell, p1, p2, p3, p4, nbr, lex) in enumerate(ctx.cells):
-            r, c = order[k]
-            assert cell == r * n + c, (d, k)
-            assert (p1, p2, p3, p4) == before[k], (d, k)
-            left = r * n + c - 1 if c else spare
-            up = (r - 1) * n + c if r else spare
-            # both neighbours are filled before the cell
-            assert all(j == spare or at[divmod(j, n)] < k for j in (left, up))
-            # the walk reads both neighbours through the row and column links
-            assert (p1, p2) == (left, up), (d, k)
-            allowed = [full] * (n + 1)
-            if (r, c) == (0, 0):
-                allowed = [1] * (n + 1)
-            elif (r, c) == (0, 1):
-                allowed = [lead] * (n + 1)
-            elif (r, c) == (0, 2) and n % 2 == 0 and n > 2:
-                allowed[1 + n // 2] = strict
-            assert nbr == [m & mask for m, mask in zip(adm, allowed)], (d, k)
-            # pair i = r + c is decided at its later cell, (0, i) for i < a and (i, 0)
-            # otherwise: with tie bits t, a column cell admits v with v >= row 0's x for
-            # bit 1 and -v >= x for bit 2, a row cell v <= column 0's x for bit 1 and
-            # v <= -x for bit 2; t = 3 admits what both bits admit, t = 0 cuts nothing
-            i = r + c
-            later = (0, i) if i < a else (i, 0)
-            if transposable and i and (r, c) == later:
-                assert at[c, r] < k
-                assert lex[:2] == (i, c * n + r), (d, k)
-                assert len(lex[2]) == 4 and lex[2][0] is None
-                for t in (1, 2, 3):
-                    assert lex[2][t][1:] == [
-                        sum(1 << (v - 1) for v in range(1, n + 1)
-                            if all(f(v) >= x if c == 0 else v <= f(x)
-                                   for bit, f in images.items() if t & bit))
-                        for x in range(1, n + 1)], (d, k, t)
-            else:
-                assert lex == 0, (d, k)
+        for mode, order in orders.items():
+            ctx = _Context(SearchQuery(n=n, constraint=constraint, min_distance=d, mode=mode,
+                                       shape=SudokuShape(a, b) if shape else None))
+            assert ctx.adm == adm, d
+            assert ctx.above == [sum(1 << (v - 1) for v in range(s + 1, n + 1))
+                                 for s in range(n + 1)]
+            assert len(ctx.cells) == n * n
+            # transposable count walks negate symbols to compare row 0 with the negated
+            # column 0; exists walks keep every square of a transposed pair
+            assert ctx.neg == ([0] + [_sigma(v, n) for v in range(1, n + 1)]
+                               if transposable and mode == "count" else [])
+            at = {cell: k for k, cell in enumerate(order)}
+            # for each cell in visiting order, the last cell visited before it in each of its
+            # units, or the spare cell
+            last, before = {}, []
+            for r, c in order:
+                before.append(tuple(last.get(unit, spare) for unit in units(r, c)))
+                last.update((unit, r * n + c) for unit in units(r, c) if unit)
+            for k, (cell, p1, p2, p3, p4, nbr, lex) in enumerate(ctx.cells):
+                r, c = order[k]
+                assert cell == r * n + c, (d, mode, k)
+                assert (p1, p2, p3, p4) == before[k], (d, mode, k)
+                left = r * n + c - 1 if c else spare
+                up = (r - 1) * n + c if r else spare
+                # both neighbours are filled before the cell
+                assert all(j == spare or at[divmod(j, n)] < k for j in (left, up))
+                # the walk reads both neighbours through the row and column links
+                assert (p1, p2) == (left, up), (d, mode, k)
+                allowed = [full] * (n + 1)
+                if (r, c) == (0, 0):
+                    allowed = [1] * (n + 1)
+                elif (r, c) == (0, 1):
+                    allowed = [lead] * (n + 1)
+                elif (r, c) == (0, 2) and n % 2 == 0 and n > 2:
+                    allowed[1 + n // 2] = strict
+                assert nbr == [m & mask for m, mask in zip(adm, allowed)], (d, mode, k)
+                if mode == "exists":
+                    # the first cell of band 1, if there is one, checks the first band's
+                    # mirror image
+                    if a < n and k == a * n:
+                        assert (r, c) == (a, 0)
+                        _check_mirror_tables(lex, n, a)
+                    else:
+                        assert lex == 0, (d, mode, k)
+                    continue
+                # pair i = r + c, cells (0, i) and (i, 0), is decided at the later of the two:
+                # with tie bits t, a column cell admits v with v >= row 0's x for bit 1 and
+                # -v >= x for bit 2, a row cell v <= column 0's x for bit 1 and v <= -x for
+                # bit 2; t = 3 admits what both bits admit, t = 0 cuts nothing
+                i = r + c
+                if transposable and i and not r * c and at[c, r] < k:
+                    assert lex[:2] == (i, c * n + r), (d, mode, k)
+                    assert len(lex[2]) == 4 and lex[2][0] is None
+                    for t in (1, 2, 3):
+                        assert lex[2][t][1:] == [
+                            sum(1 << (v - 1) for v in range(1, n + 1)
+                                if all(f(v) >= x if c == 0 else v <= f(x)
+                                       for bit, f in images.items() if t & bit))
+                            for x in range(1, n + 1)], (d, mode, k, t)
+                else:
+                    assert lex == 0, (d, mode, k)
 
 
 @pytest.mark.parametrize("n, a", [(2, 1), (7, 1), (12, 1), (6, 2), (6, 3), (12, 3), (12, 4)])
@@ -802,7 +824,7 @@ def test_mirror_tables_match_their_definition(n, a):
     shape = SudokuShape(a, n // a) if a > 1 else None
     ctx = _Context(SearchQuery(n=n, constraint="sudoku" if shape else "plain", min_distance=1,
                                mode="exists", shape=shape))
-    order = band_column_order(a, n // a) if shape else [divmod(k, n) for k in range(n * n)]
+    order = band_column_order(n, a)
     k = order.index((a, 0))
     _check_mirror_tables(ctx.cells[k][-1], n, a)
 

@@ -8,7 +8,9 @@ written once.  The sweep covers plain orders 3-9, pandiagonal orders 5, 7,
 past the ceiling, in count, enumerate and exists mode, under one node
 budget, so it holds the cell walk and exists mode as well as the row
 walk.  A change that alters node counts on purpose rewrites the file and
-says so.  Regenerate it with
+says so: the pandiagonal count and enumerate entries were rewritten when
+those walks moved to bands of three rows, keeping every complete entry's
+count and witnesses.  Regenerate it with
 
     PYTHONPATH=src python tests/test_search_golden.py > tests/fixtures/search_golden.json
 """
