@@ -356,15 +356,16 @@ class _Context:
         up = [spare] * n + cell[:-n]
         # bands of a rows, visited band by band, each band column by column: the block height
         # of Sudoku squares, min(3, n) rows in count and enumerate walks of pandiagonal ones,
-        # else one row, so row-major.  Where a does not divide n, the walk visits whole bands
-        # with the cells past the square dropped, so the last band is ragged
+        # else one row, so row-major
         pandiagonal = query.constraint == "pandiagonal"
         a = shape.a if shape is not None else 1
         if pandiagonal and query.mode != "exists":
             a = min(3, n)
         bands = -(-n // a)
         order = np.arange(bands * a * n).reshape(bands, a, n).transpose(0, 2, 1).ravel()
-        order = order[order < spare]
+        if n % a:
+            # a ragged last band: whole bands, less the cells past the square
+            order = order[order < spare]
         # the cell before each cell in its third and fourth unit: in its block, the one
         # above, or at the top of a band the last of the block's previous column; in its
         # diagonals, the one visited last before it, in row order the wrapped upper-left
@@ -376,6 +377,8 @@ class _Context:
                 third[top:top + n] = [spare] + cell[top + (a - 1) * n:top + a * n - 1]
                 third[top:top + n:shape.b] = [spare] * a
         elif pandiagonal and a == 1:
+            # row by row those are the wrapped neighbours, which list slices give in a sixth
+            # of the argsort's time: exists probes build one context per query
             third = [spare] * (n + 1) + cell[:-n - 1]
             third[n::n] = cell[n - 1:-1:n]
             fourth = [spare] * n + cell[1:spare - n + 1]
