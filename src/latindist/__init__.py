@@ -3,8 +3,8 @@
 The inner distance of a Latin square is the smallest cyclic difference
 between symbols in edge-adjacent cells.  This package constructs squares
 that maximize it (plain, pandiagonal, and (a, b)-Sudoku variants),
-validates and measures arbitrary grids, reduces shift-structured squares
-to a canonical circulant form, and exhaustively counts or enumerates
+validates and measures arbitrary grids, reduces Latin sum squares to
+a canonical circulant form, and exhaustively counts or enumerates
 squares above a distance floor.
 
 Importing the package loads none of its modules: each public name, and

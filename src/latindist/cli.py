@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
                  witnesses_out={"help": "write witnesses as a multi-grid text file "
                                         "(enumerate or exists)"})
     _add_command(sub, "canon", _cmd_canon,
-                 "reduce a shift-structured square to circulant form", grid=True, format=_FORMAT)
+                 "reduce a Latin sum square to circulant form", grid=True, format=_FORMAT)
     return parser
 
 

@@ -1,19 +1,21 @@
 """Constructors for Latin squares with prescribed inner distance.
 
+Every square built here is a sum square: cell (i, j) is y_i + x_j + 1
+(mod n) for row terms y and column terms x.  Each constructor only chooses
+the two vectors and hands them to `_require`, which adds them and checks
+the square once, against all units of its own class (a failed check is an
+internal bug, not a caller error).  The inner distance is the least cyclic
+step between consecutive terms (`_least_step`).
+
 The workhorse is `algorithm1`, a doubly-periodic fill
     m[i][j] = 1 + (i-1)r + (j-1)c + alpha*floor((i-1)/R) + beta*floor((j-1)/C)  (mod n)
 whose vertical/horizontal increments r, c set the distance classes and
 whose offsets alpha, beta repair collisions whenever r or c shares a
-factor with n.  `algorithm2` is the one other fill: it adds a per-row
-offset that depends on the row's band, and so reaches the maximum
-distance on (even, even) block shapes.  The remaining constructors choose
-parameters for these two.  For block shapes that choice is made once, in
-`_sudoku_plan`: `sudoku_square` builds the fill it names, and
-`known_bounds` takes its Sudoku lower bound from the distance that fill
-reaches.
-
-Each constructor checks its output once, against all units of its own class,
-before returning; a failed check is an internal bug, not a caller error.
+factor with n.  `algorithm2` is the one other fill: its row terms add an
+offset that depends on the row's band, and so reach the maximum distance
+on (even, even) block shapes.  For block shapes the terms are chosen once,
+in `_sudoku_plan`: `sudoku_square` builds their square, and `known_bounds`
+takes its Sudoku lower bound from their least step.
 """
 
 from __future__ import annotations
@@ -89,14 +91,6 @@ class ShiftParams:
         return self.n // gcd(self.n, self.c)
 
 
-def _require(cells, shape: SudokuShape | None = None, pandiagonal: bool = False) -> SquareGrid:
-    """The grid of cells, checked in one pass over every unit of its class."""
-    grid = SquareGrid(cells)
-    if not _validate(grid, shape, pandiagonal).verdict:
-        raise RuntimeError("constructor repeated a symbol in a unit of its class (internal bug)")
-    return grid
-
-
 def _add_mod(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """The n x n cells (rows[i] + cols[j]) mod n + 1, for rows and cols reduced mod n.
 
@@ -109,18 +103,33 @@ def _add_mod(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return vals
 
 
-def _shift_fill(params: ShiftParams) -> np.ndarray:
-    """The cells of `algorithm1(params)`, unchecked.
+def _require(rows: np.ndarray, cols: np.ndarray, shape: SudokuShape | None = None,
+             pandiagonal: bool = False) -> SquareGrid:
+    """The sum square of the terms, checked in one pass over every unit of its class."""
+    grid = SquareGrid(_add_mod(rows, cols, len(rows)))
+    if not _validate(grid, shape, pandiagonal).verdict:
+        raise RuntimeError("constructor repeated a symbol in a unit of its class (internal bug)")
+    return grid
 
-    The fill is a row term plus a column term, i*r + alpha*floor(i/R) and
-    j*c + beta*floor(j/C), 0-based; each is reduced mod n as an n-vector
-    before `_add_mod` adds them.
+
+def _least_step(rows: np.ndarray, cols: np.ndarray) -> int:
+    """The inner distance of the sum square of the terms, without building it.
+
+    Vertical neighbours differ by consecutive row terms and horizontal ones
+    by consecutive column terms, so it is the least cyclic step in either.
+    """
+    return int(_cyclic_distance(np.diff((rows, cols)), len(rows)).min())
+
+
+def _shift_terms(params: ShiftParams) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column terms of `algorithm1(params)`, reduced mod n.
+
+    They are i*r + alpha*floor(i/R) and j*c + beta*floor(j/C), 0-based.
     """
     n = params.n
     k = np.arange(n)
-    rows = (k * params.r + params.alpha * (k // params.R)) % n
-    cols = (k * params.c + params.beta * (k // params.C)) % n
-    return _add_mod(rows, cols, n)
+    return ((k * params.r + params.alpha * (k // params.R)) % n,
+            (k * params.c + params.beta * (k // params.C)) % n)
 
 
 def algorithm1(params: ShiftParams) -> SquareGrid:
@@ -130,25 +139,12 @@ def algorithm1(params: ShiftParams) -> SquareGrid:
     fixed coset, and the offsets are coprime to the increments, so no row
     or column can repeat a symbol.
     """
-    return _require(_shift_fill(params))
+    return _require(*_shift_terms(params))
 
 
 def predicted_inner_distance(params: ShiftParams) -> int:
-    """Inner distance of `algorithm1(params)` without building the grid.
-
-    The realized adjacent differences are r and c inside a period, and
-    r+alpha / c+beta across period boundaries.  A boundary class only
-    exists when the period is shorter than the grid (R < n resp. C < n);
-    with a full-length period the offset is never applied and must not
-    enter the minimum.
-    """
-    n = params.n
-    diffs = [params.r, params.c]
-    if params.R < n:
-        diffs.append(params.r + params.alpha)
-    if params.C < n:
-        diffs.append(params.c + params.beta)
-    return int(min(_cyclic_distance(t % n, n) for t in diffs))
+    """Inner distance of `algorithm1(params)` without building the grid."""
+    return _least_step(*_shift_terms(params))
 
 
 def shift_by_k(n: int, k: int) -> SquareGrid:
@@ -201,7 +197,7 @@ def pandiagonal_max(n: int) -> SquareGrid:
     if n == 1:
         raise ParameterError("no inner distance is defined below order 2")
     params = ShiftParams(n, r=-(n - 3) // 2, c=(n - 1) // 2, alpha=n, beta=n)
-    return _require(_shift_fill(params), pandiagonal=True)
+    return _require(*_shift_terms(params), pandiagonal=True)
 
 
 def algorithm2(x: int, y: int) -> SquareGrid:
@@ -217,43 +213,45 @@ def algorithm2(x: int, y: int) -> SquareGrid:
       -x  for the first row of every later band,
       +1  for the remaining odd rows in even bands,
       -1  for the remaining odd rows in odd bands.
-    Summed down to 0-based row i, with (t, p) = divmod(i, a), the band and
-    the position in it, these offsets come to
-      -x*t + (x-1)*(t mod 2) + (-1)**t * floor(p/2).
-    The cells are the row term i*2xy plus these offsets and the column term
-    j*(2xy - x) + floor(j/4y), each reduced mod n as an n-vector, added as
-    in the shift fill.
     """
     x, y = _order(x, "a half-height"), _order(y, "a half-width")
     if x < 2:
         raise ParameterError(f"half-height must be at least 2, got {x} (height 2 has its own rule)")
     if y < x:
         raise ParameterError(f"needs x <= y, got ({x}, {y}); build ({y}, {x}) and transpose")
+    return _require(*_offset_terms(x, y), SudokuShape(2 * x, 2 * y))
+
+
+def _offset_terms(x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column terms of `algorithm2(x, y)`, reduced mod n = 4xy.
+
+    With (t, p) = divmod(i, 2x), the band of 0-based row i and its place in
+    it, the row term is i*2xy plus the offsets summed down to row i,
+    -x*t + (x-1)*(t mod 2) + (-1)**t * floor(p/2); the column term is
+    j*(2xy - x) + floor(j/4y).
+    """
     n = 4 * x * y
     k = np.arange(n)
     t, p = np.divmod(k, 2 * x)
     odd = t % 2
     offsets = -x * t + (x - 1) * odd + (1 - 2 * odd) * (p // 2)
-    rows = (k * (2 * x * y) + offsets) % n
-    cols = (k * (2 * x * y - x) + k // (4 * y)) % n
-    return _require(_add_mod(rows, cols, n), SudokuShape(2 * x, 2 * y))
+    return (k * (2 * x * y) + offsets) % n, (k * (2 * x * y - x) + k // (4 * y)) % n
 
 
 # block shapes ----------------------------------------------------------------
 
 
-def _sudoku_plan(a: int, b: int) -> tuple[str, ShiftParams | None]:
+def _sudoku_plan(a: int, b: int) -> tuple[str, np.ndarray, np.ndarray]:
     """The fill that builds the (a, b)-Sudoku square for 2 <= a <= b.
 
-    Returns the fill's provenance name and its `ShiftParams`, or None for
-    `algorithm2`, which reaches (n-a)/2.  Otherwise the reached inner
-    distance is `predicted_inner_distance` of the parameters.
+    Returns the fill's provenance name and its row and column terms, whose
+    `_least_step` is the inner distance the square reaches.
     """
     n = a * b
     if a == 2:
         # inner distance b - 1, the maximum
-        return "two-row-block-formula", ShiftParams(n, r=b, c=b - 1, alpha=1,
-                                                     beta=1 if b % 2 else n)
+        return ("two-row-block-formula",
+                *_shift_terms(ShiftParams(n, r=b, c=b - 1, alpha=1, beta=1 if b % 2 else n)))
     if b % 2:
         # (n-a)/2: the horizontal increment (n-a)/2 shares exactly the factor
         # a with n, so the stack offset fires every b columns, right on the
@@ -268,11 +266,11 @@ def _sudoku_plan(a: int, b: int) -> tuple[str, ShiftParams | None]:
             # to n, at most two steps below (n-1)//2
             r = next(r for r in range((n - 1) // 2, 0, -1) if gcd(r, n) == 1)
             params = ShiftParams(n, r=r, c=(n - a) // 2, alpha=n, beta=1)
-        return "odd-width-shift-fill", params
+        return "odd-width-shift-fill", *_shift_terms(params)
     if a % 2 == 0:
         # the paper's shift-fill parameters cannot reach (n-a)/2 on (even,
         # even) blocks; see `algorithm2`
-        return "even-even-row-offset-fill", None
+        return "even-even-row-offset-fill", *_offset_terms(a // 2, b // 2)
     # odd a, even b: (n - min(ka, b))/2 with k = 2 when b = 0 mod 4 and k = 4
     # when b = 2 mod 4; whichever of the two increments is smaller rides on
     # the block seams, so the parameter roles swap when b is small
@@ -282,7 +280,8 @@ def _sudoku_plan(a: int, b: int) -> tuple[str, ShiftParams | None]:
         params = ShiftParams(n, r=(n - k) // 2, c=(n - k * a) // 2, alpha=n, beta=1)
     else:
         params = ShiftParams(n, r=(n - b) // 2, c=(n - k) // 2, alpha=1, beta=n)
-    return "width-div4-shift-fill" if k == 2 else "width-2mod4-shift-fill", params
+    return ("width-div4-shift-fill" if k == 2 else "width-2mod4-shift-fill",
+            *_shift_terms(params))
 
 
 def sudoku_square(a: int, b: int) -> SquareGrid:
@@ -290,17 +289,15 @@ def sudoku_square(a: int, b: int) -> SquareGrid:
 
     a > b builds and validates the (b, a) square and transposes it, which
     keeps it valid: the (b, a) blocks become (a, b) blocks.  Otherwise the
-    fill is the one `_sudoku_plan` picks.
+    terms are the ones `_sudoku_plan` picks.
     """
     shape = SudokuShape(a, b)
     if a > b:
         return transpose(sudoku_square(b, a))
     if a == 1:
         return max_distance_square(b) if b >= 2 else SquareGrid([[1]])
-    _, params = _sudoku_plan(a, b)
-    if params is None:
-        return algorithm2(a // 2, b // 2)
-    return _require(_shift_fill(params), shape)
+    _, rows, cols = _sudoku_plan(a, b)
+    return _require(rows, cols, shape)
 
 
 # bounds table ---------------------------------------------------------------
@@ -367,8 +364,8 @@ def known_bounds(kind: str, *, n: int | None = None,
         return BoundsEntry(kind, n, a, b, value, value, True, True,
                            prefix + ("half-range-cap", "max-distance-shift-fill"))
 
-    lower_prov, params = _sudoku_plan(a, b)
-    lower = (n - a) // 2 if params is None else predicted_inner_distance(params)
+    lower_prov, rows, cols = _sudoku_plan(a, b)
+    lower = _least_step(rows, cols)
     if a == 2:
         # two-row blocks cap the distance at b - 1, and the plan's fill reaches it
         return BoundsEntry(kind, n, a, b, lower, b - 1, lower == b - 1, True, (lower_prov,))

@@ -3,9 +3,9 @@
 Two squares are isotopic when one maps to the other under some
 combination of row, column, and symbol permutations.  Deciding isotopy in
 general is hard; this module only implements the constructive reduction
-that works for shift-structured squares (every fill produced by
-`construct.algorithm1`, including all shift-by-k squares), and fails
-cleanly on anything else.
+of Latin sum squares, whose cell (i, j) is y_i + x_j (mod n) (every
+square the `construct` module builds, all shift-by-k squares included),
+and fails cleanly on anything else.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotReducibleError, ParameterError
-from .grid import SquareGrid, _order, validate_latin
+from .grid import SquareGrid, _order
 
 __all__ = [
     "GridPermutation",
@@ -83,37 +83,31 @@ def transpose(grid: SquareGrid) -> SquareGrid:
     return SquareGrid(grid.cells.T)
 
 
-def is_circulant(grid: SquareGrid) -> bool:
-    """Each row is the one above shifted right by one (with wraparound)."""
-    return bool(np.array_equal(grid.cells, np.roll(grid.cells, (1, 1), axis=(0, 1))))
-
-
 def to_circulant_canonical(grid: SquareGrid) -> tuple[SquareGrid, GridPermutation]:
-    """Reduce a shift-structured square to the circulant with first row 1..n.
+    """Reduce a Latin sum square to the circulant with first row 1..n.
 
-    The permutation triple is read off row 0 and one column: symbols shift
-    the corner to 1, each column moves to its shifted row-0 symbol, and the
-    row holding s where that symbol is 1 moves to row (2 - s) mod n.  One
-    `apply_permutation` then puts 1..n in row 0 of a Latin input, and
-    `is_circulant` holds exactly when every row steps by +1 cyclically
-    after the column move.  Squares produced by the shift fills always do;
-    for anything else a NotReducibleError is raised, which says nothing
-    about isotopy, only that this method does not apply.
+    A grid is a Latin sum square iff row 0 and column 0 are permutations
+    and every cell satisfies c[i][j] - c[i][0] - c[0][j] + c[0][0] = 0
+    (mod n): every row is row 0 plus a constant.  The permutation triple is
+    read off those two lines: symbols shift the corner to 1, each column
+    moves to its shifted row-0 symbol, and the row whose column-0 symbol
+    shifts to s moves to row (2 - s) mod n; the identity is exactly what
+    makes every row of the image step by +1 cyclically.  Any other grid
+    raises NotReducibleError, which says nothing about isotopy, only that
+    this method does not apply.
 
     Returns the canonical grid together with the permutation triple that
     maps the input onto it.
     """
-    n = grid.n
-    if not validate_latin(grid).verdict:
-        raise NotReducibleError("input is not a Latin square")
-    symbols = (np.arange(1, n + 1) - grid.cells[0, 0]) % n + 1
-    cols = symbols[grid.cells[0] - 1]
-    rows = (1 - symbols[grid.cells[:, np.argmin(cols)] - 1]) % n + 1
-    perm = GridPermutation(rows=tuple(rows.tolist()), cols=tuple(cols.tolist()),
-                           symbols=tuple(symbols.tolist()))
-    canonical = apply_permutation(grid, perm)
-    if not is_circulant(canonical):
+    n, cells = grid.n, grid.cells
+    x, y = cells[0], cells[:, 0]
+    full = np.arange(1, n + 1)
+    latin = np.array_equal(np.sort(x), full) and np.array_equal(np.sort(y), full)
+    if not latin or ((cells - y[:, None] - x + x[0]) % n).any():
         raise NotReducibleError(
-            "rows do not advance cyclically by a constant step after column sorting; "
-            "the constructive reduction does not apply (this does not prove non-isotopy)")
-    return canonical, perm
+            "not a Latin sum square, whose every row is row 0 plus a constant; the "
+            "constructive reduction does not apply (this does not prove non-isotopy)")
+    symbols = (full - x[0]) % n + 1
+    perm = GridPermutation(rows=tuple(((x[0] - y) % n + 1).tolist()),
+                           cols=tuple(symbols[x - 1].tolist()), symbols=tuple(symbols.tolist()))
+    return apply_permutation(grid, perm), perm

@@ -356,3 +356,26 @@ def mirror_cuts(bands, n: int):
         cuts.append(not seen.isdisjoint(mirror_images(band, n)))
         seen.add(band)
     return cuts
+
+
+def is_sum_square(rows) -> bool:
+    """Whether every row is row 0 plus a constant mod n: cell (i, j) = y_i + x_j (mod n)."""
+    n = len(rows)
+    return all(len({(u - v) % n for u, v in zip(row, rows[0])}) == 1 for row in rows)
+
+
+def path_count(n: int, d: int) -> int:
+    """A(n, d): the Hamiltonian paths on Z_n, from any start, whose steps all lie in d..n-d.
+
+    A depth-first count, memoised on the visited set and the last vertex.
+    """
+    full = (1 << n) - 1
+
+    @lru_cache(maxsize=None)
+    def completions(visited, last):
+        if visited == full:
+            return 1
+        nexts = ((last + step) % n for step in range(d, n - d + 1))
+        return sum(completions(visited | 1 << v, v) for v in nexts if not visited >> v & 1)
+
+    return sum(completions(1 << v, v) for v in range(n))

@@ -99,12 +99,12 @@ def test_internal_errors_exit_4_without_a_traceback(capsys, monkeypatch):
     def failing(grid, shape=None, pandiagonal=False):
         return validate_latin(SquareGrid([[1, 1], [1, 1]]))
 
-    def overshooting(params):
+    def overshooting(rows, cols):
         # (3, 5) blocks cap the distance at 6
         return 7
 
     monkeypatch.setattr(construct, "_validate", failing)
-    monkeypatch.setattr(construct, "predicted_inner_distance", overshooting)
+    monkeypatch.setattr(construct, "_least_step", overshooting)
     for argv in (["gen", "--algo", "maxdist", "--n", "7"],
                  ["gen", "--algo", "pandiagonal", "--n", "5"],
                  ["bounds", "--kind", "sudoku", "--a", "3", "--b", "5"]):

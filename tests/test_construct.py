@@ -10,7 +10,7 @@ from latindist import (NonexistenceError, ParameterError, ShiftParams,
                        inner_distance, known_bounds, max_distance_square,
                        pandiagonal_max, shift_by_k, sudoku_square, transpose,
                        validate_latin, validate_pandiagonal, validate_sudoku)
-from latindist.construct import _add_mod, predicted_inner_distance
+from latindist.construct import _add_mod, _least_step, predicted_inner_distance
 
 from latindist import construct as construct_module
 from latindist import grid as grid_module
@@ -84,6 +84,16 @@ def test_predicted_matches_measured_on_small_sweep():
                         g = algorithm1(p)
                         assert validate_latin(g).verdict, p
                         assert inner_distance(g).inner_distance == predicted_inner_distance(p), p
+
+
+def test_least_step_is_the_inner_distance_of_random_sum_squares():
+    # any row and column terms, not only the fills' arithmetic ones, against the oracle
+    rng = np.random.default_rng(15)
+    for n in range(2, 12):
+        for _ in range(10):
+            rows, cols = rng.permutation(n), rng.permutation(n)
+            grid = SquareGrid(_add_mod(rows, cols, n))
+            assert _least_step(rows, cols) == min_adjacent_distance(row_tuples(grid)), (rows, cols)
 
 
 # --- named constructions -----------------------------------------------------

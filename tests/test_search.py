@@ -16,8 +16,9 @@ from latindist import (NonexistenceError, ParameterError,
 from latindist.search import _Context, _lex_order, _row_walk, _rows, _walk
 from oracle import (admissible_rows, all_latin_squares, band_column_order, count_by_filter,
                     first_bands, is_latin, is_pandiagonal, is_sudoku, min_adjacent_distance,
-                    mirror_cuts, mirror_images, pandiagonal_prefix_count, row_major_prefix_count,
-                    row_prefix_count, row_prefixes, row_tuples, sudoku_prefix_count)
+                    mirror_cuts, mirror_images, pandiagonal_prefix_count, path_count,
+                    row_major_prefix_count, row_prefix_count, row_prefixes, row_tuples,
+                    sudoku_prefix_count)
 
 
 def _count(n, d, constraint="plain", shape=None):
@@ -37,16 +38,40 @@ def test_counts_above_the_ceiling_are_zero():
         assert result.complete and result.count == 0, (n, d)
 
 
+# the plain counts at the even ceilings d = n/2 - 1
+EVEN_CEILING_COUNTS = {6: 672, 8: 2_720, 10: 6_960, 12: 17_616, 14: 35_392, 16: 70_208,
+                       18: 121_680, 20: 208_880}
+
+
 @pytest.mark.parametrize("n, d, shape, want",
-                         [(n, n // 2 - 1, None, want) for n, want in
-                          [(6, 672), (8, 2_720), (10, 6_960), (12, 17_616), (14, 35_392),
-                           (16, 70_208)]]
-                         + [(7, 2, None, 31_080), (9, 3, None, 328_788), (8, 2, (2, 4), 604_864),
-                            (18, 8, None, 121_680), (20, 9, None, 208_880)])
+                         [(n, n // 2 - 1, None, EVEN_CEILING_COUNTS[n]) for n in range(6, 17, 2)]
+                         + [(7, 2, None, 31_080), (9, 3, None, 328_788), (8, 2, (2, 4), 604_864)]
+                         + [(n, n // 2 - 1, None, EVEN_CEILING_COUNTS[n]) for n in (18, 20)])
 def test_counts_the_cell_walk_found(n, d, shape, want):
     # even ceilings, one notch below odd ones, and a Sudoku square one notch below its
     # maximum: each count was found by the cell walk, which took up to 12 s on them
     result = _count(n, d, "sudoku" if shape else "plain", SudokuShape(*shape) if shape else None)
+    assert result.complete and result.count == want
+
+
+def test_the_even_ceiling_counts_follow_the_path_count_formula():
+    # a conjecture, checked to n = 22: every plain maximum at an even ceiling is one of the
+    # A^2/n sum squares, A = path_count(n, n/2 - 1), or one of 2n^2 rotation squares that are
+    # not sum squares; at odd ceilings the 4n maxima are the A^2/n sum squares with A = 2n
+    paths = {n: path_count(n, n // 2 - 1) for n in EVEN_CEILING_COUNTS}
+    assert list(paths.values()) == [60, 144, 260, 456, 700, 1_056, 1_476, 2_040]
+    for n, want in EVEN_CEILING_COUNTS.items():
+        assert paths[n] ** 2 % n == 0 and paths[n] ** 2 // n + 2 * n * n == want, n
+    for n in range(5, 16, 2):
+        assert path_count(n, (n - 1) // 2) == 2 * n, n
+
+
+@pytest.mark.slow
+def test_the_path_count_formula_gives_the_count_at_order_22():
+    # the cell walk (the row-walk rule turns this query away) takes about 26 s
+    want = path_count(22, 10) ** 2 // 22 + 2 * 22 * 22
+    assert want == 328_416
+    result = _count(22, 10)
     assert result.complete and result.count == want
 
 
