@@ -28,7 +28,6 @@ import numpy as np
 from .errors import NonexistenceError, ParameterError
 from .grid import (SquareGrid, SudokuShape, _cyclic_distance, _narrow, _order, _square_class,
                    _validate)
-from .transform import transpose
 
 __all__ = [
     "BoundsEntry",
@@ -142,11 +141,6 @@ def algorithm1(params: ShiftParams) -> SquareGrid:
     return _require(*_shift_terms(params))
 
 
-def predicted_inner_distance(params: ShiftParams) -> int:
-    """Inner distance of `algorithm1(params)` without building the grid."""
-    return _least_step(*_shift_terms(params))
-
-
 def shift_by_k(n: int, k: int) -> SquareGrid:
     """Top row 1..n, each following row rotated right by k; needs gcd(k, n) = 1.
 
@@ -242,11 +236,16 @@ def _offset_terms(x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sudoku_plan(a: int, b: int) -> tuple[str, np.ndarray, np.ndarray]:
-    """The fill that builds the (a, b)-Sudoku square for 2 <= a <= b.
+    """The fill that builds the (a, b)-Sudoku square, for sides a, b >= 2.
 
     Returns the fill's provenance name and its row and column terms, whose
-    `_least_step` is the inner distance the square reaches.
+    `_least_step` is the inner distance the square reaches.  Tall blocks
+    (a > b) take the (b, a) plan with its terms swapped: the transpose of
+    y_i + x_j is x_i + y_j, and it turns (b, a) blocks into (a, b) blocks.
     """
+    if a > b:
+        provenance, rows, cols = _sudoku_plan(b, a)
+        return provenance, cols, rows
     n = a * b
     if a == 2:
         # inner distance b - 1, the maximum
@@ -287,16 +286,15 @@ def _sudoku_plan(a: int, b: int) -> tuple[str, np.ndarray, np.ndarray]:
 def sudoku_square(a: int, b: int) -> SquareGrid:
     """Best known (a, b)-Sudoku construction for any shape.
 
-    a > b builds and validates the (b, a) square and transposes it, which
-    keeps it valid: the (b, a) blocks become (a, b) blocks.  Otherwise the
-    terms are the ones `_sudoku_plan` picks.
+    Blocks one row or one column wide are the rows or columns of a plain
+    square, so they take `max_distance_square`, whose row and column terms
+    are equal and which is therefore its own transpose.  Every other shape
+    takes the terms `_sudoku_plan` picks, in either orientation.
     """
     shape = SudokuShape(a, b)
-    if a > b:
-        return transpose(sudoku_square(b, a))
-    if a == 1:
-        return max_distance_square(b) if b >= 2 else SquareGrid([[1]])
-    _, rows, cols = _sudoku_plan(a, b)
+    if min(shape.a, shape.b) == 1:
+        return max_distance_square(shape.n) if shape.n >= 2 else SquareGrid([[1]])
+    _, rows, cols = _sudoku_plan(shape.a, shape.b)
     return _require(rows, cols, shape)
 
 

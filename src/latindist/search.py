@@ -149,7 +149,6 @@ from operator import and_, itemgetter, or_
 
 import numpy as np
 
-from .construct import known_bounds
 from .errors import NonexistenceError, ParameterError, SearchIncompleteError
 from .grid import _KINDS, SquareGrid, SudokuShape, _grids, _order, _square_class
 
@@ -804,6 +803,8 @@ def max_distance_via_search(kind: str, size, *, node_budget: int = DEFAULT_NODE_
     the open bracket, from the known lower bound to the starved distance, is
     raised instead of a guess.
     """
+    from .construct import known_bounds
+
     sides = (size.a, size.b) if isinstance(size, SudokuShape) else size
     pair = isinstance(sides, (tuple, list)) and len(sides) == 2
     entry = known_bounds(kind, **(dict(zip("ab", sides)) if pair else {"n": size}))

@@ -364,6 +364,16 @@ def is_sum_square(rows) -> bool:
     return all(len({(u - v) % n for u, v in zip(row, rows[0])}) == 1 for row in rows)
 
 
+def _rotations_of_the_first(lines) -> bool:
+    first = lines[0]
+    return {first[k:] + first[:k] for k in range(len(first))}.issuperset(lines)
+
+
+def is_rotation_square(rows) -> bool:
+    """Whether every row is a cyclic rotation of row 0 and every column one of column 0."""
+    return _rotations_of_the_first(rows) and _rotations_of_the_first(tuple(zip(*rows)))
+
+
 def path_count(n: int, d: int) -> int:
     """A(n, d): the Hamiltonian paths on Z_n, from any start, whose steps all lie in d..n-d.
 

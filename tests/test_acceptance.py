@@ -16,7 +16,7 @@ from latindist import (SearchQuery, ShiftParams, SquareGrid, SudokuShape,
                        to_circulant_canonical, transpose, validate_latin,
                        validate_pandiagonal, validate_sudoku)
 from latindist.cli import main
-from latindist.construct import predicted_inner_distance
+from latindist.construct import _least_step, _shift_terms
 
 from conftest import load_golden
 from oracle import count_by_filter
@@ -184,8 +184,9 @@ def test_acceptance_09_predicted_distance_matches_measured():
             failures.append((params, "not latin"))
             continue
         measured = inner_distance(grid).inner_distance
-        if measured != predicted_inner_distance(params):
-            failures.append((params, measured, predicted_inner_distance(params)))
+        predicted = _least_step(*_shift_terms(params))
+        if measured != predicted:
+            failures.append((params, measured, predicted))
     _verdict(9, "closed-form distance equals measured on the full n<=12 sweep", failures)
 
 

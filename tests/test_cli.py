@@ -641,9 +641,9 @@ def test_cli_start_up_does_not_import_multiprocessing(tmp_path):
         (["check", "--kind", "latin", grid_file], []),
         (["dist", grid_file], ["metrics"]),
         (["canon", grid_file], ["transform"]),
-        (["gen", "--algo", "maxdist", "--n", "5"], ["construct", "transform"]),
-        (["bounds", "--kind", "plain", "--n", "5"], ["construct", "transform"]),
-        (["search", "--n", "5", "--min-dist", "2"], ["construct", "search", "transform"]),
+        (["gen", "--algo", "maxdist", "--n", "5"], ["construct"]),
+        (["bounds", "--kind", "plain", "--n", "5"], ["construct"]),
+        (["search", "--n", "5", "--min-dist", "2"], ["search"]),
     ]:
         proc = _run_python("-c", "import sys; from latindist.cli import main; "
                                  "code = main(sys.argv[1:]); "

@@ -10,7 +10,7 @@ from latindist import (NonexistenceError, ParameterError, ShiftParams,
                        inner_distance, known_bounds, max_distance_square,
                        pandiagonal_max, shift_by_k, sudoku_square, transpose,
                        validate_latin, validate_pandiagonal, validate_sudoku)
-from latindist.construct import _add_mod, _least_step, predicted_inner_distance
+from latindist.construct import _add_mod, _least_step, _shift_terms
 
 from latindist import construct as construct_module
 from latindist import grid as grid_module
@@ -64,11 +64,16 @@ def test_algorithm1_reproduces_goldens(golden):
     assert algorithm1(ShiftParams(10, 5, 4, 1, 1)) == golden("order10_shift_r5_c4.txt")
 
 
+def _predicted(params):
+    # the inner distance of algorithm1(params), read off its terms without building the grid
+    return _least_step(*_shift_terms(params))
+
+
 def test_predicted_inner_distance_examples():
-    assert predicted_inner_distance(ShiftParams(9, 5, 4, 9, 9)) == 4
-    assert predicted_inner_distance(ShiftParams(6, 4, 2, -1, 1)) == 2
+    assert _predicted(ShiftParams(9, 5, 4, 9, 9)) == 4
+    assert _predicted(ShiftParams(6, 4, 2, -1, 1)) == 2
     # R = n here, so the r+alpha class is never realized and must not count
-    assert predicted_inner_distance(ShiftParams(7, 3, 3, 2, 7)) == 3
+    assert _predicted(ShiftParams(7, 3, 3, 2, 7)) == 3
     assert inner_distance(algorithm1(ShiftParams(7, 3, 3, 2, 7))).inner_distance == 3
 
 
@@ -83,7 +88,7 @@ def test_predicted_matches_measured_on_small_sweep():
                         p = ShiftParams(n, r, c, alpha, beta)
                         g = algorithm1(p)
                         assert validate_latin(g).verdict, p
-                        assert inner_distance(g).inner_distance == predicted_inner_distance(p), p
+                        assert inner_distance(g).inner_distance == _predicted(p), p
 
 
 def test_least_step_is_the_inner_distance_of_random_sum_squares():
@@ -267,6 +272,15 @@ def test_sudoku_square_dispatch():
     assert d1 == d2 == 6
 
 
+def test_tall_blocks_are_the_transposes_of_wide_ones():
+    # every shape with a != b and ab <= 256, single-row blocks included: the swapped terms of
+    # the (b, a) plan, or the symmetric plain maximum, give the transpose of the (b, a) square
+    shapes = [(a, b) for a in range(1, 257) for b in range(1, 256 // a + 1) if a != b]
+    assert len(shapes) == 1_450
+    for a, b in shapes:
+        assert sudoku_square(a, b) == transpose(sudoku_square(b, a)), (a, b)
+
+
 @pytest.mark.parametrize("n", [2**6, 2**6 + 1, 2**14, 2**14 + 1, 2**30, 2**30 + 1])
 def test_shift_sums_do_not_wrap_at_the_dtype_edges(n):
     # the fills add a row and a column term in [0, n - 1] in the dtype _narrow(2n - 1) picks,
@@ -293,8 +307,8 @@ def test_each_build_is_checked_once_against_its_class(monkeypatch):
         (lambda: pandiagonal_max(11), (11, None, True)),
         (lambda: sudoku_square(3, 5), (15, SudokuShape(3, 5), False)),
         (lambda: sudoku_square(4, 4), (16, SudokuShape(4, 4), False)),  # algorithm2
-        # built as (3, 5) and transposed, which keeps the blocks
-        (lambda: sudoku_square(5, 3), (15, SudokuShape(3, 5), False)),
+        # the (3, 5) plan's terms swapped, checked against the shape it is built for
+        (lambda: sudoku_square(5, 3), (15, SudokuShape(5, 3), False)),
     ]
     for build, want in builds:
         passes.clear()

@@ -588,6 +588,11 @@ _CELL_WALKS = ([("plain", n, None, 1) for n in range(2, 5)] + [("plain", 5, None
                + [("sudoku", 4, (2, 2), 1), ("sudoku", 6, (2, 3), 2), ("sudoku", 6, (3, 2), 2)])
 
 
+def _in_class(rows, constraint, shape):
+    return (is_sudoku(rows, *shape) if shape else
+            is_pandiagonal(rows) if constraint == "pandiagonal" else is_latin(rows))
+
+
 @functools.cache
 def _cell_prefix_count(constraint, n, shape, d):
     if shape:
@@ -620,10 +625,32 @@ def test_random_cell_walks_match_the_cell_prefixes(data):
         for leaf in leaves:
             rows = [leaf[r * n:(r + 1) * n] for r in range(n)]
             assert rows[0][0] == 1 and min_adjacent_distance(rows) >= d
-            assert (is_sudoku(rows, *shape) if shape else
-                    is_pandiagonal(rows) if constraint == "pandiagonal" else is_latin(rows))
+            assert _in_class(rows, constraint, shape)
     else:
         assert leaves == twin_leaves == []
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_random_exists_walks_match_the_cell_prefixes(data):
+    # any exists probe of a small class, any distance, any budget: a witness is a square of the
+    # class at distance >= d, "none" means the oracle counts no square, and a probe that does
+    # not fit stops at placement budget + 1 with nothing found
+    constraint, n, shape, least = data.draw(st.sampled_from(_CELL_WALKS))
+    d = data.draw(st.integers(least, n // 2 + 1))
+    budget = data.draw(st.integers(1, 5_000))
+    result = run_search(SearchQuery(n=n, constraint=constraint, shape=shape and SudokuShape(*shape),
+                                    min_distance=d, mode="exists", node_budget=budget))
+    for witness in result.witnesses:
+        rows = row_tuples(witness)
+        assert rows[0][0] == 1 and min_adjacent_distance(rows) >= d
+        assert _in_class(rows, constraint, shape)
+    if result.complete:
+        _, squares = _cell_prefix_count(constraint, n, shape, d)
+        assert result.count == len(result.witnesses) == min(1, squares)
+        assert result.nodes_expanded <= budget
+    else:
+        assert (result.nodes_expanded, result.count, result.witnesses) == (budget + 1, 0, ())
 
 
 def test_budget_exhaustion_is_reported_not_silent():

@@ -6,7 +6,7 @@ from latindist import (GridPermutation, NotReducibleError, ParameterError, Searc
                        inner_distance, max_distance_square, run_search, shift_by_k,
                        to_circulant_canonical, transpose, validate_latin,
                        validate_sudoku)
-from oracle import is_sum_square, row_tuples
+from oracle import is_rotation_square, is_sum_square, row_tuples
 
 
 def _random_permutation(rng, n):
@@ -138,28 +138,36 @@ def _maxima(constraint, n=None, shape=None, d=1):
                        min_distance=d, mode="enumerate")
 
 
-@pytest.mark.parametrize("query, sums, others", [
-    (_maxima("plain", n=6, d=2), 600, 72), (_maxima("plain", n=8, d=3), 2_592, 128),
-    (_maxima("pandiagonal", n=7, d=2), 56, 0), (_maxima("sudoku", shape=(2, 3), d=2), 48, 0),
-    (_maxima("sudoku", shape=(2, 4), d=3), 64, 0), (_maxima("sudoku", shape=(3, 3), d=3), 2_880, 0)],
-    ids=["plain6", "plain8", "pandiagonal7", "sudoku2x3", "sudoku2x4", "sudoku3x3"])
-def test_the_reduction_succeeds_exactly_on_the_sum_squares_among_the_maxima(query, sums, others):
-    # every square at these maxima, judged by the oracle's definition; at the plain even
-    # ceilings the others are the 2n^2 rotation squares that are not sum squares
+@pytest.mark.parametrize("query, sums, others, both", [
+    (_maxima("plain", n=6, d=2), 600, 72, 0), (_maxima("plain", n=8, d=3), 2_592, 128, 32),
+    (_maxima("plain", n=10, d=4), 6_760, 200, 0),
+    (_maxima("pandiagonal", n=7, d=2), 56, 0, 56), (_maxima("sudoku", shape=(2, 3), d=2), 48, 0, 0),
+    (_maxima("sudoku", shape=(2, 4), d=3), 64, 0, 0),
+    (_maxima("sudoku", shape=(3, 3), d=3), 2_880, 0, 0)],
+    ids=["plain6", "plain8", "plain10", "pandiagonal7", "sudoku2x3", "sudoku2x4", "sudoku3x3"])
+def test_the_reduction_succeeds_exactly_on_the_sum_squares_among_the_maxima(query, sums, others,
+                                                                           both):
+    # every square at these maxima, judged by the oracle's definitions; at the plain even
+    # ceilings each one the reduction refuses is a rotation square, 2n^2 of them, and both
+    # counts the sum squares that are rotation squares too
     result = run_search(query)
     assert result.complete
     split = {True: 0, False: 0}
+    rotations = 0
     for grid in result.witnesses:
+        rows = row_tuples(grid)
         try:
             canonical, perm = to_circulant_canonical(grid)
         except NotReducibleError:
             reduced = False
+            assert is_rotation_square(rows)
         else:
             reduced = True
             assert apply_permutation(grid, perm) == canonical == shift_by_k(grid.n, 1)
-        assert reduced == is_sum_square(row_tuples(grid))
+            rotations += is_rotation_square(rows)
+        assert reduced == is_sum_square(rows)
         split[reduced] += 1
-    assert (split[True], split[False]) == (sums, others)
+    assert (split[True], split[False], rotations) == (sums, others, both)
 
 
 def test_random_sum_squares_reduce_and_a_changed_cell_does_not():
