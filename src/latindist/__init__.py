@@ -15,7 +15,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# each module's public names, which the package re-exports
+# the one list of public names, by the module that defines each: the package re-exports
+# them, and each module's __all__ is read from its entry
 _EXPORTS = {
     "construct": ("BoundsEntry", "ShiftParams", "algorithm1", "algorithm2", "known_bounds",
                   "max_distance_square", "pandiagonal_max", "shift_by_k", "sudoku_square"),

@@ -25,21 +25,12 @@ from math import gcd
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import NonexistenceError, ParameterError
 from .grid import (SquareGrid, SudokuShape, _cyclic_distance, _narrow, _order, _square_class,
                    _validate)
 
-__all__ = [
-    "BoundsEntry",
-    "ShiftParams",
-    "algorithm1",
-    "algorithm2",
-    "known_bounds",
-    "max_distance_square",
-    "pandiagonal_max",
-    "shift_by_k",
-    "sudoku_square",
-]
+__all__ = list(_EXPORTS["construct"])
 
 
 @dataclass(frozen=True)

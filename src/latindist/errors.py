@@ -5,14 +5,9 @@ Everything derives from ValueError so callers that only care about
 distinct exit codes.
 """
 
-__all__ = [
-    "GridFormatError",
-    "NonexistenceError",
-    "NotReducibleError",
-    "ParameterError",
-    "SearchIncompleteError",
-    "UndefinedDistanceError",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["errors"])
 
 
 class ParameterError(ValueError):

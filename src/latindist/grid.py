@@ -26,22 +26,10 @@ from typing import Iterator, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _EXPORTS
 from .errors import GridFormatError, ParameterError
 
-__all__ = [
-    "BlockAddress",
-    "SquareGrid",
-    "SudokuShape",
-    "ValidationReport",
-    "Violation",
-    "format_grid_text",
-    "grid_to_json",
-    "parse_grid_json",
-    "parse_grid_text",
-    "validate_latin",
-    "validate_pandiagonal",
-    "validate_sudoku",
-]
+__all__ = list(_EXPORTS["grid"])
 
 
 def _order(n, what: str = "an order") -> int:

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import UndefinedDistanceError
 from .grid import SquareGrid, _cyclic_distance, _narrow
 
-__all__ = ["DistanceReport", "inner_distance"]
+__all__ = list(_EXPORTS["metrics"])
 
 
 @dataclass(frozen=True, eq=False)

@@ -142,23 +142,18 @@ node_budget + 1.  A complete witness list is sorted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import accumulate, repeat
 from operator import and_, itemgetter, or_
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import NonexistenceError, ParameterError, SearchIncompleteError
 from .grid import _KINDS, SquareGrid, SudokuShape, _grids, _order, _square_class
 
-__all__ = [
-    "DEFAULT_NODE_BUDGET",
-    "SearchQuery",
-    "SearchResult",
-    "max_distance_via_search",
-    "run_search",
-]
+__all__ = list(_EXPORTS["search"])
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -811,11 +806,10 @@ def max_distance_via_search(kind: str, size, *, node_budget: int = DEFAULT_NODE_
     if not entry.existence:
         raise NonexistenceError(f"no {kind} Latin square of order {entry.n} exists")
     # the shape as given: the entry's sides are sorted
-    shape = SudokuShape(*sides) if pair else None
+    query = SearchQuery(n=entry.n, constraint=kind, shape=SudokuShape(*sides) if pair else None,
+                        mode="exists", node_budget=node_budget)
     for d in range(entry.upper, 0, -1):
-        query = SearchQuery(n=entry.n, constraint=kind, shape=shape, min_distance=d,
-                            mode="exists", node_budget=node_budget)
-        result = run_search(query)
+        result = run_search(replace(query, min_distance=d))
         if not result.complete:
             raise SearchIncompleteError(
                 f"node budget exhausted probing distance {d}; "

@@ -14,15 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import NotReducibleError, ParameterError
 from .grid import SquareGrid, _order
 
-__all__ = [
-    "GridPermutation",
-    "apply_permutation",
-    "to_circulant_canonical",
-    "transpose",
-]
+__all__ = list(_EXPORTS["transform"])
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,40 @@ def test_the_row_rule_at_its_edges(monkeypatch, n, d, cap, rows):
     assert (None if listed is None else len(listed[0])) == rows
 
 
+def _forced_walk_count(monkeypatch, walk, shape, d):
+    # a row cap of 0 turns every query away from the row walk; caps far above every listing
+    # here send every query to it
+    if walk == "cell":
+        monkeypatch.setattr("latindist.search._ROW_CAP", 0)
+    else:
+        monkeypatch.setattr("latindist.search._ROW_CAP", 2**20)
+        monkeypatch.setattr("latindist.search._TABLE_BITS", 2**40)
+    assert (_rows(shape.n, d) is None) == (walk == "cell")
+    result = run_search(SearchQuery(constraint="sudoku", shape=shape, min_distance=d))
+    assert result.complete, (shape, walk)
+    return result.count
+
+
+@pytest.mark.parametrize("a, b, d, want", [(2, 3, 2, 48), (2, 4, 3, 64), (2, 5, 4, 80),
+                                           (2, 6, 5, 96), (3, 3, 3, 2_880), (3, 5, 6, 6_240)])
+def test_every_sudoku_maximum_on_both_walks(monkeypatch, a, b, d, want):
+    # the row and cell walks share no loop, so each checks the other at the class maximum
+    shape = SudokuShape(a, b)
+    assert d == known_bounds("sudoku", a=a, b=b).upper
+    counts = [_forced_walk_count(monkeypatch, walk, shape, d) for walk in ("cell", "row")]
+    assert counts == [want, want]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("a, b, d, want", [(3, 4, 4, 230_400), (4, 4, 6, 527_360)])
+def test_larger_sudoku_maxima_on_the_cell_walk(monkeypatch, a, b, d, want):
+    # the row walk on (3, 4) lists 106 848 rows and peaks near 800 MB, so only the cell
+    # walk counts these
+    shape = SudokuShape(a, b)
+    assert d == known_bounds("sudoku", a=a, b=b).upper
+    assert _forced_walk_count(monkeypatch, "cell", shape, d) == want
+
+
 def test_pandiagonal_and_sudoku_counts():
     assert _count(5, 2, "pandiagonal").count == 0
     assert _count(7, 3, "pandiagonal").count == 0

@@ -3,6 +3,7 @@ and the benchmark reach, and every module's `__all__` re-exported."""
 
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -46,6 +47,21 @@ def test_every_module_export_is_re_exported_by_the_package():
             assert getattr(latindist, name) is getattr(module, name), (module_name, name)
             exported.add(name)
     assert exported == set(PUBLIC)
+
+
+def test_each_name_is_listed_under_the_module_that_defines_it():
+    # the lazy loader imports the listed module for a name: a name listed under a module
+    # that only imports it would load the wrong module and still pass the test above
+    unchecked = set()
+    for module_name, names in latindist._EXPORTS.items():
+        module = importlib.import_module(f"latindist.{module_name}")
+        for name in names:
+            value = getattr(module, name)
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == f"latindist.{module_name}", (module_name, name)
+            else:
+                unchecked.add(name)
+    assert unchecked == {"DEFAULT_NODE_BUDGET"}
 
 
 def test_modmath_is_gone():
