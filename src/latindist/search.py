@@ -41,10 +41,13 @@ d=4, where stacking rows lost to filling cells.  It fills cells one at a
 time and filters every candidate symbol against a precomputed
 admissibility table dist(u, v) >= d for the two already-placed
 neighbours (left and up).  Occupancy is carried down the walk: placing a
-symbol records, for each unit of the cell (its row, its column, and its
-block or its two wrapped diagonals), the mask of the symbols in the cell
-and in the unit's cells visited before it, one OR onto the mask of the
-unit's previous cell.  A cell's candidates read the masks of its units'
+symbol records, for each unit of the cell, the mask of the symbols in the
+cell and in the unit's cells visited before it, one OR onto the mask of
+the unit's previous cell.  The units are those of the square's class
+alone: its row and column for plain squares, also its block for Sudoku
+squares, and its two wrapped diagonals for pandiagonal ones, so a
+placement reads and writes two, three or four masks, each class in its
+own copy of one loop.  A cell's candidates read the masks of its units'
 previous cells, which stay as they are while the walk is below those
 cells, so a backtrack has nothing to undo.  A node is a cell placement.
 
@@ -142,10 +145,11 @@ node_budget + 1.  A complete witness list is sorted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
 from operator import and_, itemgetter, or_
+from string import Template
 
 import numpy as np
 
@@ -288,24 +292,28 @@ class _Context:
     adm[u] is the mask of symbols at distance >= d from u, and adm[0], the
     symbol of the spare cell n*n, is the full mask; above[s] is the mask of
     the symbols above s.  Cells are numbered row-major, as the walk's grid
-    is: (r, c) is cell r*n + c.  cells[k] is (cell, p1, p2, p3, p4, nbr,
-    lex) for the k-th cell visited, band by band and within a band column
-    by column: a rows each for Sudoku squares, min(3, n) for count and
-    enumerate walks of pandiagonal squares, the last band ragged where 3
-    does not divide n, and one row otherwise, so row by row.  Every table
-    is built once in row-major order and then gathered into that order.
-    p1..p4 are, for each of the cell's four units, whose symbols must
-    differ, the unit's cell visited last before it, or the spare cell if
-    there is none: in its row the left neighbour, in its column the upper
-    one, in its block the cell above or, at the top of a band, the last
-    cell of the block's previous column, and in its forward and back
-    diagonals the cell of that diagonal visited last before it, which row
-    by row is the wrapped upper-left and upper-right neighbour.  Sudoku
-    cells point p4, and plain cells p3 and p4, at the spare cell.  The walk
-    reads the two neighbours, both visited earlier, through p1 and p2.  The
-    cell's prev is the left one, or in column 0, where p1 is the spare
-    cell, the upper one, and at the corner the spare cell; candidates are
-    tried upwards from prev's symbol, then from 1.
+    is: (r, c) is cell r*n + c.  cells[k] is the record of the k-th cell
+    visited, band by band and within a band column by column: a rows each
+    for Sudoku squares, min(3, n) for count and enumerate walks of
+    pandiagonal squares, the last band ragged where 3 does not divide n,
+    and one row otherwise, so row by row.  Row by row the records are built
+    in that order; in bands every table is built once in row-major order
+    and the records are then gathered into the visiting order.  A record
+    holds one link for each unit of the cell's class, whose symbols must
+    differ: (cell, p1, p2, nbr, lex) for plain squares, (cell, p1, p2, p3,
+    nbr, lex) for Sudoku squares and (cell, p1, p2, p3, p4, nbr, lex) for
+    pandiagonal ones, so _walk reads the unit count off its width.  Each
+    link is the unit's cell visited last before the cell, or the spare
+    cell if there is none: p1 in its row, the left neighbour, p2 in its
+    column, the upper one, p3 in its block, the cell above or, at the top
+    of a band, the last cell of the block's previous column, and p3 and p4
+    in its forward and back diagonals, the cell of that diagonal visited
+    last before it, which row by row is the wrapped upper-left and
+    upper-right neighbour.  The walk reads the two neighbours, both visited
+    earlier, through p1 and p2.  The cell's prev is the left one, or in
+    column 0, where p1 is the spare cell, the upper one, and at the corner
+    the spare cell; candidates are tried upwards from prev's symbol, then
+    from 1.
     nbr[s] is the mask the cell admits beside a prev holding s: adm itself
     for most cells, adm with the lex-leader rule folded in for the first
     cells of row 0.  The corner admits symbol 1 alone (translation), and
@@ -350,42 +358,47 @@ class _Context:
         up = [spare] * n + cell[:-n]
         # bands of a rows, visited band by band, each band column by column: the block height
         # of Sudoku squares, min(3, n) rows in count and enumerate walks of pandiagonal ones,
-        # else one row, so row-major
+        # else one row, so row-major and built in that order, with nothing to gather
         pandiagonal = query.constraint == "pandiagonal"
         a = shape.a if shape is not None else 1
         if pandiagonal and query.mode != "exists":
             a = min(3, n)
-        bands = -(-n // a)
-        order = np.arange(bands * a * n).reshape(bands, a, n).transpose(0, 2, 1).ravel()
-        if n % a:
-            # a ragged last band: whole bands, less the cells past the square.  Whole bands
-            # skip the mask, which costs 1.3 us of a 34 us pandiagonal 13 exists build
-            order = order[order < spare]
-        # the cell before each cell in its third and fourth unit: in its block, the one
-        # above, or at the top of a band the last of the block's previous column; in its
-        # diagonals, the one visited last before it, in row order the wrapped upper-left
-        # and upper-right neighbours; else spare
-        third = fourth = [spare] * spare
+        order = cell
+        if a > 1:
+            bands = -(-n // a)
+            visit = np.arange(bands * a * n).reshape(bands, a, n).transpose(0, 2, 1).ravel()
+            if n % a:
+                # a ragged last band: whole bands, less the cells past the square
+                visit = visit[visit < spare]
+            order = visit.tolist()
+        # a link for each unit of the class, the unit's cell visited last before the cell, or
+        # spare: in its row the left neighbour, in its column the upper one, in its block the
+        # one above or, at the top of a band, the last of the block's previous column, in its
+        # diagonals the one visited last before it, in row order the wrapped upper-left and
+        # upper-right neighbours
+        links = [left, up]
         if shape is not None:
-            third = up[:]
+            block = up[:]
             for top in range(0, spare, a * n):
-                third[top:top + n] = [spare] + cell[top + (a - 1) * n:top + a * n - 1]
-                third[top:top + n:shape.b] = [spare] * a
+                block[top:top + n] = [spare] + cell[top + (a - 1) * n:top + a * n - 1]
+                block[top:top + n:shape.b] = [spare] * a
+            links.append(block)
         elif pandiagonal and a == 1:
             # row by row those are the wrapped neighbours, which list slices give in a sixth
             # of the argsort's time: exists probes build one context per query
-            third = [spare] * (n + 1) + cell[:-n - 1]
-            third[n::n] = cell[n - 1:-1:n]
-            fourth = [spare] * n + cell[1:spare - n + 1]
-            fourth[2 * n - 1::n] = cell[:-n:n]
+            forward = [spare] * (n + 1) + cell[:-n - 1]
+            forward[n::n] = cell[n - 1:-1:n]
+            back = [spare] * n + cell[1:spare - n + 1]
+            back[2 * n - 1::n] = cell[:-n:n]
+            links += [forward, back]
         elif pandiagonal:
-            rows, columns = np.divmod(order, n)
+            rows, columns = np.divmod(visit, n)
             prevs = np.full((2, spare), spare)
             for prev, diagonal in zip(prevs, ((rows - columns) % n, (rows + columns) % n)):
                 # each row of by: one diagonal's cells in visiting order
-                by = order[np.argsort(diagonal, kind="stable")].reshape(n, n)
+                by = visit[np.argsort(diagonal, kind="stable")].reshape(n, n)
                 prev[by[:, 1:]] = by[:, :-1]
-            third, fourth = prevs.tolist()
+            links += prevs.tolist()
         neg = _negation(n)
         # the symbols s <= -s, and s < -s
         lead = sum(1 << (s - 1) for s in range(1, n + 1) if s <= neg[s])
@@ -396,7 +409,6 @@ class _Context:
         if n % 2 == 0 and n > 2:
             nbr[2] = adm[:]
             nbr[2][1 + n // 2] &= strict
-        order = order.tolist()
         lex = [0] * spare
         self.neg = []
         if query.mode == "exists":
@@ -421,8 +433,8 @@ class _Context:
                 lex[i] = (i, i * n, row_masks)
             for i in range(a, n):
                 lex[i * n] = (i, i, col_masks)
-        tables = zip(cell, left, up, third, fourth, nbr, lex)
-        self.cells = itemgetter(*order)(list(tables))
+        records = tuple(zip(cell, *links, nbr, lex))
+        self.cells = itemgetter(*order)(records) if a > 1 else records
 
 
 def _mirror_met(grid: list[int], n: int, a: int, band, mirror, prevs) -> bool:
@@ -446,52 +458,32 @@ def _mirror_met(grid: list[int], n: int, a: int, band, mirror, prevs) -> bool:
             return (u - p - 1) % n < (v - p - 1) % n
 
 
-def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
-    """Depth-first fill of every cell from the empty grid.
-
-    The only code that places symbols.  Cells are filled in the context's
-    visiting order and each cell tries its candidates upwards from its
-    prev's symbol, grid[p1] or grid[p2] as the spare cell holds 0, wrapping
-    round to 1, so the squares come in a fixed order.  Each cell's untried
-    candidates are kept on an explicit stack, so the depth is not bounded
-    by the interpreter's recursion limit.  occ1..occ4[j] hold the symbols
-    of cell j's units up to j in visiting order: placing a symbol at j ORs
-    its bit onto the masks of j's p1..p4, and j's candidates exclude what
-    those of p1..p4 hold.  A placement writes only its own cell's masks, so
-    a backtrack only steps back to the deepest cell with a candidate left.
-    Every placement counts as one node; a walk that needs more than budget
-    nodes stops at node budget + 1.
-
-    Returns (count, twins, nodes, complete, leaves, twin_leaves): count
-    leaves, twins of them with no tie bit left, which stand for their
-    transposed partner too, and, when collect is set, the row-major cell
-    tuples of the leaves and of the twins.
-    """
+# The cell walk's loop, written once and compiled at import for cells of 2, 3 and 4 units
+# (_unit_walk): each line that holds $u is repeated once for each unit u, $links stands for
+# the cell's unit links p1, p2, ..., and $held for the OR of occu[pu] over its units.
+_WALK_LOOP = '''
+def _walk(ctx, budget, collect, stop_first):
     n, adm, above, cells, neg = ctx.n, ctx.adm, ctx.above, ctx.cells, ctx.neg
     stop = n * n
     grid = [0] * (stop + 1)
-    # occ1[j]..occ4[j]: the symbols of cell j and of the cells before it in its four units
-    occ1 = [0] * (stop + 1)
-    occ2 = occ1[:]
-    occ3 = occ1[:]
-    occ4 = occ1[:]
+    occ$u = [0] * (stop + 1)
     # ties[i]: the tie bits before pair i, set at its deciding cell: bit 1 while row 0 equals
     # column 0, bit 2 while it equals the negated column 0; the corner's 1 is its own negation
     ties = [3] * n
     count = twins = nodes = 0
-    leaves: list[tuple[int, ...]] = []
-    twin_leaves: list[tuple[int, ...]] = []
+    leaves = []
+    twin_leaves = []
     untried = [0] * stop
     k = 0
     # cand < 0 marks a cell the walk has just stepped onto
     cand = -1
     while k >= 0:
-        cell, p1, p2, p3, p4, nbr, lex = cells[k]
+        cell, $links, nbr, lex = cells[k]
         # the left neighbour's symbol; in column 0, where p1 is the spare cell, the upper one's
         sym = grid[p1] or grid[p2]
         if cand < 0:
             # the symbols that the cell's units and neighbours leave it
-            cand = nbr[sym] & adm[grid[p2]] & ~(occ1[p1] | occ2[p2] | occ3[p3] | occ4[p4])
+            cand = nbr[sym] & adm[grid[p2]] & ~($held)
             if lex:
                 if neg:
                     # the later cell of pair i: keep row 0 <= column 0 and <= its negation
@@ -515,10 +507,7 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
             if nodes > budget:
                 return count, twins, nodes, False, leaves, twin_leaves
             grid[cell] = bit.bit_length()
-            occ1[cell] = occ1[p1] | bit
-            occ2[cell] = occ2[p2] | bit
-            occ3[cell] = occ3[p3] | bit
-            occ4[cell] = occ4[p4] | bit
+            occ$u[cell] = occ$u[p$u] | bit
             k += 1
             cand = -1
             if k < stop:
@@ -541,6 +530,56 @@ def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
             k -= 1
         cand = untried[k]
     return count, twins, nodes, True, leaves, twin_leaves
+'''
+
+
+def _unit_walk(units: int):
+    """_WALK_LOOP compiled for cells of the given number of units."""
+    each = range(1, units + 1)
+    lines = []
+    for line in _WALK_LOOP.splitlines():
+        lines += [line.replace("$u", str(u)) for u in each] if "$u" in line else [line]
+    source = Template("\n".join(lines)).substitute(
+        links=", ".join(f"p{u}" for u in each), held=" | ".join(f"occ{u}[p{u}]" for u in each))
+    scope = {}
+    exec(compile(source, f"<cell walk of {units} units>", "exec"), globals(), scope)
+    return scope["_walk"]
+
+
+# the cell walk for each record width of _Context.cells: the cell, its 2, 3 or 4 unit
+# links, nbr and lex
+_WALKS = {units + 3: _unit_walk(units) for units in (2, 3, 4)}
+
+
+def _walk(ctx: _Context, budget: int, collect: bool, stop_first: bool):
+    """Depth-first fill of every cell from the empty grid.
+
+    The only code that places symbols.  Cells are filled in the context's
+    visiting order and each cell tries its candidates upwards from its
+    prev's symbol, grid[p1] or grid[p2] as the spare cell holds 0, wrapping
+    round to 1, so the squares come in a fixed order.  Each cell's untried
+    candidates are kept on an explicit stack, so the depth is not bounded
+    by the interpreter's recursion limit.  For each of the cell's units,
+    linked by p1, p2, ..., occu[j] holds the symbols of cell j's unit u up
+    to j in visiting order: placing a symbol at j ORs its bit onto the
+    masks of j's links, and j's candidates exclude what those of its links
+    hold.  A placement writes only its own cell's masks, so a backtrack
+    only steps back to the deepest cell with a candidate left.  Every
+    placement counts as one node; a walk that needs more than budget nodes
+    stops at node budget + 1.
+
+    The loop is _WALK_LOOP, compiled at import once for each unit count:
+    the walk runs the copy whose unit count the context's records have, two
+    for plain squares, three for Sudoku squares and four for pandiagonal
+    ones, so a placement reads and writes only the occupancy of its own
+    class's units.
+
+    Returns (count, twins, nodes, complete, leaves, twin_leaves): count
+    leaves, twins of them with no tie bit left, which stand for their
+    transposed partner too, and, when collect is set, the row-major cell
+    tuples of the leaves and of the twins.
+    """
+    return _WALKS[len(ctx.cells[0])](ctx, budget, collect, stop_first)
 
 
 def _far_masks(n: int, d: int) -> list[int]:
@@ -806,10 +845,10 @@ def max_distance_via_search(kind: str, size, *, node_budget: int = DEFAULT_NODE_
     if not entry.existence:
         raise NonexistenceError(f"no {kind} Latin square of order {entry.n} exists")
     # the shape as given: the entry's sides are sorted
-    query = SearchQuery(n=entry.n, constraint=kind, shape=SudokuShape(*sides) if pair else None,
-                        mode="exists", node_budget=node_budget)
+    shape = SudokuShape(*sides) if pair else None
     for d in range(entry.upper, 0, -1):
-        result = run_search(replace(query, min_distance=d))
+        result = run_search(SearchQuery(n=entry.n, constraint=kind, shape=shape, min_distance=d,
+                                        mode="exists", node_budget=node_budget))
         if not result.complete:
             raise SearchIncompleteError(
                 f"node budget exhausted probing distance {d}; "

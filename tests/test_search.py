@@ -13,7 +13,7 @@ from latindist import (NonexistenceError, ParameterError,
                        inner_distance, known_bounds, max_distance_via_search, run_search,
                        validate_latin, validate_pandiagonal, validate_sudoku)
 
-from latindist.search import _Context, _lex_order, _row_walk, _rows, _walk
+from latindist.search import _MODES, _Context, _lex_order, _row_walk, _rows, _walk
 from oracle import (admissible_rows, all_latin_squares, band_column_order, count_by_filter,
                     first_bands, is_latin, is_pandiagonal, is_sudoku, min_adjacent_distance,
                     mirror_cuts, mirror_images, pandiagonal_prefix_count, path_count,
@@ -279,7 +279,7 @@ def _uncut_walk(query, band=None):
         for k in range(a * n):
             cell = cells[k]
             bit = 1 << (band[cell[0] // n][cell[0] % n] - 1)
-            cells[k] = cell[:5] + ([m & bit for m in cell[5]], 0)
+            cells[k] = cell[:-2] + ([m & bit for m in cell[-2]], 0)
     ctx.cells = tuple(cells)
     return _walk(ctx, query.node_budget, True, True)
 
@@ -687,6 +687,35 @@ def test_random_exists_walks_match_the_cell_prefixes(data):
         assert (result.nodes_expanded, result.count, result.witnesses) == (budget + 1, 0, ())
 
 
+def _padded(ctx, width):
+    """ctx with each record padded to width by links to the spare cell, which no unit holds."""
+    spare = ctx.n * ctx.n
+    ctx.cells = tuple(record[:-2] + (spare,) * (width - len(record)) + record[-2:]
+                      for record in ctx.cells)
+    return ctx
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(st.data())
+def test_fewer_unit_walks_match_the_four_unit_walk(data):
+    # the 2- and 3-unit loops of plain and Sudoku records do the 4-unit loop's work less the
+    # links to the spare cell: on the same records padded with spare links, the 4-unit walk
+    # (and for plain records the 3-unit one) returns the same tuple, at any distance, in any
+    # mode, complete or starved
+    constraint, n, shape, least = data.draw(
+        st.sampled_from([walk for walk in _CELL_WALKS if walk[0] != "pandiagonal"]))
+    d = data.draw(st.integers(least, n // 2 + 1))
+    mode = data.draw(st.sampled_from(_MODES))
+    budget = data.draw(st.integers(1, 2 * _cell_prefix_count(constraint, n, shape, d)[0]))
+    query = SearchQuery(n=n, constraint=constraint, shape=shape and SudokuShape(*shape),
+                        min_distance=d, mode=mode)
+    width = len(_Context(query).cells[0])
+    assert width == (6 if shape else 5)
+    walked = [_walk(_padded(_Context(query), w), budget, mode != "count", mode == "exists")
+              for w in range(width, 8)]
+    assert walked[1:] == walked[:-1]
+
+
 def test_budget_exhaustion_is_reported_not_silent():
     starved = run_search(SearchQuery(n=6, min_distance=1, node_budget=50))
     assert not starved.complete
@@ -831,14 +860,15 @@ def test_context_tables_match_their_definition(n, constraint, shape):
     transposable = constraint != "sudoku" or a == b
     # tie bit 1 compares row 0 with column 0, bit 2 with the negated column 0
     images = {1: lambda v: v, 2: lambda v: _sigma(v, n)}
-    # a cell's four units: its row, its column, then its block or its forward and back
-    # diagonals; None stands for a unit it does not have
+    # a cell's units: its row and its column, then its block or its forward and back
+    # diagonals; each record links exactly these, two for plain squares, three for Sudoku
+    # squares and four for pandiagonal ones
     def units(r, c):
         if constraint == "sudoku":
-            return ("row", r), ("column", c), ("block", r // a, c // b), None
+            return ("row", r), ("column", c), ("block", r // a, c // b)
         if constraint == "pandiagonal":
             return ("row", r), ("column", c), ("forward", (r - c) % n), ("back", (r + c) % n)
-        return ("row", r), ("column", c), None, None
+        return ("row", r), ("column", c)
     for d in sorted({1, 2, n // 4, n // 2, n // 2 + 1} - {0}):
         adm = [full] + [sum(1 << (v - 1) for v in range(1, n + 1)
                             if min((u - v) % n, (v - u) % n) >= d)
@@ -860,11 +890,13 @@ def test_context_tables_match_their_definition(n, constraint, shape):
             last, before = {}, []
             for r, c in order:
                 before.append(tuple(last.get(unit, spare) for unit in units(r, c)))
-                last.update((unit, r * n + c) for unit in units(r, c) if unit)
-            for k, (cell, p1, p2, p3, p4, nbr, lex) in enumerate(ctx.cells):
+                last.update((unit, r * n + c) for unit in units(r, c))
+            for k, (cell, *links, nbr, lex) in enumerate(ctx.cells):
                 r, c = order[k]
                 assert cell == r * n + c, (d, mode, k)
-                assert (p1, p2, p3, p4) == before[k], (d, mode, k)
+                assert len(links) == {"plain": 2, "sudoku": 3, "pandiagonal": 4}[constraint]
+                assert tuple(links) == before[k], (d, mode, k)
+                p1, p2 = links[:2]
                 left = r * n + c - 1 if c else spare
                 up = (r - 1) * n + c if r else spare
                 # both neighbours are filled before the cell
