@@ -149,7 +149,6 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
 from operator import and_, itemgetter, or_
-from string import Template
 
 import numpy as np
 
@@ -539,8 +538,8 @@ def _unit_walk(units: int):
     lines = []
     for line in _WALK_LOOP.splitlines():
         lines += [line.replace("$u", str(u)) for u in each] if "$u" in line else [line]
-    source = Template("\n".join(lines)).substitute(
-        links=", ".join(f"p{u}" for u in each), held=" | ".join(f"occ{u}[p{u}]" for u in each))
+    source = "\n".join(lines).replace("$links", ", ".join(f"p{u}" for u in each))
+    source = source.replace("$held", " | ".join(f"occ{u}[p{u}]" for u in each))
     scope = {}
     exec(compile(source, f"<cell walk of {units} units>", "exec"), globals(), scope)
     return scope["_walk"]
